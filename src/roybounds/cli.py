@@ -35,6 +35,28 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _level(text: str) -> float:
+    """--level: a confidence level strictly between 0 and 1."""
+    try:
+        level = float(text)
+    except ValueError:
+        level = np.nan
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"need 0 < level < 1, got {text!r}")
+    return level
+
+
+def _bootstrap(text: str) -> int:
+    """--bootstrap: a nonnegative number of draws, 0 for none."""
+    try:
+        b = int(text)
+    except ValueError:
+        b = -1
+    if b < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
+    return b
+
+
 def _add_common(p):
     p.add_argument("--data", help="CSV file with header row")
     p.add_argument("--cells", help="JSON cell probabilities")
@@ -45,8 +67,8 @@ def _add_common(p):
     p.add_argument("--filter", action="append", default=[], metavar="COL=VALUE")
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--bootstrap", type=int, default=0)
+    p.add_argument("--level", type=_level, default=0.95)
+    p.add_argument("--bootstrap", type=_bootstrap, default=0)
     p.add_argument("--quantiles", default="0.25,0.75")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -135,22 +157,60 @@ def _load_sample(args) -> OutcomeSample:
         raise InputError(str(exc)) from exc
 
 
-def _cells_from_json(text: str) -> CellProbs:
+_CELL_KEYS = ("q00", "q01", "q10", "q11")
+
+
+def _cells_payload(text: str):
     try:
-        obj = json.loads(text)
-        return validate_cells(obj["q00"], obj["q01"], obj["q10"], obj["q11"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise InputError(f"bad --cells payload: {exc}") from exc
+
+
+def _cells_from_obj(obj) -> CellProbs:
+    if not isinstance(obj, dict) or not all(k in obj for k in _CELL_KEYS):
+        raise InputError(f"bad --cells payload: need an object with keys {', '.join(_CELL_KEYS)}")
+    try:
+        q = np.array([obj[k] for k in _CELL_KEYS], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad --cells payload: cell probabilities must be numbers ({exc})") from exc
+    if not np.all(np.isfinite(q)):
+        raise InputError("bad --cells payload: cell probabilities must be finite")
+    return validate_cells(*q)
+
+
+def _cells_from_json(text: str) -> CellProbs:
+    """One set of cell probabilities {"q00": .., "q01": .., "q10": .., "q11": ..}."""
+    return _cells_from_obj(_cells_payload(text))
+
+
+def _table_from_json(text: str) -> InstrumentTable:
+    """Instrument table from one set of cells or an object of them keyed by z."""
+    obj = _cells_payload(text)
+    if isinstance(obj, dict) and "q00" in obj:
+        return InstrumentTable.from_cells({"z0": _cells_from_obj(obj)})
+    if not isinstance(obj, dict) or not obj:
+        raise InputError("bad --cells payload: need cells or a nonempty object of cells per z")
+    return InstrumentTable.from_cells({z: _cells_from_obj(c) for z, c in obj.items()})
+
+
+def _binary_outcomes(s: OutcomeSample) -> np.ndarray:
+    """The outcome column as integers, rejecting any value other than 0 or 1."""
+    bad = (s.y != 0) & (s.y != 1)
+    if bad.any():
+        raise InputError(f"binary outcome required, got y={float(s.y[bad][0])!r}")
+    return s.y.astype(int)
 
 
 def _table_from_sample(s: OutcomeSample) -> InstrumentTable:
     if s.z is None:
         raise InputError("--instrument column required")
+    y_all = _binary_outcomes(s)
     cells, weights = {}, {}
     for z in sorted(set(s.z.tolist()), key=str):
         mask = s.z == z
         w = s.w[mask]
-        y = s.y[mask].astype(int)
+        y = y_all[mask]
         d = s.d[mask]
         tot = w.sum()
         q = [w[(y == yy) & (d == dd)].sum() / tot for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -160,7 +220,7 @@ def _table_from_sample(s: OutcomeSample) -> InstrumentTable:
 
 
 def _cells_from_sample(s: OutcomeSample) -> CellProbs:
-    y = s.y.astype(int)
+    y = _binary_outcomes(s)
     q = [s.w[(y == yy) & (s.d == dd)].sum() for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
     return validate_cells(*q)
 
@@ -196,13 +256,7 @@ def _cmd_binary(args, report):
 
 def _cmd_generalized(args, report):
     if args.cells:
-        obj = json.loads(args.cells)
-        if "q00" in obj:
-            table = InstrumentTable.from_cells({"z0": _cells_from_json(args.cells)})
-        else:
-            table = InstrumentTable.from_cells(
-                {z: validate_cells(c["q00"], c["q01"], c["q10"], c["q11"]) for z, c in obj.items()}
-            )
+        table = _table_from_json(args.cells)
     else:
         sample = _load_sample(args)
         report["digest"] = _digest(args, sample)
@@ -339,16 +393,7 @@ _OBJECTIVES = {
 def _cmd_oracle(args, report):
     if args.objective:
         if args.cells:
-            obj = json.loads(args.cells)
-            if "q00" in obj:
-                table = InstrumentTable.from_cells({"z0": _cells_from_json(args.cells)})
-            else:
-                table = InstrumentTable.from_cells(
-                    {
-                        z: validate_cells(c["q00"], c["q01"], c["q10"], c["q11"])
-                        for z, c in obj.items()
-                    }
-                )
+            table = _table_from_json(args.cells)
         else:
             sample = _load_sample(args)
             report["digest"] = _digest(args, sample)

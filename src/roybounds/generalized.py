@@ -1,15 +1,16 @@
 """Sharp bounds for the generalized binary Roy model with an instrument.
 
 Selection is unrestricted; only exclusion of the instrument from
-potential outcomes is maintained.  The joint identified set is the
-intersection over z of six linear conditions, and every derived bound
-(marginals, benefit, regret, mobility, sector-conditional gains) is a
-closed form in the instrument envelopes.
+potential outcomes is maintained.  The joint identified set is cut out
+of the simplex by eight envelope conditions, whatever the instrument's
+support size, and every derived bound (marginals, benefit, regret,
+mobility, sector-conditional gains) is a closed form in the same eight
+instrument envelopes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,6 +32,23 @@ from .probability import (
     unit,
 )
 
+# Cell combinations (rows) of the cells (q00, q01, q10, q11), in
+# InstrumentEnvelopes field order: the first four enter as infima over z,
+# the last four as suprema.
+_COMBO = np.array(
+    [
+        [0, 0, 1, 1],   # P(Y=1|z)
+        [1, 1, 0, 0],   # P(Y=0|z)
+        [0, 1, 1, 0],   # q10 + q01
+        [1, 0, 0, 1],   # q00 + q11
+        [0, 0, 1, 0],   # q10
+        [1, 0, 0, 0],   # q00
+        [0, 0, 0, 1],   # q11
+        [0, 1, 0, 0],   # q01
+    ],
+    dtype=float,
+)
+
 
 @dataclass(frozen=True)
 class InstrumentEnvelopes:
@@ -45,40 +63,81 @@ class InstrumentEnvelopes:
     sup_q11: float
     sup_q01: float
 
+    def as_array(self) -> np.ndarray:
+        return np.array(astuple(self))
+
+
+def envelope_array(theta: np.ndarray, slack=0.0) -> np.ndarray:
+    """Envelopes (..., 8) of per-z cell combinations theta (..., K, 8).
+
+    Columns follow _COMBO.  slack, broadcast against theta, raises every
+    infimum and lowers every supremum before the extremum over z.
+    """
+    inf = (theta + slack).min(axis=-2)
+    sup = (theta - slack).max(axis=-2)
+    return np.concatenate([inf[..., :4], sup[..., 4:]], axis=-1)
+
 
 def envelopes(t: InstrumentTable) -> InstrumentEnvelopes:
     """Componentwise min/max of the cell combinations over the support of z."""
-    qs = [q for _, q, _ in t.points]
-    return InstrumentEnvelopes(
-        inf_y1=min(q.p_y1 for q in qs),
-        inf_y0=min(q.p_y0 for q in qs),
-        inf_10_01=min(q.q10 + q.q01 for q in qs),
-        inf_00_11=min(q.q00 + q.q11 for q in qs),
-        sup_q10=max(q.q10 for q in qs),
-        sup_q00=max(q.q00 for q in qs),
-        sup_q11=max(q.q11 for q in qs),
-        sup_q01=max(q.q01 for q in qs),
-    )
+    cells = np.array([q.as_array() for _, q, _ in t.points])
+    return InstrumentEnvelopes(*map(float, envelope_array(cells @ _COMBO.T)))
 
 
-def joint_polytope(t: InstrumentTable) -> SimplexPolytope:
-    """Identified set for (p00, p01, p10, p11): six conditions per z."""
-    rows = []
-    for _, q, _ in t.points:
-        rows += [
-            (tuple(unit(P11)), q.p_y1),
-            (tuple(unit(P00)), q.p_y0),
-            (tuple(unit(P10)), q.q10 + q.q01),
-            (tuple(unit(P01)), q.q00 + q.q11),
-            (tuple(unit(P10) + unit(P11)), 1.0 - q.q00),
-            (tuple(-(unit(P10) + unit(P11))), -q.q10),
-            (tuple(unit(P01) + unit(P11)), 1.0 - q.q01),
-            (tuple(-(unit(P01) + unit(P11))), -q.q11),
+def joint_polytope(t: InstrumentTable, e: InstrumentEnvelopes | None = None) -> SimplexPolytope:
+    """Identified set for (p00, p01, p10, p11): eight envelope conditions.
+
+    Each instrument point gives one row per normal below; only the
+    tightest right-hand side over z binds, so the set has eight rows for
+    any support size.  e: envelopes(t), when the caller already has them.
+    """
+    e = envelopes(t) if e is None else e
+    ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
+    poly = SimplexPolytope.from_rows(
+        [
+            (unit(P11), e.inf_y1),
+            (unit(P00), e.inf_y0),
+            (unit(P10), e.inf_10_01),
+            (unit(P01), e.inf_00_11),
+            (ey0, 1.0 - e.sup_q00),
+            (-ey0, -e.sup_q10),
+            (ey1, 1.0 - e.sup_q01),
+            (-ey1, -e.sup_q11),
         ]
-    poly = SimplexPolytope.from_rows(rows)
+    )
     if not poly.is_feasible():
         raise InfeasibleModel("instrument table inconsistent with the generalized model")
     return poly
+
+
+def bounds_from_envelopes(env) -> dict:
+    """Closed-form bounds from envelope vectors env (..., 8), as (lo, hi) arrays.
+
+    Keys: "ey0", "ey1", "benefit" (P(Y1>Y0)), "weak_benefit" (P(Y1>=Y0))
+    and "mobility" (P(Y1=1|Y0=0)).  Marginal and benefit endpoints are
+    unclamped.  Mobility divides by P(Y0=0) bounds taken from the clamped
+    EY0 interval; a lower endpoint over a vanished denominator is 1.0, an
+    upper one is nan, and each caller decides what nan means.
+    """
+    i1, i0, i1001, i0011, s10, s00, s11, s01 = np.moveaxis(np.asarray(env, dtype=float), -1, 0)
+    ey0 = (np.maximum(s10, 1.0 - i0 - i0011), np.minimum(1.0 - s00, i1 + i1001))
+    ey1 = (np.maximum(s11, 1.0 - i0 - i1001), np.minimum(1.0 - s01, i1 + i0011))
+    strict_lo = np.maximum(np.maximum(np.maximum(0.0, 1.0 - i1 - i1001 - i0), s00 - i0), s11 - i1)
+    # Mirror image: swap sectors (q10 <-> q11, q00 <-> q01) to bound p10.
+    p10_lo = np.maximum(np.maximum(np.maximum(0.0, 1.0 - i1 - i0011 - i0), s01 - i0), s10 - i1)
+    denom_lo, denom_hi = (1.0 - np.clip(x, 0.0, 1.0) for x in ey0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mobility = (
+            np.where(denom_lo > 1e-9, strict_lo / denom_lo, 1.0),
+            np.where(denom_hi > 1e-9, i0011 / denom_hi, np.nan),
+        )
+    return {
+        "ey0": ey0,
+        "ey1": ey1,
+        "benefit": (strict_lo, i0011),
+        "weak_benefit": (1.0 - i1001, 1.0 - p10_lo),
+        "mobility": mobility,
+    }
 
 
 def bp_marginal_bounds(
@@ -89,31 +148,13 @@ def bp_marginal_bounds(
     Specializes to the classic two-point-instrument treatment-effect
     bounds when z takes two values.  Crossing rejects the model.
     """
-    ey0 = IntervalBound(
-        max(e.sup_q10, 1.0 - e.inf_y0 - e.inf_00_11),
-        min(1.0 - e.sup_q00, e.inf_y1 + e.inf_10_01),
-        sharp=True,
-        label="EY0",
-    )
-    ey1 = IntervalBound(
-        max(e.sup_q11, 1.0 - e.inf_y0 - e.inf_10_01),
-        min(1.0 - e.sup_q01, e.inf_y1 + e.inf_00_11),
-        sharp=True,
-        label="EY1",
-    )
+    r = bounds_from_envelopes(e.as_array())
+    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0")
+    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1")
     if strict and (ey0.crossed or ey1.crossed):
         raise BoundsCross("marginal bounds cross: model rejected")
     ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label="E(Y1-Y0)")
     return ey0.clamp(), ey1.clamp(), ate.clamp(-1.0, 1.0)
-
-
-def _strict_benefit_lower(e: InstrumentEnvelopes) -> float:
-    return max(
-        0.0,
-        1.0 - e.inf_y1 - e.inf_10_01 - e.inf_y0,
-        e.sup_q00 - e.inf_y0,
-        e.sup_q11 - e.inf_y1,
-    )
 
 
 def benefit_bounds(e: InstrumentEnvelopes) -> tuple[IntervalBound, IntervalBound]:
@@ -122,20 +163,15 @@ def benefit_bounds(e: InstrumentEnvelopes) -> tuple[IntervalBound, IntervalBound
     The weak bound comes from the mirror-image bound on P(Y0 > Y1) and
     complementation.
     """
-    strict = IntervalBound(
-        _strict_benefit_lower(e), e.inf_00_11, sharp=True, label="P(Y1>Y0)"
-    ).clamp()
-    # Mirror image: swap sectors (q10 <-> q11, q00 <-> q01) to bound p10.
-    p10_lower = max(
-        0.0,
-        1.0 - e.inf_y1 - e.inf_00_11 - e.inf_y0,
-        e.sup_q01 - e.inf_y0,
-        e.sup_q10 - e.inf_y1,
+    r = bounds_from_envelopes(e.as_array())
+    return (
+        IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0)").clamp(),
+        IntervalBound(*map(float, r["weak_benefit"]), label="P(Y1>=Y0)").clamp(),
     )
-    weak = IntervalBound(
-        1.0 - e.inf_10_01, 1.0 - p10_lower, sharp=True, label="P(Y1>=Y0)"
-    ).clamp()
-    return strict, weak
+
+
+def _regret(e: InstrumentEnvelopes, q) -> float:
+    return min(1.0, e.inf_00_11 / q.q00)
 
 
 def regret_bound(t: InstrumentTable, z) -> float:
@@ -143,26 +179,25 @@ def regret_bound(t: InstrumentTable, z) -> float:
     q = t.cells(z)
     if q.q00 <= 1e-12:
         raise ZeroConditioningCell(f"P(Y=0,D=0|z={z!r}) is zero")
-    e = envelopes(t)
-    return min(1.0, e.inf_00_11 / q.q00)
+    return _regret(envelopes(t), q)
 
 
 def mobility_bounds(e: InstrumentEnvelopes) -> IntervalBound:
     """Bounds on P(Y1=1 | Y0=0), clamped to [0, 1]."""
-    ey0, _, _ = bp_marginal_bounds(e)
-    denom_hi = 1.0 - ey0.hi
-    denom_lo = 1.0 - ey0.lo
-    if denom_hi <= 1e-9:
+    lo, hi = map(float, bounds_from_envelopes(e.as_array())["mobility"])
+    if np.isnan(hi):
         raise DegenerateDenominator("P(Y0=0) upper bound is zero")
-    lower = _strict_benefit_lower(e) / denom_lo if denom_lo > 1e-9 else 1.0
-    upper = e.inf_00_11 / denom_hi
-    return IntervalBound(lower, upper, sharp=True, label="P(Y1=1|Y0=0)").clamp()
+    return IntervalBound(lo, hi, label="P(Y1=1|Y0=0)").clamp()
 
 
-def att_bounds(t: InstrumentTable) -> tuple[IntervalBound, IntervalBound]:
-    """Bounds on E(Y1-Y0 | D=1) and E(Y0-Y1 | D=0) via marginal plug-ins."""
-    e = envelopes(t)
-    ey0, ey1, _ = bp_marginal_bounds(e)
+def att_bounds(
+    t: InstrumentTable, e: InstrumentEnvelopes | None = None
+) -> tuple[IntervalBound, IntervalBound]:
+    """Bounds on E(Y1-Y0 | D=1) and E(Y0-Y1 | D=0) via marginal plug-ins.
+
+    e: envelopes(t), when the caller already has them.
+    """
+    ey0, ey1, _ = bp_marginal_bounds(envelopes(t) if e is None else e)
 
     def averaged(counterfactual: IntervalBound, d: int, label: str) -> IntervalBound:
         los, his = [], []
@@ -242,15 +277,12 @@ class GeneralizedBounds:
 def compute_all(t: InstrumentTable) -> GeneralizedBounds:
     """Assemble every generalized-model bound for one table."""
     e = envelopes(t)
-    poly = joint_polytope(t)
+    poly = joint_polytope(t, e)
     ey0, ey1, ate = bp_marginal_bounds(e)
     strict, weak = benefit_bounds(e)
-    regrets = []
-    for z, q, _ in t.points:
-        if q.q00 > 1e-12:
-            regrets.append((z, regret_bound(t, z)))
-        else:
-            regrets.append((z, np.nan))
+    regrets = tuple((z, _regret(e, q) if q.q00 > 1e-12 else np.nan) for z, q, _ in t.points)
+    mobility = mobility_bounds(e)
+    att1, att0 = att_bounds(t, e)
     return GeneralizedBounds(
         polytope=poly,
         ey0=ey0,
@@ -258,8 +290,8 @@ def compute_all(t: InstrumentTable) -> GeneralizedBounds:
         ate=ate,
         benefit_strict=strict,
         benefit_weak=weak,
-        mobility=mobility_bounds(e),
-        att1=att_bounds(t)[0],
-        att0=att_bounds(t)[1],
-        regret_by_z=tuple(regrets),
+        mobility=mobility,
+        att1=att1,
+        att0=att0,
+        regret_by_z=regrets,
     )

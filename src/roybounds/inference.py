@@ -23,6 +23,7 @@ from .errors import (
     ZeroSectorProbability,
 )
 from .functional import OutcomeSample
+from .generalized import _COMBO, bounds_from_envelopes, envelope_array
 from .oracle import make_rng
 from .probability import IntervalBound
 
@@ -85,21 +86,6 @@ class ThetaVector:
     def z_weights(self) -> np.ndarray:
         totals = self.cell_counts.sum(axis=1)
         return totals / totals.sum()
-
-
-_COMBO = np.array(
-    [
-        [0, 0, 1, 1],   # P(Y=1|z)
-        [1, 1, 0, 0],   # P(Y=0|z)
-        [0, 1, 1, 0],   # q10 + q01
-        [1, 0, 0, 1],   # q00 + q11
-        [0, 0, 1, 0],   # q10
-        [1, 0, 0, 0],   # q00
-        [0, 0, 0, 1],   # q11
-        [0, 1, 0, 0],   # q01
-    ],
-    dtype=float,
-)
 
 
 def _theta_from_cells(cells: np.ndarray) -> np.ndarray:
@@ -211,36 +197,18 @@ class CiReport:
         return out
 
 
-def _q_bars(theta: ThetaVector, k: float):
-    lo_env = (theta.est + k * theta.se).min(axis=0)   # inflated infima, i = 1..4
-    hi_env = (theta.est - k * theta.se).max(axis=0)   # deflated suprema, i = 5..8
-    q_lo = lo_env[:4]
-    q_hi = hi_env[4:]
-    return q_lo, q_hi
-
-
 def assemble_cis(
     theta: ThetaVector, k: float, level: float = 0.95, b: int = 0, seed: int = 0
 ) -> CiReport:
     """Closed-form bounds re-applied to the k-inflated envelopes."""
-    (q1, q0, q1001, q0011) = _q_bars(theta, k)[0]
-    (s10, s00, s11, s01) = _q_bars(theta, k)[1]
-    ey0 = IntervalBound(
-        max(s10, 1.0 - q0 - q0011), min(1.0 - s00, q1 + q1001), label="EY0 CI"
-    ).clamp()
-    ey1 = IntervalBound(
-        max(s11, 1.0 - q0 - q1001), min(1.0 - s01, q1 + q0011), label="EY1 CI"
-    ).clamp()
+    r = bounds_from_envelopes(envelope_array(theta.est, k * theta.se))
+    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0 CI").clamp()
+    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1 CI").clamp()
     ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label="ATE CI").clamp(-1.0, 1.0)
-    benefit = IntervalBound(
-        max(0.0, 1.0 - q1 - q1001 - q0, s00 - q0, s11 - q1),
-        q0011,
-        label="P(Y1>Y0) CI",
-    ).clamp()
-    denom_lo = 1.0 - ey0.lo
-    denom_hi = 1.0 - ey0.hi
-    mob_lo = benefit.lo / denom_lo if denom_lo > 1e-9 else 1.0
-    mob_hi = q0011 / denom_hi if denom_hi > 1e-9 else 1.0
+    benefit = IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0) CI").clamp()
+    mob_lo, mob_hi = map(float, r["mobility"])
+    # A vanished P(Y0=0) upper bound leaves the mobility ratio unbounded.
+    mob_hi = 1.0 if np.isnan(mob_hi) else mob_hi
     mobility = IntervalBound(mob_lo, mob_hi, label="P(Y1=1|Y0=0) CI").clamp()
     att1, att0 = _att_plugin(theta, ey0, ey1)
     return CiReport(
@@ -301,17 +269,8 @@ def att_ci(
     cv = critical_value(data, level=level, b=b, seed=seed)
     cells = _bootstrap_cells(theta, b, seed, _STREAM_ATT)  # (b, K, 4)
     theta_star = _theta_from_cells(cells)
-    lo_env = (theta_star + cv.k * theta.se[None]).min(axis=1)
-    hi_env = (theta_star - cv.k * theta.se[None]).max(axis=1)
-    q1, q0 = lo_env[:, 0], lo_env[:, 1]
-    q1001, q0011 = lo_env[:, 2], lo_env[:, 3]
-    s10, s00, s11, s01 = hi_env[:, 4], hi_env[:, 5], hi_env[:, 6], hi_env[:, 7]
-    if which == 1:
-        cf_lo = np.clip(np.maximum(s10, 1.0 - q0 - q0011), 0.0, 1.0)
-        cf_hi = np.clip(np.minimum(1.0 - s00, q1 + q1001), 0.0, 1.0)
-    else:
-        cf_lo = np.clip(np.maximum(s11, 1.0 - q0 - q1001), 0.0, 1.0)
-        cf_hi = np.clip(np.minimum(1.0 - s01, q1 + q0011), 0.0, 1.0)
+    r = bounds_from_envelopes(envelope_array(theta_star, cv.k * theta.se))
+    cf_lo, cf_hi = np.clip(r["ey0" if which == 1 else "ey1"], 0.0, 1.0)
     p_y = theta_star[:, :, 0] if which == 1 else theta_star[:, :, 1]
     d_col = [1, 3] if which == 1 else [0, 2]
     p_d = cells[:, :, d_col].sum(axis=2)

@@ -58,10 +58,57 @@ def test_binary_missing_file(capsys):
     assert "error" in err
 
 
+SINGLE_Z_BAD_CELLS = [
+    "{bad json",
+    "notjson",
+    "[1,2]",
+    "5",
+    "{}",
+    '{"q00":"a","q01":0,"q10":0,"q11":1}',
+    '{"q00":NaN,"q01":0,"q10":0,"q11":1}',
+]
+MULTI_Z_BAD_CELLS = ['{"a":{"q00":1}}', '{"a":5}']
+
+
 def test_bad_cells_payload(capsys):
-    code, _, err = run_cli(["binary", "--cells", "{bad json"], capsys)
-    assert code == 1
-    assert "error" in err
+    cases = [["binary", "--cells", c] for c in SINGLE_Z_BAD_CELLS]
+    for c in SINGLE_Z_BAD_CELLS + MULTI_Z_BAD_CELLS:
+        cases += [["generalized", "--cells", c], ["oracle", "--objective", "ey0", "--cells", c]]
+    for argv in cases:
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+
+
+def assert_input_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, ""), argv
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+    return err
+
+
+def test_fractional_binary_outcome_rejected(tmp_path, capsys):
+    path = tmp_path / "frac.csv"
+    path.write_text("y,d,z\n0.7,1,a\n1,0,a\n0,1,b\n1,1,b\n")
+    for argv in (["binary"], ["binary", "--instrument", "z"], ["generalized", "--instrument", "z"]):
+        err = assert_input_error(argv + ["--data", str(path)], capsys)
+        assert "0.7" in err
+
+
+def test_level_and_bootstrap_range_checked(tmp_path, capsys):
+    path = write_binary_csv(tmp_path / "s.csv")
+    data = ["--data", str(path), "--instrument", "z"]
+    for argv in (
+        ["infer", *data, "--level", "1.5"],
+        ["iqr", *data, "--level", "1.5", "--bootstrap", "100"],
+        ["generalized", *data, "--level", "0", "--bootstrap", "100"],
+        ["iqr", *data, "--bootstrap", "-5"],
+        ["infer", *data, "--level", "nan"],
+    ):
+        assert_input_error(argv, capsys)
+    # critical_value's own minimum still applies behind the range check
+    err = assert_input_error(["generalized", *data, "--bootstrap", "50"], capsys)
+    assert "100" in err
 
 
 def test_unknown_subcommand(capsys):

@@ -4,11 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roybounds import binary, generalized, oracle
-from roybounds.errors import ZeroConditioningCell, ZeroSectorProbability
+from roybounds.errors import (
+    BoundsCross,
+    DegenerateDenominator,
+    InfeasibleModel,
+    ZeroConditioningCell,
+    ZeroSectorProbability,
+)
 from roybounds.probability import (
+    P00,
+    P01,
+    P10,
+    P11,
     InstrumentTable,
+    PotentialJoint,
+    SimplexPolytope,
     polytope_extrema,
     simplex_grid,
+    unit,
     validate_cells,
 )
 
@@ -62,6 +75,63 @@ def test_joint_polytope_uniform_cells():
     assert np.array_equal(m1, m3)
     b = polytope_extrema(generalized.joint_polytope(t1), (0, 0, 0, 1))
     assert (b.lo, b.hi) == (pytest.approx(0.0), pytest.approx(0.5))
+
+
+def per_z_polytope(t):
+    """Reference identified set: the eight linear conditions at every z."""
+    rows = []
+    for _, q, _ in t.points:
+        rows += [
+            (tuple(unit(P11)), q.p_y1),
+            (tuple(unit(P00)), q.p_y0),
+            (tuple(unit(P10)), q.q10 + q.q01),
+            (tuple(unit(P01)), q.q00 + q.q11),
+            (tuple(unit(P10) + unit(P11)), 1.0 - q.q00),
+            (tuple(-(unit(P10) + unit(P11))), -q.q10),
+            (tuple(unit(P01) + unit(P11)), 1.0 - q.q01),
+            (tuple(-(unit(P01) + unit(P11))), -q.q11),
+        ]
+    return SimplexPolytope.from_rows(rows)
+
+
+def cross_check_tables(n=240, seed=31):
+    """Seeded tables with K in 1..6: forward-generated (feasible) and
+    Dirichlet cells (often infeasible for K > 1)."""
+    rng = oracle.make_rng(seed)
+    for i in range(n):
+        k = 1 + (i // 2) % 6
+        if i % 2:
+            yield oracle.random_type_table(k, rng)[0]
+        else:
+            cells = {f"z{j}": validate_cells(*rng.dirichlet(np.ones(4))) for j in range(k)}
+            yield InstrumentTable.from_cells(cells)
+
+
+def test_joint_polytope_equals_per_z_reference():
+    grid = simplex_grid(0.02)
+    feasible = infeasible = 0
+    for t in cross_check_tables():
+        ref = per_z_polytope(t)
+        if not ref.is_feasible():
+            with pytest.raises(InfeasibleModel):
+                generalized.joint_polytope(t)
+            infeasible += 1
+            continue
+        poly = generalized.joint_polytope(t)
+        assert poly.is_feasible()
+        assert np.array_equal(poly.contains_points(grid), ref.contains_points(grid))
+        assert np.array_equal(poly.vertices(), ref.vertices())
+        feasible += 1
+    assert feasible >= 150 and infeasible >= 40
+
+
+def test_joint_polytope_rows_independent_of_support_size():
+    # Roy selection with a tie-break rate that moves with z: feasible for any K.
+    p = PotentialJoint(0.3, 0.25, 0.15, 0.3)
+    t = InstrumentTable.from_cells(
+        {f"z{j}": oracle.roy_cells(p, pi) for j, pi in enumerate(np.linspace(0.1, 0.9, 12))}
+    )
+    assert len(generalized.joint_polytope(t).halfspaces) == 8
 
 
 def test_joint_polytope_matches_lp_oracle_on_grid():
@@ -264,6 +334,46 @@ def test_single_z_polytope_contains_roy_polytope():
     roy = binary.sharp_bounds(q).polytope.contains_points(grid)
     gen = generalized.joint_polytope(t).contains_points(grid)
     assert np.all(gen[roy])
+
+
+def test_compute_all_computes_envelopes_once(monkeypatch):
+    calls = []
+    for name in ("envelopes", "att_bounds"):
+        fn = getattr(generalized, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(generalized, name, counted)
+    res = generalized.compute_all(TWO_Z)
+    assert sorted(calls) == ["att_bounds", "envelopes"]
+    assert dict(res.regret_by_z) == {z: generalized.regret_bound(TWO_Z, z) for z in TWO_Z.labels}
+
+
+def test_point_path_raises_on_crossing_and_vanished_denominator():
+    rejected = InstrumentTable.from_cells(
+        {
+            "z1": validate_cells(0.9, 0.0, 0.0, 0.1),
+            "z2": validate_cells(0.0, 0.1, 0.9, 0.0),
+        }
+    )
+    with pytest.raises(BoundsCross):
+        generalized.bp_marginal_bounds(generalized.envelopes(rejected), strict=True)
+    # Y=1 in sector 0 everywhere: EY0 reaches 1, so P(Y0=0) may vanish.
+    e = generalized.envelopes(InstrumentTable.from_cells({"z": validate_cells(0, 0, 1, 0)}))
+    assert np.isnan(generalized.bounds_from_envelopes(e.as_array())["mobility"][1])
+    with pytest.raises(DegenerateDenominator):
+        generalized.mobility_bounds(e)
+
+
+def test_bounds_from_envelopes_vectorizes():
+    env = np.stack([generalized.envelopes(t).as_array() for t in cross_check_tables(12)])
+    batched = generalized.bounds_from_envelopes(env)
+    for i, row in enumerate(env):
+        single = generalized.bounds_from_envelopes(row)
+        for key, (lo, hi) in single.items():
+            np.testing.assert_array_equal([lo, hi], [batched[key][0][i], batched[key][1][i]])
 
 
 def test_compute_all_serializes():

@@ -104,6 +104,19 @@ def test_assemble_cis_k_monotone():
     assert wide.benefit_strict.hi >= narrow.benefit_strict.hi - 1e-12
 
 
+def test_assemble_cis_caps_mobility_when_denominator_vanishes():
+    # Y=1 in sector 0 everywhere: the EY0 interval reaches 1, so the
+    # P(Y0=0) upper bound vanishes; the CI path reports 1.0, not an error.
+    counts = np.array([[0.0, 0.0, 100.0, 0.0]])
+    est = counts / counts.sum() @ generalized._COMBO.T
+    th = inference.ThetaVector(
+        labels=("z",), est=est, se=np.full_like(est, inference._SE_FLOOR), cell_counts=counts, n=100
+    )
+    rep = inference.assemble_cis(th, 0.0)
+    assert rep.ey0.hi == 1.0
+    assert rep.mobility.hi == 1.0
+
+
 def test_report_serializes():
     rep = inference.infer_bounds(binary_sample(8), b=200, seed=3)
     out = rep.to_dict()
