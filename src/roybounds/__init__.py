@@ -10,7 +10,8 @@ Submodules:
   cli          - batch command-line interface
 """
 
-from . import binary, functional, generalized, inference, oracle, probability
+# Not oracle: it loads scipy; `from roybounds import oracle` when needed.
+from . import binary, functional, generalized, inference, probability
 from .errors import RoyBoundsError
 from .functional import OutcomeSample, build_subcdf
 from .probability import (

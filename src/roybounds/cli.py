@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import binary, generalized, functional, inference, oracle
+from . import binary, generalized, functional, inference
 from .errors import (
     Infeasible,
     InputError,
@@ -46,15 +46,15 @@ def _level(text: str) -> float:
     return level
 
 
-def _bootstrap(text: str) -> int:
-    """--bootstrap: a nonnegative number of draws, 0 for none."""
+def _nonnegative(text: str) -> int:
+    """--bootstrap (draws, 0 for none) and --seed: a nonnegative integer."""
     try:
-        b = int(text)
+        n = int(text)
     except ValueError:
-        b = -1
-    if b < 0:
+        n = -1
+    if n < 0:
         raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
-    return b
+    return n
 
 
 def _add_common(p):
@@ -66,9 +66,9 @@ def _add_common(p):
     p.add_argument("--weight")
     p.add_argument("--filter", action="append", default=[], metavar="COL=VALUE")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--level", type=_level, default=0.95)
-    p.add_argument("--bootstrap", type=_bootstrap, default=0)
+    p.add_argument("--bootstrap", type=_nonnegative, default=0)
     p.add_argument("--quantiles", default="0.25,0.75")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -101,7 +101,8 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force oracle computations")
     _add_common(p)
-    p.add_argument("--variant", choices=(oracle.ROY, oracle.GENERALIZED), default=oracle.ROY)
+    # oracle.ROY and oracle.GENERALIZED, spelled out to keep scipy unloaded.
+    p.add_argument("--variant", choices=("roy", "generalized"), default="roy")
     p.add_argument("--objective", choices=("ey0", "ey1", "p00", "p01", "p10", "p11"))
     return parser
 
@@ -113,7 +114,7 @@ def _read_rows(path: str) -> list[dict]:
             if reader.fieldnames is None:
                 raise InputError(f"{path}: missing header row")
             return list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -127,6 +128,8 @@ def _apply_filters(rows: list[dict], filters: list[str]) -> list[dict]:
 
 
 def _load_sample(args) -> OutcomeSample:
+    if not args.data:
+        raise InputError("need --data FILE (binary, generalized and oracle also take --cells)")
     rows = _apply_filters(_read_rows(args.data), args.filter)
     if not rows:
         raise InputError("no rows after filtering")
@@ -174,8 +177,6 @@ def _cells_from_obj(obj) -> CellProbs:
         q = np.array([obj[k] for k in _CELL_KEYS], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad --cells payload: cell probabilities must be numbers ({exc})") from exc
-    if not np.all(np.isfinite(q)):
-        raise InputError("bad --cells payload: cell probabilities must be finite")
     return validate_cells(*q)
 
 
@@ -194,35 +195,12 @@ def _table_from_json(text: str) -> InstrumentTable:
     return InstrumentTable.from_cells({z: _cells_from_obj(c) for z, c in obj.items()})
 
 
-def _binary_outcomes(s: OutcomeSample) -> np.ndarray:
-    """The outcome column as integers, rejecting any value other than 0 or 1."""
-    bad = (s.y != 0) & (s.y != 1)
-    if bad.any():
-        raise InputError(f"binary outcome required, got y={float(s.y[bad][0])!r}")
-    return s.y.astype(int)
-
-
 def _table_from_sample(s: OutcomeSample) -> InstrumentTable:
     if s.z is None:
         raise InputError("--instrument column required")
-    y_all = _binary_outcomes(s)
-    cells, weights = {}, {}
-    for z in sorted(set(s.z.tolist()), key=str):
-        mask = s.z == z
-        w = s.w[mask]
-        y = y_all[mask]
-        d = s.d[mask]
-        tot = w.sum()
-        q = [w[(y == yy) & (d == dd)].sum() / tot for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        cells[z] = validate_cells(*q)
-        weights[z] = float(tot)
-    return InstrumentTable.from_cells(cells, weights)
-
-
-def _cells_from_sample(s: OutcomeSample) -> CellProbs:
-    y = _binary_outcomes(s)
-    q = [s.w[(y == yy) & (s.d == dd)].sum() for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    return validate_cells(*q)
+    labels, sums, totals, _ = inference.tabulate(s)
+    cells = {z: validate_cells(*(q / tot)) for z, q, tot in zip(labels, sums, totals)}
+    return InstrumentTable.from_cells(cells, {z: float(tot) for z, tot in zip(labels, totals)})
 
 
 def _digest(args, sample=None) -> dict:
@@ -249,7 +227,8 @@ def _cmd_binary(args, report):
         if args.instrument:
             res = binary.sharp_bounds_with_instrument(_table_from_sample(sample), tau_y=args.tau_y)
         else:
-            res = binary.sharp_bounds(_cells_from_sample(sample))
+            # No instrument column: one pooled row of cell sums.
+            res = binary.sharp_bounds(validate_cells(*inference.tabulate(sample)[1][0]))
     report["bounds"] = res.to_dict()
     return EXIT_OK
 
@@ -310,13 +289,12 @@ def _cmd_iqr(args, report):
 def _cmd_infer(args, report):
     sample = _load_sample(args)
     report["digest"] = _digest(args, sample)
-    b = args.bootstrap or 999
-    ci = inference.infer_bounds(sample, level=args.level, b=b, seed=args.seed)
+    theta = inference.estimate_theta(sample)
+    cv = inference.critical_value(theta, level=args.level, b=args.bootstrap or 999, seed=args.seed)
+    ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
     report["bounds"] = ci.to_dict()
-    att1 = inference.att_ci(sample, level=args.level, b=b, seed=args.seed, which=1)
-    att0 = inference.att_ci(sample, level=args.level, b=b, seed=args.seed, which=0)
-    report["bounds"]["att1_bootstrap"] = att1.to_dict()
-    report["bounds"]["att0_bootstrap"] = att0.to_dict()
+    report["bounds"]["att1_bootstrap"] = inference.att_ci(theta, cv, which=1).to_dict()
+    report["bounds"]["att0_bootstrap"] = inference.att_ci(theta, cv, which=0).to_dict()
     if ci.ey0.lo > ci.ey0.hi or ci.ey1.lo > ci.ey1.hi:
         report["findings"] = {"model_rejected": True, "reasons": ["empty confidence interval"]}
         return EXIT_REJECTED
@@ -324,6 +302,8 @@ def _cmd_infer(args, report):
 
 
 def _joint_from_spec(spec: dict):
+    from . import oracle
+
     kind = spec.get("type", "discrete")
     if kind == "discrete":
         return oracle.DiscreteJoint(
@@ -342,6 +322,8 @@ def _joint_from_spec(spec: dict):
 
 
 def _cmd_simulate(args, report):
+    from . import oracle
+
     try:
         with open(args.design, encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -391,6 +373,8 @@ _OBJECTIVES = {
 
 
 def _cmd_oracle(args, report):
+    from . import oracle
+
     if args.objective:
         if args.cells:
             table = _table_from_json(args.cells)

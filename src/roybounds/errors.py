@@ -62,10 +62,6 @@ class EmptySector(EmptySample):
     """No observations in the requested sector."""
 
 
-class EmptyInstrumentCell(EmptySample):
-    """No observations at some instrument point."""
-
-
 class BadInterval(RoyBoundsError):
     """Interval endpoints are not ordered."""
 

@@ -60,11 +60,17 @@ class OutcomeSample:
         if not np.all((d == 0) | (d == 1)):
             raise BadInterval("sector must be 0 or 1")
         w = np.ones_like(y) if w is None else np.asarray(w, dtype=float)
-        if np.any(w <= 0):
-            raise BadInterval("weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise BadInterval("weights must be positive and finite")
+        # A total that overflows, or a weight too small beside it, leaves a
+        # weight that is not a positive number after normalizing.
+        with np.errstate(over="ignore"):
+            w = w / w.sum()
+        if not np.all(w > 0):
+            raise BadInterval("weights span more than the floating-point range")
         if z is not None:
             z = np.asarray(z, dtype=object)
-        return cls(y=y, d=d, w=w / w.sum(), z=z)
+        return cls(y=y, d=d, w=w, z=z)
 
     def subset(self, mask: np.ndarray) -> "OutcomeSample":
         z = self.z[mask] if self.z is not None else None

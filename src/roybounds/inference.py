@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInstrumentCell,
-    InputError,
-    QuantileOutOfRange,
-    ZeroSectorProbability,
-)
+from .errors import InputError, QuantileOutOfRange, ZeroSectorProbability
 from .functional import OutcomeSample
 from .generalized import _COMBO, bounds_from_envelopes, envelope_array
-from .oracle import make_rng
-from .probability import IntervalBound
+from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
 _CHUNK = 128
@@ -93,35 +87,41 @@ def _theta_from_cells(cells: np.ndarray) -> np.ndarray:
     return cells @ _COMBO.T
 
 
+def tabulate(data: OutcomeSample):
+    """Weighted binary cell sums per instrument point: all the bounds use of data.
+
+    Returns (labels, sums, totals, n_eff): the labels sorted by their string
+    form (the one label None without an instrument column), the (K, 4)
+    weighted cell sums in q00, q01, q10, q11 order, and per label the weight
+    total and the effective sample size total**2 / sum(w**2).  A stable sort
+    groups the rows by label, so each sum adds the same weights in the same
+    order as a per-label mask; np.bincount would change the last bits.
+    """
+    bad = (data.y != 0) & (data.y != 1)
+    if bad.any():
+        raise InputError(f"binary outcome required, got y={float(data.y[bad][0])!r}")
+    cell = 2 * data.y.astype(int) + data.d  # 0:q00 1:q01 2:q10 3:q11
+    z = [None] * data.n if data.z is None else data.z.tolist()
+    labels = sorted(set(z), key=str)
+    index = {v: i for i, v in enumerate(labels)}
+    inv = np.array([index[v] for v in z])
+    order = np.argsort(inv, kind="stable")
+    groups = [(data.w[r], cell[r]) for r in np.split(order, np.cumsum(np.bincount(inv))[:-1])]
+    sums = np.array([[w[c == j].sum() for j in range(4)] for w, c in groups])
+    totals = np.array([w.sum() for w, _ in groups])
+    return labels, sums, totals, totals**2 / np.array([(w**2).sum() for w, _ in groups])
+
+
 def estimate_theta(data: OutcomeSample) -> ThetaVector:
     """Weighted cell proportions per instrument point with multinomial SEs."""
     if data.z is None:
         raise InputError("instrument column required for inference")
-    if not np.all((data.y == 0) | (data.y == 1)):
-        raise InputError("binary-outcome inference requires y in {0, 1}")
-    labels = sorted(set(data.z.tolist()), key=str)
-    est = np.zeros((len(labels), 8))
-    se = np.zeros((len(labels), 8))
-    counts = np.zeros((len(labels), 4))
-    n_total = data.n
-    for i, z in enumerate(labels):
-        mask = data.z == z
-        if not mask.any():
-            raise EmptyInstrumentCell(f"no observations at z={z!r}")
-        w = data.w[mask]
-        y = data.y[mask].astype(int)
-        d = data.d[mask]
-        cell = 2 * y + d  # 0:q00 1:q01 2:q10 3:q11
-        for c in range(4):
-            counts[i, c] = w[cell == c].sum()
-        probs = counts[i] / counts[i].sum()
-        theta = _theta_from_cells(probs)
-        n_eff = w.sum() ** 2 / (w**2).sum()
-        est[i] = theta
-        se[i] = np.maximum(np.sqrt(theta * (1.0 - theta) / n_eff), _SE_FLOOR)
+    labels, counts, _, n_eff = tabulate(data)
+    est = _theta_from_cells(counts / counts.sum(axis=1, keepdims=True))
+    se = np.maximum(np.sqrt(est * (1.0 - est) / n_eff[:, None]), _SE_FLOOR)
     # Rescale weighted counts so they sum to the raw sample size.
-    counts *= n_total / counts.sum()
-    return ThetaVector(labels=tuple(labels), est=est, se=se, cell_counts=counts, n=n_total)
+    counts *= data.n / counts.sum()
+    return ThetaVector(labels=tuple(labels), est=est, se=se, cell_counts=counts, n=data.n)
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,11 @@ def _bootstrap_cells(theta: ThetaVector, b: int, seed: int, tag: int) -> np.ndar
 
 
 def critical_value(
-    data: OutcomeSample, level: float = 0.95, b: int = 999, seed: int = 0
+    theta: ThetaVector, level: float = 0.95, b: int = 999, seed: int = 0
 ) -> CriticalValue:
     """Level-quantile of the bootstrap max studentized theta deviation."""
     if b < 100:
         raise InputError("need at least 100 bootstrap replications")
-    theta = estimate_theta(data)
     cells = _bootstrap_cells(theta, b, seed, _STREAM_K)
     theta_star = _theta_from_cells(cells)          # (b, K, 8)
     dev = np.abs(theta_star - theta.est[None]) / theta.se[None]
@@ -251,23 +250,19 @@ def infer_bounds(
 ) -> CiReport:
     """One-call pipeline: theta, critical value, assembled intervals."""
     theta = estimate_theta(data)
-    cv = critical_value(data, level=level, b=b, seed=seed)
+    cv = critical_value(theta, level=level, b=b, seed=seed)
     return assemble_cis(theta, cv.k, level=level, b=b, seed=seed)
 
 
-def att_ci(
-    data: OutcomeSample, level: float = 0.95, b: int = 999, seed: int = 0, which: int = 1
-) -> IntervalBound:
+def att_ci(theta: ThetaVector, cv: CriticalValue, which: int = 1) -> IntervalBound:
     """Bootstrap outer envelope of the sector-gain plug-in estimators.
 
     The counterfactual-mean confidence endpoints (with the critical value
-    held fixed) are plugged into the ratio at every bootstrap table; the
+    cv held fixed) are plugged into the ratio at every bootstrap table; the
     interval spans the outer quantiles of the resulting lower and upper
-    plug-in draws.
+    plug-in draws.  The draws reuse cv's level, count and seed.
     """
-    theta = estimate_theta(data)
-    cv = critical_value(data, level=level, b=b, seed=seed)
-    cells = _bootstrap_cells(theta, b, seed, _STREAM_ATT)  # (b, K, 4)
+    cells = _bootstrap_cells(theta, cv.b, cv.seed, _STREAM_ATT)  # (b, K, 4)
     theta_star = _theta_from_cells(cells)
     r = bounds_from_envelopes(envelope_array(theta_star, cv.k * theta.se))
     cf_lo, cf_hi = np.clip(r["ey0" if which == 1 else "ey1"], 0.0, 1.0)
@@ -285,7 +280,7 @@ def att_ci(
     else:
         low_star = (w * (p_y - (1.0 - cf_lo)[:, None]) / p_d).sum(axis=1)
         high_star = (w * (p_y - (1.0 - cf_hi)[:, None]) / p_d).sum(axis=1)
-    alpha = 1.0 - level
+    alpha = 1.0 - cv.level
     lo = float(np.quantile(np.sort(low_star), alpha / 2, method="lower"))
     hi = float(np.quantile(np.sort(high_star), 1.0 - alpha / 2, method="higher"))
     label = "E(Y1-Y0|D=1) CI" if which == 1 else "E(Y0-Y1|D=0) CI"

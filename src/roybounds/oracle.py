@@ -24,6 +24,7 @@ from .probability import (
     IntervalBound,
     PotentialJoint,
     SimplexPolytope,
+    make_rng,
 )
 
 ROY = "roy"
@@ -48,11 +49,6 @@ _G = {
         (0, 0): {(0, 1), (0, 0)},
     },
 }
-
-
-def make_rng(seed: int, *stream) -> np.random.Generator:
-    """Counter-based generator; extra ints select independent streams."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
 
 
 def artstein_set(q: CellProbs, variant: str = ROY) -> SimplexPolytope:

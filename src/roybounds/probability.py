@@ -4,7 +4,8 @@ All identified sets for binary-outcome models live on the 3-simplex of
 joint masses (p00, p01, p10, p11), with p_ij = P(Y0=i, Y1=j).  Identified
 sets are intersections of the simplex with halfspaces a.p <= b; extrema
 of linear functionals are computed by exact vertex enumeration, which is
-cheap and exact in this fixed, tiny dimension.
+cheap and exact in this fixed, tiny dimension.  `make_rng` is the one
+seeded random generator behind every simulation and bootstrap draw.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ INPUT_NORM_TOL = 1e-9
 FEAS_TOL = 1e-9
 
 
+def make_rng(seed: int, *stream) -> np.random.Generator:
+    """Counter-based generator; extra ints select independent streams."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+
+
 @dataclass(frozen=True)
 class CellProbs:
     """Observed cell probabilities q_ij = P(Y=i, D=j) of a binary dataset."""
@@ -34,7 +40,8 @@ class CellProbs:
         arr = self.as_array()
         if np.any(arr < -NORM_TOL):
             raise NegativeMass(f"negative cell probability in {arr}")
-        if abs(arr.sum() - 1.0) > INPUT_NORM_TOL:
+        # Negated so that a NaN sum fails too.
+        if not abs(arr.sum() - 1.0) <= INPUT_NORM_TOL:
             raise NotNormalized(f"cell probabilities sum to {arr.sum():.12g}")
 
     def as_array(self) -> np.ndarray:
@@ -65,13 +72,14 @@ def validate_cells(q00: float, q01: float, q10: float, q11: float) -> CellProbs:
     """Validate four raw cell probabilities, renormalizing tiny drift.
 
     Raises NegativeMass for negative inputs and NotNormalized when the sum
-    deviates from one by more than 1e-9.
+    deviates from one by more than 1e-9 or is not a number.
     """
     raw = np.array([q00, q01, q10, q11], dtype=float)
     if np.any(raw < -NORM_TOL):
         raise NegativeMass(f"negative cell probability in {raw}")
     total = raw.sum()
-    if abs(total - 1.0) > INPUT_NORM_TOL:
+    # Negated so that NaN or infinite cells, whose sum is not finite, fail too.
+    if not abs(total - 1.0) <= INPUT_NORM_TOL:
         raise NotNormalized(f"cell probabilities sum to {total:.12g}")
     raw = np.clip(raw, 0.0, None)
     raw = raw / raw.sum()
@@ -139,7 +147,8 @@ class PotentialJoint:
         arr = self.as_array()
         if np.any(arr < -NORM_TOL):
             raise NegativeMass(f"negative joint mass in {arr}")
-        if abs(arr.sum() - 1.0) > INPUT_NORM_TOL:
+        # Negated so that a NaN sum fails too.
+        if not abs(arr.sum() - 1.0) <= INPUT_NORM_TOL:
             raise NotNormalized(f"joint masses sum to {arr.sum():.12g}")
 
     def as_array(self) -> np.ndarray:

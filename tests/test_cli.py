@@ -95,6 +95,14 @@ def test_fractional_binary_outcome_rejected(tmp_path, capsys):
         assert "0.7" in err
 
 
+def test_non_finite_weight_rejected(tmp_path, capsys):
+    for bad in ("nan", "inf", "-inf", "1e308"):
+        path = tmp_path / "w.csv"
+        path.write_text(f"y,d,z,w\n0,1,a,1e308\n1,0,a,{bad}\n0,1,b,1\n1,1,b,1\n")
+        for cmd in (["binary"], ["generalized", "--instrument", "z"], ["infer", "--instrument", "z"]):
+            assert_input_error(cmd + ["--data", str(path), "--weight", "w"], capsys)
+
+
 def test_level_and_bootstrap_range_checked(tmp_path, capsys):
     path = write_binary_csv(tmp_path / "s.csv")
     data = ["--data", str(path), "--instrument", "z"]
@@ -109,6 +117,29 @@ def test_level_and_bootstrap_range_checked(tmp_path, capsys):
     # critical_value's own minimum still applies behind the range check
     err = assert_input_error(["generalized", *data, "--bootstrap", "50"], capsys)
     assert "100" in err
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    path = write_binary_csv(tmp_path / "s.csv")
+    assert_input_error(["infer", "--data", str(path), "--instrument", "z", "--seed", "-1"], capsys)
+
+
+def test_unreadable_csv_rejected(tmp_path, capsys):
+    for name, data in (("nul.csv", b"y,d\n0,\x001\n"), ("latin1.csv", b"y,d\n\xe9,1\n")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert_input_error(["binary", "--data", str(path)], capsys)
+
+
+def test_import_leaves_scipy_unloaded(cli_env):
+    # Only the oracle module needs scipy; the library and the CLI load it on demand.
+    code = (
+        "import sys; import roybounds; a = 'scipy' in sys.modules; "
+        "import roybounds.cli; print(a, 'scipy' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False"]
 
 
 def test_unknown_subcommand(capsys):

@@ -95,6 +95,14 @@ def test_interval_lower_bound_cases():
         fn.interval_lower_bound(c, 1, 2.0, 1.0)
 
 
+def test_sample_rejects_weights_that_do_not_normalize():
+    y, d = np.zeros(3), np.array([0, 1, 1])
+    for w in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, 0.0, 1.0], [-1.0, -1.0, -1.0],
+              [1e308, 1e308, 1.0], [1e300, 1e-300, 1.0]):
+        with pytest.raises(BadInterval):
+            fn.OutcomeSample.from_arrays(y, d, np.array(w))
+
+
 def test_upper_lower_sets_quadrant():
     a = fn.RectUnion.lower_quadrant(1.0, 2.0)
     u0, u1, l0, l1 = fn.upper_lower_sets(a)

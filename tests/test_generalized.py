@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roybounds import binary, generalized, oracle
+from roybounds import binary, cli, generalized, inference, oracle
 from roybounds.errors import (
     BoundsCross,
     DegenerateDenominator,
@@ -11,6 +11,7 @@ from roybounds.errors import (
     ZeroConditioningCell,
     ZeroSectorProbability,
 )
+from roybounds.functional import OutcomeSample
 from roybounds.probability import (
     P00,
     P01,
@@ -123,6 +124,71 @@ def test_joint_polytope_equals_per_z_reference():
         assert np.array_equal(poly.vertices(), ref.vertices())
         feasible += 1
     assert feasible >= 150 and infeasible >= 40
+
+
+def mask_loop_theta(data):
+    """Reference tabulation: estimate_theta as one boolean mask per label."""
+    labels = sorted(set(data.z.tolist()), key=str)
+    est = np.zeros((len(labels), 8))
+    se = np.zeros((len(labels), 8))
+    counts = np.zeros((len(labels), 4))
+    for i, z in enumerate(labels):
+        mask = data.z == z
+        w = data.w[mask]
+        cell = 2 * data.y[mask].astype(int) + data.d[mask]
+        for c in range(4):
+            counts[i, c] = w[cell == c].sum()
+        theta = (counts[i] / counts[i].sum()) @ generalized._COMBO.T
+        n_eff = w.sum() ** 2 / (w**2).sum()
+        est[i] = theta
+        se[i] = np.maximum(np.sqrt(theta * (1.0 - theta) / n_eff), inference._SE_FLOOR)
+    counts *= data.n / counts.sum()
+    return labels, est, se, counts
+
+
+def mask_loop_table(s):
+    """Reference tabulation: the CLI's instrument table, one mask per label."""
+    cells, weights = {}, {}
+    for z in sorted(set(s.z.tolist()), key=str):
+        mask = s.z == z
+        w, y, d = s.w[mask], s.y[mask].astype(int), s.d[mask]
+        tot = w.sum()
+        q = [w[(y == yy) & (d == dd)].sum() / tot for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        cells[z] = validate_cells(*q)
+        weights[z] = float(tot)
+    return InstrumentTable.from_cells(cells, weights)
+
+
+def mask_loop_pooled(s):
+    """Reference tabulation: the CLI's pooled cells without an instrument."""
+    y = s.y.astype(int)
+    return validate_cells(*[s.w[(y == yy) & (s.d == dd)].sum() for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))])
+
+
+def tabulation_samples(n=100, seed=41):
+    """Seeded binary samples with integer labels, K in 1..25, every other one weighted."""
+    rng = oracle.make_rng(seed)
+    for i in range(n):
+        k = 1 + i % 25
+        size = int(rng.integers(k, 40 * k + 1))
+        z = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size - k)]))
+        w = rng.uniform(0.05, 5.0, size) if i % 2 else None
+        yield OutcomeSample.from_arrays(
+            (rng.random(size) < 0.5).astype(float), (rng.random(size) < 0.4).astype(int), w, z=z
+        )
+
+
+def test_tabulate_equals_mask_loop_reference_bitwise():
+    for data in tabulation_samples():
+        labels, est, se, counts = mask_loop_theta(data)
+        th = inference.estimate_theta(data)
+        assert list(th.labels) == labels and labels == sorted(labels, key=str)
+        for new, ref in ((th.est, est), (th.se, se), (th.cell_counts, counts)):
+            assert new.tobytes() == ref.tobytes()
+        assert repr(cli._table_from_sample(data)) == repr(mask_loop_table(data))
+        pooled = OutcomeSample.from_arrays(data.y, data.d, data.w)
+        new_pooled = validate_cells(*inference.tabulate(pooled)[1][0])
+        assert repr(new_pooled) == repr(mask_loop_pooled(pooled))
 
 
 def test_joint_polytope_rows_independent_of_support_size():

@@ -54,22 +54,22 @@ def test_estimate_theta_requires_instrument_and_binary_y():
 
 def test_critical_value_properties():
     data = binary_sample(3)
-    cv = inference.critical_value(data, level=0.95, b=300, seed=5)
+    cv = inference.critical_value(inference.estimate_theta(data), level=0.95, b=300, seed=5)
     assert cv.k > 0
-    cv2 = inference.critical_value(data, level=0.95, b=300, seed=5)
+    cv2 = inference.critical_value(inference.estimate_theta(data), level=0.95, b=300, seed=5)
     assert cv.k == cv2.k  # deterministic for a fixed seed
-    cv_hi = inference.critical_value(data, level=0.99, b=300, seed=5)
+    cv_hi = inference.critical_value(inference.estimate_theta(data), level=0.99, b=300, seed=5)
     assert cv_hi.k >= cv.k
     with pytest.raises(InputError):
-        inference.critical_value(data, b=50)
+        inference.critical_value(inference.estimate_theta(data), b=50)
 
 
 def test_critical_value_thread_invariant(monkeypatch):
     data = binary_sample(4)
     monkeypatch.setenv("ROY_THREADS", "1")
-    k1 = inference.critical_value(data, b=256, seed=9).k
+    k1 = inference.critical_value(inference.estimate_theta(data), b=256, seed=9).k
     monkeypatch.setenv("ROY_THREADS", "8")
-    k8 = inference.critical_value(data, b=256, seed=9).k
+    k8 = inference.critical_value(inference.estimate_theta(data), b=256, seed=9).k
     assert k1 == k8
 
 
@@ -129,8 +129,9 @@ def test_report_serializes():
 
 def test_att_ci_covers_plugin_and_orders():
     data = binary_sample(9, n=6000)
-    ci1 = inference.att_ci(data, b=300, seed=4, which=1)
-    ci0 = inference.att_ci(data, b=300, seed=4, which=0)
+    th = inference.estimate_theta(data)
+    ci1 = inference.att_ci(th, inference.critical_value(th, b=300, seed=4), which=1)
+    ci0 = inference.att_ci(th, inference.critical_value(th, b=300, seed=4), which=0)
     assert ci1.lo <= ci1.hi and ci0.lo <= ci0.hi
     rep = inference.infer_bounds(data, b=300, seed=4)
     assert ci1.lo <= rep.att1.hi + 1e-9 and ci1.hi >= rep.att1.lo - 1e-9
@@ -143,7 +144,8 @@ def test_att_ci_zero_sector():
     z = np.array(["a", "b"] * (n // 2))
     data = OutcomeSample.from_arrays(y, d, z=z)
     with pytest.raises(ZeroSectorProbability):
-        inference.att_ci(data, b=150, seed=0, which=1)
+        th = inference.estimate_theta(data)
+        inference.att_ci(th, inference.critical_value(th, b=150, seed=0), which=1)
 
 
 def iqr_sample(seed, n=600, p_d1=0.9):

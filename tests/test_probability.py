@@ -44,6 +44,16 @@ def test_validate_cells_negative():
         validate_cells(-0.1, 0.5, 0.3, 0.3)
 
 
+def test_validate_cells_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotNormalized):
+            validate_cells(bad, 0.0, 0.0, 1.0)
+        with pytest.raises(NotNormalized):
+            CellProbs(bad, 0.0, 0.0, 1.0)
+    with pytest.raises(NegativeMass):
+        validate_cells(-np.inf, 0.0, 0.0, 1.0)
+
+
 def test_validate_cells_renormalizes_drift():
     q = validate_cells(0.25, 0.25, 0.25, 0.25 + 5e-10)
     assert abs(sum(q.as_array()) - 1.0) < 1e-15
