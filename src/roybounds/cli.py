@@ -57,6 +57,17 @@ def _nonnegative(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """--tau-y: a finite nonnegative tolerance."""
+    try:
+        tau = float(text)
+    except ValueError:
+        tau = np.nan
+    if not 0.0 <= tau < np.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return tau
+
+
 def _add_common(p):
     p.add_argument("--data", help="CSV file with header row")
     p.add_argument("--cells", help="JSON cell probabilities")
@@ -79,7 +90,7 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("binary", help="binary Roy model bounds")
     _add_common(p)
-    p.add_argument("--tau-y", type=float, default=0.0, dest="tau_y")
+    p.add_argument("--tau-y", type=_tolerance, default=0.0, dest="tau_y")
 
     p = sub.add_parser("generalized", help="generalized binary model bounds")
     _add_common(p)

@@ -393,9 +393,9 @@ def proposition1_check(c: SubCdf, d: int, q1: float, q2: float) -> dict:
     bounds = iqr_bounds(c, d, q1, q2)
     observed = _sector_quantile(c, d, q2) - _sector_quantile(c, d, q1)
     p_d, p_o = c.p_d(d), c.p_d(1 - d)
-    cond_d = np.array([c.sub(d, y) for y in c.jumps]) / p_d
+    cond_d = c.sub(d, c.jumps) / p_d
     if p_o > _TOL:
-        cond_o = np.array([c.sub(1 - d, y) for y in c.jumps]) / p_o
+        cond_o = c.sub(1 - d, c.jumps) / p_o
     else:
         cond_o = np.zeros_like(cond_d)
     dominance_other_over_d = bool(np.all(cond_o <= cond_d + 1e-9))

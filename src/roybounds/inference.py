@@ -287,17 +287,22 @@ def att_ci(theta: ThetaVector, cv: CriticalValue, which: int = 1) -> IntervalBou
     return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
 
-def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray, hi_sentinel=np.inf):
+def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray):
     """Per-row weak generalized inverse of nondecreasing rows of vals.
 
-    targets may be a scalar or one value per row; returns xs at the first
-    index where the row reaches the target, +inf when it never does and
-    -inf for nonpositive targets.
+    targets may be a scalar, one value per row or a (rows, cols) array;
+    returns xs at the first index where the row reaches the target, +inf
+    when it never does and -inf for nonpositive targets.  On a
+    nondecreasing row the count of entries below a threshold is exactly
+    its left searchsorted position, so each row is searched directly.
     """
-    t = np.broadcast_to(np.asarray(targets, dtype=float)[..., None], vals.shape)
-    idx = (vals < t[..., 0][..., None] - 1e-12).sum(axis=1)
-    out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], hi_sentinel)
-    out = np.where(np.asarray(targets, dtype=float) <= 1e-12, -np.inf, out)
+    t = np.asarray(targets, dtype=float)
+    thr = np.broadcast_to(t - 1e-12, t.shape if t.ndim == 2 else vals.shape[:1])
+    idx = np.stack(
+        [np.searchsorted(v, r, side="left") for v, r in zip(vals, thr.reshape(len(vals), -1))]
+    ).reshape(thr.shape)
+    out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], np.inf)
+    out = np.where(t <= 1e-12, -np.inf, out)
     return out
 
 
@@ -334,10 +339,13 @@ def iqr_ci(
     w_o = np.bincount(inv, weights=ws_s * (ds_s != d), minlength=m)
     point_probs = np.concatenate([w_d, w_o])
     counts = _bootstrap_counts(point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
-    wd_star = counts[:, :m] / n
-    wo_star = counts[:, m:] / n
-    c_d = np.cumsum(wd_star, axis=1)
-    c_o = np.cumsum(wo_star, axis=1)
+    # Peak memory: drop the (b, 2m) counts once both sectors are scaled,
+    # then accumulate the sub-cdf rows in place.
+    c_d = counts[:, :m] / n
+    c_o = counts[:, m:] / n
+    del counts
+    np.cumsum(c_d, axis=1, out=c_d)
+    np.cumsum(c_o, axis=1, out=c_o)
     f_star = c_d + c_o
     p_other = c_o[:, -1]
 
@@ -378,10 +386,7 @@ def iqr_ci(
         fd_at = np.where(pos[None, :] >= 0, cd[:, np.maximum(pos, 0)], 0.0)
         inv_f2 = _row_inverse(f, q2, xs)
         left = inv_f2[:, None] - xv[None, :]
-        tt = q2 - q1 + fd_at
-        right = np.empty_like(fd_at)
-        for j in range(len(xv)):
-            right[:, j] = _row_inverse(cd, tt[:, j], xs) - xv[j]
+        right = _row_inverse(cd, q2 - q1 + fd_at, xs) - xv[None, :]
         return np.minimum(left, right)
 
     obj0 = objective(cd0, f0, grid)[0]

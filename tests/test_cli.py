@@ -119,6 +119,15 @@ def test_level_and_bootstrap_range_checked(tmp_path, capsys):
     assert "100" in err
 
 
+def test_tau_y_range_checked(tmp_path, capsys):
+    path = write_binary_csv(tmp_path / "s.csv")
+    argv = ["binary", "--data", str(path), "--instrument", "z", "--tau-y"]
+    for bad in ("nan", "inf", "-1"):
+        assert "--tau-y" in assert_input_error(argv + [bad], capsys)
+    assert run_cli(argv + ["0"], capsys)[0] == 2
+    assert run_cli(argv + ["0.5"], capsys)[0] == 0
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     path = write_binary_csv(tmp_path / "s.csv")
     assert_input_error(["infer", "--data", str(path), "--instrument", "z", "--seed", "-1"], capsys)

@@ -311,6 +311,54 @@ def test_proposition1_equal_sectors():
     assert rep["sector_dominates_counterfactual"]
 
 
+def comprehension_proposition1_check(c, d, q1, q2):
+    """proposition1_check as it was with one sub-cdf call per jump, kept as its reference."""
+    bounds = fn.iqr_bounds(c, d, q1, q2)
+    observed = fn._sector_quantile(c, d, q2) - fn._sector_quantile(c, d, q1)
+    p_d, p_o = c.p_d(d), c.p_d(1 - d)
+    cond_d = np.array([c.sub(d, y) for y in c.jumps]) / p_d
+    if p_o > fn._TOL:
+        cond_o = np.array([c.sub(1 - d, y) for y in c.jumps]) / p_o
+    else:
+        cond_o = np.zeros_like(cond_d)
+    exceeds = observed > bounds.hi + 1e-9
+    return {
+        "observed_iqr": float(observed),
+        "potential_iqr": bounds.to_dict(),
+        "counterfactual_dominates_sector": bool(np.all(cond_o <= cond_d + 1e-9)),
+        "sector_dominates_counterfactual": bool(np.all(cond_d <= cond_o + 1e-9)),
+        "observed_exceeds_upper": bool(exceeds),
+        "verdict": (
+            "selection inflates observed sector inequality"
+            if exceeds
+            else "observed inequality consistent with potential-outcome bounds"
+        ),
+    }
+
+
+def test_proposition1_equals_per_jump_reference():
+    outcomes = {True: 0, False: 0}
+    for seed in range(60):
+        rng = oracle.make_rng(seed, 17)
+        n = int(rng.integers(2, 80))
+        y = np.round(rng.normal(0, 1, n), int(rng.integers(0, 3)))  # rounding makes ties
+        d = (rng.random(n) < rng.uniform(0.2, 1.0)).astype(int)
+        d[0] = 1
+        w = rng.random(n) if seed % 2 else None
+        c = fn.build_subcdf(fn.OutcomeSample.from_arrays(y, d, w))
+        for dd in (0, 1):
+            assert c.sub(dd, c.jumps).tobytes() == np.array([c.sub(dd, v) for v in c.jumps]).tobytes()
+            if c.p_d(dd) <= fn._TOL:
+                continue
+            q1, q2 = sorted(rng.uniform(0.05, 0.95, 2))
+            if q2 - q1 < 0.05:
+                q1, q2 = 0.25, 0.75
+            got = fn.proposition1_check(c, dd, q1, q2)
+            assert repr(got) == repr(comprehension_proposition1_check(c, dd, q1, q2)), (seed, dd)
+            outcomes[got["counterfactual_dominates_sector"]] += 1
+    assert min(outcomes.values()) > 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_iqr_lower_below_upper(seed):

@@ -201,3 +201,82 @@ def test_iqr_ci_covers_truth_quick():
         if ci.lo - 1e-9 <= truth <= ci.hi + 1e-9:
             hits += 1
     assert hits >= reps - 2
+
+
+def dense_row_inverse(vals, targets, xs, hi_sentinel=np.inf):
+    """The dense-comparison inverse `_row_inverse` replaced, kept as its reference.
+
+    Counts the entries below the target across each whole row; it takes a
+    scalar or one target per row, so a grid of targets costs one call per
+    column.
+    """
+    t = np.broadcast_to(np.asarray(targets, dtype=float)[..., None], vals.shape)
+    idx = (vals < t[..., 0][..., None] - 1e-12).sum(axis=1)
+    out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], hi_sentinel)
+    out = np.where(np.asarray(targets, dtype=float) <= 1e-12, -np.inf, out)
+    return out
+
+
+def dense_row_inverse_grid(vals, targets, xs):
+    """The reference on (rows, cols) targets: one dense call per column."""
+    return np.stack([dense_row_inverse(vals, targets[:, j], xs) for j in range(targets.shape[1])], axis=1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_row_inverse_equals_dense_reference_bitwise():
+    hit_lo = hit_hi = 0
+    for seed in range(40):
+        rng = oracle.make_rng(seed, 11)
+        rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+        n = int(rng.integers(1, 400))
+        probs = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.7)  # zero cells give flat runs
+        probs = probs / probs.sum() if probs.sum() > 0 else np.full(m, 1.0 / m)
+        vals = np.cumsum(rng.multinomial(n, probs, size=rows) / n, axis=1)
+        xs = np.sort(rng.normal(size=m))
+        cols = int(rng.integers(1, 20))
+        pick = vals[np.arange(rows)[:, None], rng.integers(0, m, size=(rows, cols))]
+        grids = [
+            rng.uniform(-0.1, 1.1, size=(rows, cols)),
+            pick,                                          # exactly at a row value
+            pick + 1e-12,
+            pick - 1e-12,
+            np.where(rng.random((rows, cols)) < 0.5, 1e-12, -rng.random((rows, cols))),  # -inf
+            vals[:, -1:] + rng.uniform(1e-9, 0.5, size=(rows, cols)),                       # +inf
+        ]
+        for tt in grids:
+            got = inference._row_inverse(vals, tt, xs)
+            assert _same_bits(got, dense_row_inverse_grid(vals, tt, xs)), seed
+            for j in range(cols):  # one target per row
+                col = np.ascontiguousarray(tt[:, j])
+                assert _same_bits(inference._row_inverse(vals, col, xs), dense_row_inverse(vals, col, xs))
+            hit_lo += int(np.sum(got == -np.inf))
+            hit_hi += int(np.sum(got == np.inf))
+        for scalar in (0.0, 1e-12, 0.3, float(vals[0, 0]), float(vals[0, -1]) + 1e-12, 2.0):
+            assert _same_bits(inference._row_inverse(vals, scalar, xs), dense_row_inverse(vals, scalar, xs))
+        # The point estimate: one row searched at a (1, G) grid of targets.
+        one = vals[:1]
+        tt = np.concatenate([grids[0][:1], pick[:1], pick[:1] + 1e-12, pick[:1] - 1e-12], axis=1)
+        assert _same_bits(inference._row_inverse(one, tt, xs), dense_row_inverse_grid(one, tt, xs))
+    assert hit_lo > 0 and hit_hi > 0
+
+
+def test_iqr_ci_row_inverse_calls_independent_of_grid(monkeypatch):
+    data = iqr_sample(13, n=400)
+    original = inference._row_inverse
+    calls, widest = [], []
+
+    def counting(vals, targets, xs):
+        calls[-1] += 1
+        widest[-1] = max(widest[-1], np.shape(targets)[-1] if np.ndim(targets) == 2 else 1)
+        return original(vals, targets, xs)
+
+    monkeypatch.setattr(inference, "_row_inverse", counting)
+    for cap in (4, 512):
+        calls.append(0)
+        widest.append(0)
+        inference.iqr_ci(data, 1, 0.6, 0.9, b=150, seed=7, grid_cap=cap)
+    assert calls[0] == calls[1]
+    assert widest[0] < widest[1]  # the grids differ in size
