@@ -118,54 +118,93 @@ def _make_parser() -> _Parser:
     return parser
 
 
-def _read_rows(path: str) -> list[dict]:
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the nonblank data rows of a CSV file, as csv.reader splits them."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: missing header row")
-            return list(reader)
+            return header, [r for r in reader if r]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
 
 
-def _apply_filters(rows: list[dict], filters: list[str]) -> list[dict]:
+def _field(row: list[str], i: int):
+    """Field i of a row, None past the end of a short row (csv.DictReader's restval)."""
+    return row[i] if i < len(row) else None
+
+
+def _column(rows: list[list[str]], i: int) -> list:
+    try:
+        return [r[i] for r in rows]
+    except IndexError:
+        return [_field(r, i) for r in rows]
+
+
+def _apply_filters(rows: list[list[str]], index: dict, filters: list[str]) -> list[list[str]]:
     for f in filters:
         if "=" not in f:
             raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
         col, val = f.split("=", 1)
-        rows = [r for r in rows if str(r.get(col, "")) == val]
+        if col not in index:
+            # An absent column reads as an empty value in every row.
+            rows = rows if val == "" else []
+        else:
+            i = index[col]
+            rows = [r for r in rows if str(_field(r, i)) == val]
     return rows
+
+
+def _raise_row_error(rows: list[list[str]], index: dict, args) -> None:
+    """Raise the error of the first bad field, scanning row by row in column order.
+
+    Rows count from 2, the header being row 1, so a message names the row
+    as the row-by-row parse meets it.
+    """
+    for n, r in enumerate(rows, start=2):
+        try:
+            float(_field(r, index[args.outcome]))
+            int(_field(r, index[args.sector]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"row {n}: bad outcome/sector field ({exc})") from exc
+        if args.weight:
+            try:
+                float(_field(r, index[args.weight]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"row {n}: bad weight ({exc})") from exc
+        if args.instrument:
+            i = index.get(args.instrument)
+            if i is None or _field(r, i) in (None, ""):
+                raise InputError(f"row {n}: missing instrument value")
 
 
 def _load_sample(args) -> OutcomeSample:
     if not args.data:
         raise InputError("need --data FILE (binary, generalized and oracle also take --cells)")
-    rows = _apply_filters(_read_rows(args.data), args.filter)
+    header, rows = _read_rows(args.data)
+    # A repeated column name maps to its last occurrence, as in csv.DictReader.
+    index = {name: i for i, name in enumerate(header)}
+    rows = _apply_filters(rows, index, args.filter)
     if not rows:
         raise InputError("no rows after filtering")
-    y, d, w, z = [], [], [], []
-    for i, r in enumerate(rows, start=2):
-        try:
-            y.append(float(r[args.outcome]))
-            d.append(int(r[args.sector]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"row {i}: bad outcome/sector field ({exc})") from exc
-        if args.weight:
-            try:
-                w.append(float(r[args.weight]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"row {i}: bad weight ({exc})") from exc
-        if args.instrument:
-            if r.get(args.instrument) in (None, ""):
-                raise InputError(f"row {i}: missing instrument value")
-            z.append(r[args.instrument])
+    # One conversion per column; only a failure walks the rows for its message.
+    try:
+        y = [float(v) for v in _column(rows, index[args.outcome])]
+        d = [int(v) for v in _column(rows, index[args.sector])]
+        w = [float(v) for v in _column(rows, index[args.weight])] if args.weight else None
+        z = _column(rows, index[args.instrument]) if args.instrument else None
+        if z is not None and not all(z):
+            raise ValueError
+    except (KeyError, TypeError, ValueError):
+        _raise_row_error(rows, index, args)
     try:
         return OutcomeSample.from_arrays(
             np.array(y),
             np.array(d),
-            np.array(w) if w else None,
-            z=np.array(z, dtype=object) if z else None,
+            None if w is None else np.array(w),
+            z=None if z is None else np.array(z, dtype=object),
         )
     except RoyBoundsError as exc:
         raise InputError(str(exc)) from exc
@@ -206,12 +245,15 @@ def _table_from_json(text: str) -> InstrumentTable:
     return InstrumentTable.from_cells({z: _cells_from_obj(c) for z, c in obj.items()})
 
 
-def _table_from_sample(s: OutcomeSample) -> InstrumentTable:
+def _table_from_sample(s: OutcomeSample) -> tuple[InstrumentTable, tuple]:
+    """The instrument table of a sample, and the tabulation it was built from."""
     if s.z is None:
         raise InputError("--instrument column required")
-    labels, sums, totals, _ = inference.tabulate(s)
+    tab = inference.tabulate(s)
+    labels, sums, totals, _ = tab
     cells = {z: validate_cells(*(q / tot)) for z, q, tot in zip(labels, sums, totals)}
-    return InstrumentTable.from_cells(cells, {z: float(tot) for z, tot in zip(labels, totals)})
+    table = InstrumentTable.from_cells(cells, {z: float(tot) for z, tot in zip(labels, totals)})
+    return table, tab
 
 
 def _digest(args, sample=None) -> dict:
@@ -236,7 +278,7 @@ def _cmd_binary(args, report):
         sample = _load_sample(args)
         report["digest"] = _digest(args, sample)
         if args.instrument:
-            res = binary.sharp_bounds_with_instrument(_table_from_sample(sample), tau_y=args.tau_y)
+            res = binary.sharp_bounds_with_instrument(_table_from_sample(sample)[0], tau_y=args.tau_y)
         else:
             # No instrument column: one pooled row of cell sums.
             res = binary.sharp_bounds(validate_cells(*inference.tabulate(sample)[1][0]))
@@ -250,9 +292,11 @@ def _cmd_generalized(args, report):
     else:
         sample = _load_sample(args)
         report["digest"] = _digest(args, sample)
-        table = _table_from_sample(sample)
+        table, tab = _table_from_sample(sample)
         if args.bootstrap:
-            ci = inference.infer_bounds(sample, level=args.level, b=args.bootstrap, seed=args.seed)
+            theta = inference.theta_from_tabulation(tab, sample.n)
+            cv = inference.critical_value(theta, level=args.level, b=args.bootstrap, seed=args.seed)
+            ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
             report["confidence"] = ci.to_dict()
     res = generalized.compute_all(table)
     report["bounds"] = res.to_dict()
@@ -392,7 +436,7 @@ def _cmd_oracle(args, report):
         else:
             sample = _load_sample(args)
             report["digest"] = _digest(args, sample)
-            table = _table_from_sample(sample)
+            table = _table_from_sample(sample)[0]
         res = oracle.response_type_lp(table, _OBJECTIVES[args.objective])
         report["bounds"] = {args.objective: res.to_dict()}
         return EXIT_OK

@@ -70,10 +70,6 @@ class QuantileOutOfRange(RoyBoundsError):
     """Quantile levels must satisfy 0 < q1 < q2 < 1."""
 
 
-class InsufficientSectorMass(RoyBoundsError):
-    """The requested interquantile mass exceeds the sector's identified mass."""
-
-
 class OutOfRange(RoyBoundsError):
     """A witness parameter lies outside its admissible range."""
 

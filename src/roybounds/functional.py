@@ -52,7 +52,10 @@ class OutcomeSample:
     @classmethod
     def from_arrays(cls, y, d, w=None, z=None) -> "OutcomeSample":
         y = np.asarray(y, dtype=float)
-        d = np.asarray(d, dtype=int)
+        try:
+            d = np.asarray(d, dtype=int)
+        except OverflowError as exc:
+            raise BadInterval("sector must be 0 or 1") from exc
         if y.size == 0:
             raise EmptySample("outcome sample is empty")
         if not np.all(np.isfinite(y)):

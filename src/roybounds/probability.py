@@ -180,10 +180,6 @@ class IntervalBound:
     def crossed(self) -> bool:
         return bool(self.lo > self.hi + NORM_TOL)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, x: float, tol: float = FEAS_TOL) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 

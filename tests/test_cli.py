@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from roybounds import cli, oracle
+from roybounds import cli, inference, oracle
+from roybounds.errors import InputError, RoyBoundsError
+from roybounds.functional import OutcomeSample
 
 
 def run_cli(argv, capsys):
@@ -114,9 +116,10 @@ def test_level_and_bootstrap_range_checked(tmp_path, capsys):
         ["infer", *data, "--level", "nan"],
     ):
         assert_input_error(argv, capsys)
-    # critical_value's own minimum still applies behind the range check
-    err = assert_input_error(["generalized", *data, "--bootstrap", "50"], capsys)
-    assert "100" in err
+    # critical_value's own minimum still applies behind the range check, and
+    # iqr_ci has the same one
+    for argv in (["generalized", *data, "--bootstrap", "50"], ["iqr", *data, "--bootstrap", "1"]):
+        assert "100" in assert_input_error(argv, capsys)
 
 
 def test_tau_y_range_checked(tmp_path, capsys):
@@ -190,6 +193,153 @@ def test_filter_flag(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert 0 < rep["digest"]["rows"] < 400
+
+
+def test_generalized_bootstrap_tabulates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    tabulate = inference.tabulate
+    monkeypatch.setattr(inference, "tabulate", lambda s: calls.append(s) or tabulate(s))
+    path = write_binary_csv(tmp_path / "s.csv", seed=3)
+    argv = ["generalized", "--data", str(path), "--instrument", "z", "--bootstrap", "200"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) == 1
+
+
+def dictreader_load_sample(args) -> OutcomeSample:
+    """The one-dict-per-row loader `cli._load_sample` replaced, kept as its reference."""
+    if not args.data:
+        raise InputError("need --data FILE (binary, generalized and oracle also take --cells)")
+    try:
+        with open(args.data, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise InputError(f"{args.data}: missing header row")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(str(exc)) from exc
+    for f in args.filter:
+        if "=" not in f:
+            raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
+        col, val = f.split("=", 1)
+        rows = [r for r in rows if str(r.get(col, "")) == val]
+    if not rows:
+        raise InputError("no rows after filtering")
+    y, d, w, z = [], [], [], []
+    for i, r in enumerate(rows, start=2):
+        try:
+            y.append(float(r[args.outcome]))
+            d.append(int(r[args.sector]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"row {i}: bad outcome/sector field ({exc})") from exc
+        if args.weight:
+            try:
+                w.append(float(r[args.weight]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"row {i}: bad weight ({exc})") from exc
+        if args.instrument:
+            if r.get(args.instrument) in (None, ""):
+                raise InputError(f"row {i}: missing instrument value")
+            z.append(r[args.instrument])
+    try:
+        return OutcomeSample.from_arrays(
+            np.array(y),
+            np.array(d),
+            np.array(w) if w else None,
+            z=np.array(z, dtype=object) if z else None,
+        )
+    except RoyBoundsError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _load_or_error(load, args):
+    try:
+        s = load(args)
+    except InputError as exc:
+        return str(exc)
+    z = None if s.z is None else (s.z.dtype, s.z.tolist())
+    return [(a.dtype, a.shape, a.tobytes()) for a in (s.y, s.d, s.w)] + [z]
+
+
+def assert_loaders_agree(path, text, *options):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    args = cli._make_parser().parse_args(["binary", "--data", str(path), *options])
+    ref = _load_or_error(dictreader_load_sample, args)
+    assert _load_or_error(cli._load_sample, args) == ref, (text, options)
+    return ref
+
+
+LOADER_CASES = [
+    # blank lines and short rows
+    ("y,d,z\n\n0,1,a\n\n1,0,b\n1,1\n", [], "arrays"),
+    ("y,d,z\n\n0,1,a\n\n1,0,b\n1,1\n", ["--instrument", "z"], "row 4: missing instrument value"),
+    ("y,d\n0,1\n1\n", [], "row 3: bad outcome/sector field (int() argument"),
+    ("\ny,d\n0,1\n", [], "row 2: bad outcome/sector field ('y')"),
+    # extra fields
+    ("y,d\n0,1,extra,more\n1,0\n", [], "arrays"),
+    # duplicate header names: the last one wins, and a short row leaves it empty
+    ("y,d,y\n0,1,1\n1,0,0.5\n", [], "arrays"),
+    ("y,d,y\n0,1,1\n1,0\n", [], "row 3: bad outcome/sector field (float() argument"),
+    # --filter on an absent column matches an empty value; on a short row, None
+    ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "q="], "arrays"),
+    ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "q=x"], "no rows after filtering"),
+    ("y,d,g\n0,1\n1,0,B\n1,1,A\n", ["--filter", "g=None"], "arrays"),
+    ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "g"], "bad --filter 'g', expected COL=VALUE"),
+    # weights, Python's own number syntax and a BOM-free UTF-8 header
+    ("revenu_é,d,poids\n1_0, 1,0.5\n-2.5e-1,0,2\n", ["--outcome", "revenu_é", "--weight", "poids"], "arrays"),
+    ("\ufeffy,d\n0,1\n", [], "row 2: bad outcome/sector field ('y')"),
+    # errors in different columns: the first failing row wins
+    ("y,d,w,z\n0,1,1,a\n0,1,x,a\n0,q,1,\n", ["--weight", "w", "--instrument", "z"], "row 3: bad weight"),
+    ("y,d,w,z\n0,1,1,a\n0,q,x,a\n0,1,x,\n", ["--weight", "w", "--instrument", "z"], "row 3: bad outcome/sector"),
+    ("y,d,w,z\n0,1,1,a\n0,1,1,\n0,x,1,a\n", ["--weight", "w", "--instrument", "z"], "row 3: missing instrument"),
+    ("y,d,w\n0,1,1\n", ["--weight", "v"], "row 2: bad weight ('v')"),
+    # a missing or empty instrument value, an absent instrument column
+    ("y,d,z\n0,1,a\n1,0,\n", ["--instrument", "z"], "row 3: missing instrument value"),
+    ("y,d,z\n0,1,a\n1,0\n", ["--instrument", "z"], "row 3: missing instrument value"),
+    ("y,d\n0,1\n", ["--instrument", "z"], "row 2: missing instrument value"),
+    # a header-only file, an empty file and sample-level errors
+    ("y,d\n", [], "no rows after filtering"),
+    ("", [], "missing header row"),
+    ("y,d\n0,2\n", [], "sector must be 0 or 1"),
+    ("y,d\n0,1\n0,99999999999999999999999\n", [], "sector must be 0 or 1"),
+    ("y,d,w\n0,1,-1\n", ["--weight", "w"], "weights must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("text, options, expected", LOADER_CASES)
+def test_loader_equals_dictreader_reference(tmp_path, text, options, expected):
+    ref = assert_loaders_agree(tmp_path / "s.csv", text, *options)
+    if expected == "arrays":
+        assert not isinstance(ref, str), ref
+    else:
+        assert expected in ref
+
+
+def test_loader_equals_dictreader_reference_on_random_edits(tmp_path):
+    rng = np.random.default_rng(5)
+    fields = ["", "0", "1", "2", "0.5", "nan", "a", "b", " 1", "1_0", "None", "\udce9"]
+    names = ["y", "d", "z", "w", "g", ""]
+    options = [[], ["--instrument", "z"], ["--weight", "w"], ["--filter", "g=A"],
+               ["--filter", "q="], ["--filter", "g=None"], ["--weight", "w", "--instrument", "z"]]
+    for case in range(300):
+        header = ["y", "d", "z", "w", "g"]
+        rows = [[str(i % 2), str(i // 2 % 2), "ab"[i % 2], str(1 + i % 3), "AB"[i // 3 % 2]]
+                for i in range(8)]
+        for _ in range(rng.integers(0, 5)):
+            op, i = rng.integers(0, 6), rng.integers(0, len(rows))
+            if op == 0 and rows[i]:
+                rows[i][rng.integers(0, len(rows[i]))] = rng.choice(fields)
+            elif op == 1:
+                rows[i] = rows[i][: rng.integers(0, 5)]
+            elif op == 2:
+                rows[i] = rows[i] + [rng.choice(fields)]
+            elif op == 3:
+                rows[i] = []  # a blank line
+            elif op == 4:
+                header.insert(rng.integers(0, len(header) + 1), rng.choice(names))
+            else:
+                header[rng.integers(0, len(header))] = rng.choice(names)
+        text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+        assert_loaders_agree(tmp_path / "s.csv", text, *options[case % len(options)])
 
 
 def test_functional_report(tmp_path, capsys):

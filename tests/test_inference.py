@@ -64,6 +64,32 @@ def test_critical_value_properties():
         inference.critical_value(inference.estimate_theta(data), b=50)
 
 
+def concatenate_bootstrap_counts(probs, n, b, seed, *tag):
+    """The chunk-and-concatenate draw `_bootstrap_counts` replaced, kept as its reference."""
+    chunks = [(i, min(inference._CHUNK, b - i * inference._CHUNK))
+              for i in range((b + inference._CHUNK - 1) // inference._CHUNK)]
+    parts = [inference.make_rng(seed, *tag, i).multinomial(n, probs, size=size) for i, size in chunks]
+    return np.concatenate(parts, axis=0)
+
+
+def test_bootstrap_counts_equal_concatenated_reference_bitwise(monkeypatch):
+    # 3000 categories: each chunk is drawn in several batches of rows
+    wide = np.random.default_rng(0).dirichlet(np.ones(3000))
+    assert 1 < inference._DRAW_BYTES // (8 * len(wide)) < inference._CHUNK
+    for probs, b, seed, tag in (
+        (np.array([0.0, 0.1, 0.25, 0.0, 0.4, 0.25]), 1, 0, (1,)),
+        (np.array([0.0, 0.1, 0.25, 0.0, 0.4, 0.25]), 127, 3, (2,)),
+        (np.array([0.0, 0.1, 0.25, 0.0, 0.4, 0.25]), 300, 5, (3,)),
+        (np.array([0.0, 0.1, 0.25, 0.0, 0.4, 0.25]), 257, 8, (1, 4)),
+        (wide, 300, 2, (3,)),
+    ):
+        ref = concatenate_bootstrap_counts(probs, 500, b, seed, *tag)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ROY_THREADS", threads)
+            new = inference._bootstrap_counts(probs, 500, b, seed, *tag)
+            assert _same_bits(new, ref), (b, threads)
+
+
 def test_critical_value_thread_invariant(monkeypatch):
     data = binary_sample(4)
     monkeypatch.setenv("ROY_THREADS", "1")
@@ -161,6 +187,10 @@ def test_iqr_ci_validation_and_unbounded():
     data = iqr_sample(10)
     with pytest.raises(QuantileOutOfRange):
         inference.iqr_ci(data, 1, 0.8, 0.2)
+    # critical_value's minimum draw count: one draw has no spread to studentize
+    for b in (1, 99):
+        with pytest.raises(InputError, match="100"):
+            inference.iqr_ci(data, 1, 0.25, 0.75, b=b)
     # q1 below the counterfactual share: unbounded upper endpoint
     wide = iqr_sample(11, p_d1=0.4)
     ci = inference.iqr_ci(wide, 1, 0.25, 0.75, b=150, seed=0)
