@@ -192,7 +192,11 @@ def _load_sample(args) -> OutcomeSample:
     # One conversion per column; only a failure walks the rows for its message.
     try:
         y = [float(v) for v in _column(rows, index[args.outcome])]
-        d = [int(v) for v in _column(rows, index[args.sector])]
+        # A sector column holds few distinct fields: parse each one once.
+        # Rebinding d frees the field list before the next column is read.
+        d = _column(rows, index[args.sector])
+        memo = {v: int(v) for v in set(d)}
+        d = [memo[v] for v in d]
         w = [float(v) for v in _column(rows, index[args.weight])] if args.weight else None
         z = _column(rows, index[args.instrument]) if args.instrument else None
         if z is not None and not all(z):

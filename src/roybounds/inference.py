@@ -23,10 +23,10 @@ from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
 _CHUNK = 128
-# Largest temporary of a bootstrap draw.  A freed temporary stays resident
-# in the C heap (glibc raises its mmap threshold to the freed size), so a
-# whole 128-row chunk of 10^4 categories added 9 MB to peak RSS; smaller
-# batches cost one more `multinomial` call each.
+# Largest `multinomial` result drawn at once.  A freed temporary stays
+# resident in the C heap (glibc raises its mmap threshold to the freed
+# size), so each one adds to peak RSS; smaller batches cost one more
+# `multinomial` call each.
 _DRAW_BYTES = 512 * 1024
 # Fewest bootstrap draws whose quantiles and spreads are worth reporting.
 _MIN_DRAWS = 100
@@ -50,24 +50,34 @@ def _n_threads() -> int:
         return 1
 
 
-def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:
-    """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams.
+def _bootstrap_map(fn, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
+    """Draw b multinomial count rows chunk by chunk and call fn(i, counts) on each.
 
-    Chunk boundaries and per-chunk streams do not depend on the thread
-    count, so output is identical for any ROY_THREADS.  Each chunk writes
-    its own rows of one preallocated result, drawn in batches of at most
-    _DRAW_BYTES (one row at a time when a row is larger).
+    Chunk i holds rows [i * _CHUNK, i * _CHUNK + len(counts)) of the draw,
+    as a (rows, len(probs)) int64 array, on its own RNG stream
+    make_rng(seed, *tag, i).  Chunk boundaries and streams do not depend on
+    the thread count, so the counts are identical for any ROY_THREADS; fn
+    runs in the worker threads and must only write its own chunk's rows.
+
+    Only the nonzero categories and the last one are drawn, in batches of
+    at most _DRAW_BYTES (one row at a time when a row is larger), and
+    scattered into a zeroed chunk.  That gives the counts of the full
+    draw: numpy's multinomial draws one binomial per category and returns
+    0 for p == 0 without touching the stream, and the last category takes
+    whatever count is left, so it is always drawn.
     """
-    out = np.empty((b, len(probs)), dtype=np.int64)
-    step = max(1, _DRAW_BYTES // (out.itemsize * len(probs)))
+    keep = np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
+    p = probs[keep]
+    step = max(1, _DRAW_BYTES // (8 * len(keep)))
 
     def draw(i):
         rng = make_rng(seed, *tag, i)
-        rows = out[i * _CHUNK : (i + 1) * _CHUNK]
+        counts = np.zeros((min(_CHUNK, b - i * _CHUNK), len(probs)), dtype=np.int64)
         # Consecutive calls continue one stream: the same rows as one call.
-        for j in range(0, len(rows), step):
-            part = rows[j : j + step]
-            part[:] = rng.multinomial(n, probs, size=len(part))
+        for j in range(0, len(counts), step):
+            part = counts[j : j + step]
+            part[:, keep] = rng.multinomial(n, p, size=len(part))
+        fn(i, counts)
 
     chunks = range((b + _CHUNK - 1) // _CHUNK)
     workers = _n_threads()
@@ -77,6 +87,16 @@ def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.
     else:
         for i in chunks:
             draw(i)
+
+
+def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:
+    """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams."""
+    out = np.empty((b, len(probs)), dtype=np.int64)
+
+    def put(i, counts):
+        out[i * _CHUNK : i * _CHUNK + len(counts)] = counts
+
+    _bootstrap_map(put, probs, n, b, seed, *tag)
     return out
 
 
@@ -363,47 +383,27 @@ def iqr_ci(
     w_d = np.bincount(inv, weights=ws_s * (ds_s == d), minlength=m)
     w_o = np.bincount(inv, weights=ws_s * (ds_s != d), minlength=m)
     point_probs = np.concatenate([w_d, w_o])
-    counts = _bootstrap_counts(point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
-    # Peak memory: drop the (b, 2m) counts once both sectors are scaled,
-    # then accumulate the sub-cdf rows in place.
-    c_d = counts[:, :m] / n
-    c_o = counts[:, m:] / n
-    del counts
-    np.cumsum(c_d, axis=1, out=c_d)
-    np.cumsum(c_o, axis=1, out=c_o)
-    f_star = c_d + c_o
-    p_other = c_o[:, -1]
 
-    # Point-estimate versions on the same grid.
+    # Point-estimate sub-cdfs on the jump points.
     cd0 = np.cumsum(w_d)[None, :]
     co0 = np.cumsum(w_o)[None, :]
     f0 = cd0 + co0
     p_other0 = float(co0[0, -1])
 
-    # Lower endpoint.
-    t_star = _row_inverse(c_d, q2 - p_other, xs) - _row_inverse(f_star, q1, xs)
-    t_star = np.where(np.isnan(t_star), -np.inf, t_star)
-    alpha = 1.0 - level
-    finite = np.isfinite(t_star)
-    if finite.any():
-        t_sorted = np.sort(np.where(finite, t_star, np.min(t_star[finite])))
-        lower = max(0.0, float(np.quantile(t_sorted, alpha / 2, method="lower")))
-    else:
-        lower = 0.0
-
-    # Upper endpoint: grid of jump points in the widened admissible range.
+    # Upper endpoint: grid of jump points in the widened admissible range;
+    # none when q1 is below the counterfactual share (unbounded upper end).
     inv_bar_q1 = float(_row_inverse(cd0, q1 - p_other0, xs)[0])
     inv_f_q1 = float(_row_inverse(f0, q1, xs)[0])
-    if inv_bar_q1 == -np.inf:
-        return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")
     spread = float(np.std(ys)) if n > 1 else 1.0
-    lln = lln_scale * np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
-    g_lo, g_hi = inv_bar_q1 - lln, inv_f_q1 + lln
-    grid = xs[(xs >= g_lo) & (xs <= g_hi)]
-    grid = np.concatenate([[g_lo], grid, [g_hi]])
-    if len(grid) > grid_cap:
-        grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
-    grid = np.unique(grid)
+    grid = None
+    if inv_bar_q1 != -np.inf:
+        lln = lln_scale * np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
+        g_lo, g_hi = inv_bar_q1 - lln, inv_f_q1 + lln
+        grid = xs[(xs >= g_lo) & (xs <= g_hi)]
+        grid = np.concatenate([[g_lo], grid, [g_hi]])
+        if len(grid) > grid_cap:
+            grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
+        grid = np.unique(grid)
 
     def objective(cd, f, xv):
         """Rows: bootstrap draws; columns: grid points."""
@@ -414,8 +414,39 @@ def iqr_ci(
         right = _row_inverse(cd, q2 - q1 + fd_at, xs) - xv[None, :]
         return np.minimum(left, right)
 
-    obj0 = objective(cd0, f0, grid)[0]
-    obj_star = objective(c_d, f_star, grid)
+    # Each chunk of draws is reduced to its rows of the lower-endpoint draws
+    # and of the objective, so memory does not grow with b times m.
+    t_star = np.empty(b)
+    if grid is not None:
+        obj0 = objective(cd0, f0, grid)[0]
+        obj_star = np.empty((b, len(grid)))
+
+    def reduce(i, counts):
+        rows = slice(i * _CHUNK, i * _CHUNK + len(counts))
+        c_d = counts[:, :m] / n
+        c_o = counts[:, m:] / n
+        np.cumsum(c_d, axis=1, out=c_d)
+        np.cumsum(c_o, axis=1, out=c_o)
+        inv_d = _row_inverse(c_d, q2 - c_o[:, -1], xs)
+        # The cdf overwrites the other sector's sub-cdf (addition commutes).
+        f_star = np.add(c_o, c_d, out=c_o)
+        t_star[rows] = inv_d - _row_inverse(f_star, q1, xs)
+        if grid is not None:
+            obj_star[rows] = objective(c_d, f_star, grid)
+
+    _bootstrap_map(reduce, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
+
+    # Lower endpoint.
+    t_star = np.where(np.isnan(t_star), -np.inf, t_star)
+    alpha = 1.0 - level
+    finite = np.isfinite(t_star)
+    if finite.any():
+        t_sorted = np.sort(np.where(finite, t_star, np.min(t_star[finite])))
+        lower = max(0.0, float(np.quantile(t_sorted, alpha / 2, method="lower")))
+    else:
+        lower = 0.0
+    if grid is None:
+        return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")
     finite_cols = np.isfinite(obj0) & np.all(np.isfinite(obj_star), axis=0)
     if not finite_cols.any():
         return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")

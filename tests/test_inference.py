@@ -4,7 +4,7 @@ import pytest
 from roybounds import generalized, inference, oracle
 from roybounds.errors import InputError, QuantileOutOfRange, ZeroSectorProbability
 from roybounds.functional import OutcomeSample
-from roybounds.probability import InstrumentTable, validate_cells
+from roybounds.probability import InstrumentTable, IntervalBound, validate_cells
 
 
 def binary_sample(seed=0, n=4000, k=2):
@@ -65,7 +65,10 @@ def test_critical_value_properties():
 
 
 def concatenate_bootstrap_counts(probs, n, b, seed, *tag):
-    """The chunk-and-concatenate draw `_bootstrap_counts` replaced, kept as its reference."""
+    """The chunk-and-concatenate draw `_bootstrap_counts` replaced, kept as its reference.
+
+    It draws every category, the zero-probability ones included.
+    """
     chunks = [(i, min(inference._CHUNK, b - i * inference._CHUNK))
               for i in range((b + inference._CHUNK - 1) // inference._CHUNK)]
     parts = [inference.make_rng(seed, *tag, i).multinomial(n, probs, size=size) for i, size in chunks]
@@ -88,6 +91,41 @@ def test_bootstrap_counts_equal_concatenated_reference_bitwise(monkeypatch):
             monkeypatch.setenv("ROY_THREADS", threads)
             new = inference._bootstrap_counts(probs, 500, b, seed, *tag)
             assert _same_bits(new, ref), (b, threads)
+
+
+def sector_probs(rng, m, ties, weighted):
+    """The IQR draw's categories: per distinct y, its sector-d then other-sector mass."""
+    y = rng.normal(size=m)
+    y = np.round(y, 1) if ties else y
+    d = (rng.random(m) < 0.6).astype(int)
+    w = rng.uniform(0.1, 3.0, m) if weighted else np.ones(m)
+    xs, inv = np.unique(y, return_inverse=True)
+    p = np.concatenate([np.bincount(inv, w * (d == 1), len(xs)), np.bincount(inv, w * (d == 0), len(xs))])
+    return p / p.sum()
+
+
+def test_nonzero_category_draw_equals_full_draw_bitwise(monkeypatch):
+    rng = oracle.make_rng(17)
+    cases = [
+        sector_probs(rng, 40, ties=True, weighted=False),   # ties: a y in both sectors
+        sector_probs(rng, 40, ties=True, weighted=True),
+        sector_probs(rng, 300, ties=False, weighted=True),  # half the categories zero
+        np.array([0.0, 0.3, 0.0, 0.2, 0.5, 0.0]),            # zero first and last
+        np.array([0.4, 0.0, 0.6]),
+        np.array([0.0, 0.0, 1.0, 0.0]),                      # one nonzero category
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        np.array([1.0]),
+    ]
+    # 6000 categories, half zero: the kept ones are drawn in other batches than the full set
+    wide = sector_probs(rng, 3000, ties=False, weighted=False)
+    rows = [inference._DRAW_BYTES // (8 * k) for k in (len(wide), np.count_nonzero(wide))]
+    assert 1 < rows[0] < rows[1] < inference._CHUNK
+    for probs, b in [(p, b) for p in cases for b in (100, 127, 257, 999)] + [(wide, 257)]:
+        for seed in (0, 5):
+            ref = concatenate_bootstrap_counts(probs, 300, b, seed, 3)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ROY_THREADS", threads)
+                assert _same_bits(inference._bootstrap_counts(probs, 300, b, seed, 3), ref), (probs, b)
 
 
 def test_critical_value_thread_invariant(monkeypatch):
@@ -310,3 +348,111 @@ def test_iqr_ci_row_inverse_calls_independent_of_grid(monkeypatch):
         inference.iqr_ci(data, 1, 0.6, 0.9, b=150, seed=7, grid_cap=cap)
     assert calls[0] == calls[1]
     assert widest[0] < widest[1]  # the grids differ in size
+
+
+def dense_iqr_ci(data, d, q1, q2, level=0.95, b=999, seed=0, lln_scale=1.0, grid_cap=512):
+    """The whole-matrix `iqr_ci` the chunk-streamed one replaced, kept as its reference.
+
+    It holds all (b, 2m) counts of the full-category draw, then the two
+    (b, m) sub-cdfs, at once.
+    """
+    n = data.n
+    ys = data.y
+    order = np.argsort(ys, kind="stable")
+    xs, inv = np.unique(ys[order], return_inverse=True)
+    m = len(xs)
+    w_d = np.bincount(inv, weights=data.w[order] * (data.d[order] == d), minlength=m)
+    w_o = np.bincount(inv, weights=data.w[order] * (data.d[order] != d), minlength=m)
+    point_probs = np.concatenate([w_d, w_o])
+    counts = concatenate_bootstrap_counts(point_probs / point_probs.sum(), n, b, seed, inference._STREAM_IQR)
+    c_d = np.cumsum(counts[:, :m] / n, axis=1)
+    c_o = np.cumsum(counts[:, m:] / n, axis=1)
+    f_star = c_d + c_o
+    cd0 = np.cumsum(w_d)[None, :]
+    co0 = np.cumsum(w_o)[None, :]
+    f0 = cd0 + co0
+    row_inverse = inference._row_inverse
+
+    t_star = row_inverse(c_d, q2 - c_o[:, -1], xs) - row_inverse(f_star, q1, xs)
+    t_star = np.where(np.isnan(t_star), -np.inf, t_star)
+    alpha = 1.0 - level
+    finite = np.isfinite(t_star)
+    if finite.any():
+        t_sorted = np.sort(np.where(finite, t_star, np.min(t_star[finite])))
+        lower = max(0.0, float(np.quantile(t_sorted, alpha / 2, method="lower")))
+    else:
+        lower = 0.0
+
+    inv_bar_q1 = float(row_inverse(cd0, q1 - float(co0[0, -1]), xs)[0])
+    inv_f_q1 = float(row_inverse(f0, q1, xs)[0])
+    if inv_bar_q1 == -np.inf:
+        return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")
+    spread = float(np.std(ys)) if n > 1 else 1.0
+    lln = lln_scale * np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
+    g_lo, g_hi = inv_bar_q1 - lln, inv_f_q1 + lln
+    grid = np.concatenate([[g_lo], xs[(xs >= g_lo) & (xs <= g_hi)], [g_hi]])
+    if len(grid) > grid_cap:
+        grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
+    grid = np.unique(grid)
+
+    def objective(cd, f, xv):
+        pos = np.searchsorted(xs, xv, side="right") - 1
+        fd_at = np.where(pos[None, :] >= 0, cd[:, np.maximum(pos, 0)], 0.0)
+        left = row_inverse(f, q2, xs)[:, None] - xv[None, :]
+        right = row_inverse(cd, q2 - q1 + fd_at, xs) - xv[None, :]
+        return np.minimum(left, right)
+
+    obj0 = objective(cd0, f0, grid)[0]
+    obj_star = objective(c_d, f_star, grid)
+    finite_cols = np.isfinite(obj0) & np.all(np.isfinite(obj_star), axis=0)
+    if not finite_cols.any():
+        return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")
+    g0 = obj0[finite_cols]
+    gs = obj_star[:, finite_cols]
+    sd = np.maximum(gs.std(axis=0, ddof=1), 1e-9 * max(spread, 1e-12))
+    stud = (gs - g0[None, :]) / sd[None, :]
+    c_alpha = float(np.quantile(np.sort(stud.max(axis=1)), level, method="higher"))
+    upper = float(np.max(g0 + c_alpha * sd))
+    return IntervalBound(lower, max(lower, upper), sharp=False, label=f"IQR_{d} CI")
+
+
+def test_iqr_ci_equals_dense_reference(monkeypatch):
+    bounded = unbounded = 0
+    for seed in range(40):
+        rng = oracle.make_rng(seed, 23)
+        n = int(rng.integers(60, 400))
+        y = rng.normal(size=n)
+        y = np.round(y, 1) if seed % 3 == 0 else y  # ties within and between sectors
+        dd = (rng.random(n) < rng.uniform(0.3, 0.9)).astype(int)
+        w = rng.uniform(0.2, 4.0, n) if seed % 2 else None
+        data = OutcomeSample.from_arrays(y, dd, w)
+        q1, q2 = sorted(rng.uniform(0.02, 0.98, 2))
+        kw = dict(d=seed // 2 % 2, q1=q1, q2=q2,
+                  b=int(rng.choice([100, 200, 300])), seed=seed, grid_cap=4 if seed % 5 < 2 else 512)
+        ref = repr(dense_iqr_ci(data, **kw))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ROY_THREADS", threads)
+            assert repr(inference.iqr_ci(data, **kw)) == ref, (seed, threads)
+        if "inf" in ref:
+            unbounded += 1
+        else:
+            bounded += 1
+    assert bounded >= 5 and unbounded >= 5
+
+
+def test_iqr_ci_memory_independent_of_draw_count(monkeypatch):
+    # The chunk reduction keeps one chunk's counts and sub-cdfs; a whole
+    # (b, 2m) draw would make the peak grow with b (about 4x from 256 to 999).
+    import tracemalloc
+
+    monkeypatch.setenv("ROY_THREADS", "1")
+    data = iqr_sample(31, n=5000)
+    peaks = []
+    for b in (256, 999):
+        tracemalloc.start()
+        try:
+            inference.iqr_ci(data, 1, 0.25, 0.75, b=b, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
