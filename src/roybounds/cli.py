@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -118,96 +119,150 @@ def _make_parser() -> _Parser:
     return parser
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the nonblank data rows of a CSV file, as csv.reader splits them."""
+def _split_plain(raw: bytes):
+    """(header, columns) of a file that needs no CSV parser; None for any other.
+
+    A file is plain when it holds no quote, CR or NUL byte, no blank line
+    (the first one included), no line longer than csv.field_size_limit(),
+    and as many commas on every line as on the header.  csv.reader splits
+    such a file at every comma and newline, so one split of the whole text
+    gives its fields.  Commas and newlines are single bytes that no other
+    UTF-8 character contains, so they are counted on the bytes.
+    """
+    if not raw or b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if raw[-1:] != b"\n":
+        ends = np.append(ends, len(raw))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
+        return None
+    # Commas per line; no line is empty, so no two line starts coincide.
+    commas = np.add.reduceat(buf == ord(","), ends - lengths, dtype=np.intp)
+    if (commas != commas[0]).any():
+        return None
     try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    body = body[:-1] if body.endswith("\n") else body
+    if not body:
+        return header, [[] for _ in header]
+    fields = body.replace("\n", ",").split(",")
+    return header, [fields[j :: len(header)] for j in range(len(header))]
+
+
+def _read_columns(path: str) -> tuple[list[str], list[list]]:
+    """The header and the columns of the nonblank data rows of a CSV file.
+
+    Fields are split as csv.reader splits them.  There is one column per
+    field position, at least one per header name and as many as the
+    longest row has fields; a row shorter than that leaves None in its
+    missing fields.  A plain file is split directly (`_split_plain`);
+    any other goes through csv.reader.
+    """
+    try:
+        with open(path, "rb") as fh:
+            plain = _split_plain(fh.read())
+        if plain is not None:
+            return plain
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: missing header row")
-            return header, [r for r in reader if r]
+            rows = [r for r in reader if r]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
+    columns = [list(c) for c in itertools.zip_longest(*rows)]
+    return header, columns + [[None] * len(rows) for _ in range(len(header) - len(columns))]
 
 
-def _field(row: list[str], i: int):
-    """Field i of a row, None past the end of a short row (csv.DictReader's restval)."""
-    return row[i] if i < len(row) else None
+def _apply_filters(columns: list[list], index: dict, filters: list[str]):
+    """Positions of the rows every --filter COL=VALUE keeps, None for every row.
 
-
-def _column(rows: list[list[str]], i: int) -> list:
-    try:
-        return [r[i] for r in rows]
-    except IndexError:
-        return [_field(r, i) for r in rows]
-
-
-def _apply_filters(rows: list[list[str]], index: dict, filters: list[str]) -> list[list[str]]:
+    A column absent from the header, and a field missing from a short
+    row, read as an empty value.
+    """
+    keep = None
     for f in filters:
         if "=" not in f:
             raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
         col, val = f.split("=", 1)
         if col not in index:
-            # An absent column reads as an empty value in every row.
-            rows = rows if val == "" else []
-        else:
-            i = index[col]
-            rows = [r for r in rows if str(_field(r, i)) == val]
-    return rows
+            keep = keep if val == "" else []
+            continue
+        c = columns[index[col]]
+        keep = [i for i in (range(len(c)) if keep is None else keep) if (c[i] or "") == val]
+    return keep
 
 
-def _raise_row_error(rows: list[list[str]], index: dict, args) -> None:
+def _raise_row_error(columns: list[list], index: dict, rows, args) -> None:
     """Raise the error of the first bad field, scanning row by row in column order.
 
-    Rows count from 2, the header being row 1, so a message names the row
-    as the row-by-row parse meets it.
+    rows holds the positions of the kept rows.  A message numbers them
+    from 2, the header being row 1, as the row-by-row parse meets them.
     """
-    for n, r in enumerate(rows, start=2):
+
+    def field(name, i):
+        return columns[index[name]][i]
+
+    for n, i in enumerate(rows, start=2):
         try:
-            float(_field(r, index[args.outcome]))
-            int(_field(r, index[args.sector]))
+            float(field(args.outcome, i))
+            int(field(args.sector, i))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"row {n}: bad outcome/sector field ({exc})") from exc
         if args.weight:
             try:
-                float(_field(r, index[args.weight]))
+                float(field(args.weight, i))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"row {n}: bad weight ({exc})") from exc
         if args.instrument:
-            i = index.get(args.instrument)
-            if i is None or _field(r, i) in (None, ""):
+            if args.instrument not in index or field(args.instrument, i) in (None, ""):
                 raise InputError(f"row {n}: missing instrument value")
+
+
+def _floats(column: list) -> np.ndarray:
+    return np.fromiter(map(float, column), dtype=float, count=len(column))
 
 
 def _load_sample(args) -> OutcomeSample:
     if not args.data:
         raise InputError("need --data FILE (binary, generalized and oracle also take --cells)")
-    header, rows = _read_rows(args.data)
+    header, columns = _read_columns(args.data)
     # A repeated column name maps to its last occurrence, as in csv.DictReader.
     index = {name: i for i, name in enumerate(header)}
-    rows = _apply_filters(rows, index, args.filter)
+    keep = _apply_filters(columns, index, args.filter)
+    rows = range(len(columns[0]) if columns else 0) if keep is None else keep
     if not rows:
         raise InputError("no rows after filtering")
+
+    def column(name):
+        c = columns[index[name]]
+        return c if keep is None else [c[i] for i in keep]
+
     # One conversion per column; only a failure walks the rows for its message.
     try:
-        y = [float(v) for v in _column(rows, index[args.outcome])]
+        y = _floats(column(args.outcome))
         # A sector column holds few distinct fields: parse each one once.
-        # Rebinding d frees the field list before the next column is read.
-        d = _column(rows, index[args.sector])
+        d = column(args.sector)
         memo = {v: int(v) for v in set(d)}
         d = [memo[v] for v in d]
-        w = [float(v) for v in _column(rows, index[args.weight])] if args.weight else None
-        z = _column(rows, index[args.instrument]) if args.instrument else None
+        w = _floats(column(args.weight)) if args.weight else None
+        z = column(args.instrument) if args.instrument else None
         if z is not None and not all(z):
             raise ValueError
     except (KeyError, TypeError, ValueError):
-        _raise_row_error(rows, index, args)
+        _raise_row_error(columns, index, rows, args)
     try:
         return OutcomeSample.from_arrays(
-            np.array(y),
+            y,
             np.array(d),
-            None if w is None else np.array(w),
+            w,
             z=None if z is None else np.array(z, dtype=object),
         )
     except RoyBoundsError as exc:

@@ -11,7 +11,6 @@ interquantile-range inference bootstrap the plug-in estimators directly.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,17 @@ def _check_draws(b: int) -> None:
 
 
 def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ROY_THREADS", "1")))
-    except ValueError:
+    """Bootstrap worker threads: ROY_THREADS, a positive integer, or 1 when unset."""
+    text = os.environ.get("ROY_THREADS")
+    if text is None:
         return 1
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise InputError(f"ROY_THREADS must be a positive integer, got {text!r}")
+    return n
 
 
 def _bootstrap_map(fn, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
@@ -82,6 +88,8 @@ def _bootstrap_map(fn, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> No
     chunks = range((b + _CHUNK - 1) // _CHUNK)
     workers = _n_threads()
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(draw, chunks))
     else:
@@ -144,7 +152,8 @@ def tabulate(data: OutcomeSample):
     z = [None] * data.n if data.z is None else data.z.tolist()
     labels = sorted(set(z), key=str)
     index = {v: i for i, v in enumerate(labels)}
-    inv = np.array([index[v] for v in z])
+    # A small integer dtype makes the stable argsort a radix sort.
+    inv = np.fromiter(map(index.__getitem__, z), dtype=np.min_scalar_type(len(labels)), count=len(z))
     order = np.argsort(inv, kind="stable")
     groups = [(data.w[r], cell[r]) for r in np.split(order, np.cumsum(np.bincount(inv))[:-1])]
     sums = np.array([[w[c == j].sum() for j in range(4)] for w, c in groups])

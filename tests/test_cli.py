@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roybounds import cli, inference, oracle
 from roybounds.errors import InputError, RoyBoundsError
@@ -221,7 +223,7 @@ def dictreader_load_sample(args) -> OutcomeSample:
         if "=" not in f:
             raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
         col, val = f.split("=", 1)
-        rows = [r for r in rows if str(r.get(col, "")) == val]
+        rows = [r for r in rows if (r.get(col) or "") == val]
     if not rows:
         raise InputError("no rows after filtering")
     y, d, w, z = [], [], [], []
@@ -279,10 +281,11 @@ LOADER_CASES = [
     # duplicate header names: the last one wins, and a short row leaves it empty
     ("y,d,y\n0,1,1\n1,0,0.5\n", [], "arrays"),
     ("y,d,y\n0,1,1\n1,0\n", [], "row 3: bad outcome/sector field (float() argument"),
-    # --filter on an absent column matches an empty value; on a short row, None
+    # --filter on an absent column, or on a field missing from a short row,
+    # matches an empty value
     ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "q="], "arrays"),
     ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "q=x"], "no rows after filtering"),
-    ("y,d,g\n0,1\n1,0,B\n1,1,A\n", ["--filter", "g=None"], "arrays"),
+    ("y,d,g\n0,1\n1,0,B\n1,1,A\n", ["--filter", "g=None"], "no rows after filtering"),
     ("y,d,g\n0,1,A\n1,0,B\n", ["--filter", "g"], "bad --filter 'g', expected COL=VALUE"),
     # weights, Python's own number syntax and a BOM-free UTF-8 header
     ("revenu_é,d,poids\n1_0, 1,0.5\n-2.5e-1,0,2\n", ["--outcome", "revenu_é", "--weight", "poids"], "arrays"),
@@ -302,6 +305,23 @@ LOADER_CASES = [
     ("y,d\n0,2\n", [], "sector must be 0 or 1"),
     ("y,d\n0,1\n0,99999999999999999999999\n", [], "sector must be 0 or 1"),
     ("y,d,w\n0,1,-1\n", ["--weight", "w"], "weights must be positive and finite"),
+    ("y,d,g\n0,1\n1,0,B\n1,1,A\n", ["--filter", "g="], "arrays"),
+    # files that are not plain, one per reason, go through csv.reader: a
+    # quoted field, CRLF and lone CR line ends, trailing blank lines, ragged
+    # rows, a line or a field over the field size limit, an empty first line
+    # and a NUL byte
+    ('y,d,z\n0,1,"a,b"\n1,0,"a,b"\n', ["--instrument", "z", "--filter", "z=a,b"], "arrays"),
+    ("y,d,z\r\n0,1,a\r\n1,0,b\r\n", ["--instrument", "z"], "arrays"),
+    ("y,d,z\r0,1,a\n1,0,b\n", ["--instrument", "z"], "arrays"),
+    ("y,d,z\n0,1,a\n1,0,b\n\n\n", ["--instrument", "z"], "arrays"),
+    ("y\n0\n\n1\n", ["--sector", "y"], "arrays"),
+    ("y,d,z\n0,1,a,extra\n1,0\n1,1,b\n", [], "arrays"),
+    pytest.param("y,d,z\n0,1,a\n" + "1,1,c" * 30_000 + "\n", [], "arrays", id="long-line"),
+    pytest.param("y,d,z\n0,1,a\n1,1," + "c" * 140_000 + "\n", [], "field larger than field limit",
+                 id="long-field"),
+    ("\ny,d\n0,1\n1,0\n", ["--filter", "q="], "row 2: bad outcome/sector field ('y')"),
+    # Python 3.10's csv.reader refuses a NUL byte; later ones keep it in the field
+    ("y,d,g\n0,1,\x00\n1,0,a\n", [], "line contains NUL" if sys.version_info < (3, 11) else "arrays"),
 ]
 
 
@@ -340,6 +360,82 @@ def test_loader_equals_dictreader_reference_on_random_edits(tmp_path):
                 header[rng.integers(0, len(header))] = rng.choice(names)
         text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
         assert_loaders_agree(tmp_path / "s.csv", text, *options[case % len(options)])
+
+
+# Bytes that make a file plain or not (quote, CR, NUL, comma, blank line),
+# and fields that parse as outcome, sector, weight and instrument values.
+CSV_ALPHABET = ["a", "1", "0", ",", '"', "\r", "\n", " ", "\x00"]
+LOADER_OPTIONS = [
+    [], ["--instrument", "z"], ["--weight", "w"], ["--filter", "g=a"], ["--filter", "g="],
+    ["--instrument", "z", "--weight", "w", "--filter", "g=1", "--filter", "q="],
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    header=st.sampled_from([["y", "d", "z", "w", "g"], ["y", "d", "z"], ["y", "d"]]),
+    rows=st.lists(
+        st.tuples(*[st.sampled_from(v) for v in ("01", "01", "a1", "1 ", ["a", "1", ""])]), max_size=6
+    ),
+    end=st.sampled_from(["", "\n"]),
+    edits=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(CSV_ALPHABET), st.booleans()), max_size=3),
+    options=st.sampled_from(LOADER_OPTIONS),
+)
+def test_loader_equals_dictreader_reference_on_generated_text(
+    tmp_path_factory, header, rows, end, edits, options
+):
+    # A valid sample with a few characters of the alphabet inserted or replaced.
+    text = "\n".join(",".join(r[: len(header)]) for r in [header, *rows]) + end
+    for pos, char, insert in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + char + text[pos + (not insert) :]
+    assert_loaders_agree(tmp_path_factory.mktemp("csv") / "s.csv", text, *options)
+
+
+class _ReaderCalled(Exception):
+    pass
+
+
+def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
+    # The benchmark's input shape: binary y and d and a K=8 instrument label.
+    rng = np.random.default_rng(0)
+    rows = [[str(a), str(b), f"z{c:02d}"] for a, b, c in rng.integers(0, [2, 2, 8], size=(2000, 3))]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("\n".join(",".join(r) for r in [["y", "d", "z"], *rows]) + "\n")
+    with open(quoted, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([["y", "d", "z"], *rows])
+    args = cli._make_parser().parse_args(["infer", "--data", str(plain), "--instrument", "z"])
+    ref = _load_or_error(dictreader_load_sample, args)
+
+    def refuse(*a, **k):
+        raise _ReaderCalled
+
+    monkeypatch.setattr(cli.csv, "reader", refuse)
+    assert _load_or_error(cli._load_sample, args) == ref
+    args.data = str(quoted)
+    with pytest.raises(_ReaderCalled):
+        cli._load_sample(args)
+
+
+def test_roy_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
+    path = write_binary_csv(tmp_path / "s.csv")
+    commands = (
+        ["infer", "--data", str(path), "--instrument", "z", "--bootstrap", "100"],
+        ["iqr", "--data", str(path), "--bootstrap", "100"],
+    )
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("ROY_THREADS", bad)
+        for argv in commands:
+            assert "ROY_THREADS" in assert_input_error(argv, capsys)
+    runs = []
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("ROY_THREADS")
+        else:
+            monkeypatch.setenv("ROY_THREADS", threads)
+        runs.append([run_cli(argv, capsys) for argv in commands])
+    assert runs[0][0][0] == runs[0][1][0] == 0
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_functional_report(tmp_path, capsys):
