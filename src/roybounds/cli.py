@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 
@@ -119,8 +118,12 @@ def _make_parser() -> _Parser:
     return parser
 
 
-def _split_plain(raw: bytes):
-    """(header, columns) of a file that needs no CSV parser; None for any other.
+# Bytes that csv.reader treats otherwise than as field text; any one makes a file not plain.
+_CSV_ONLY = (b'"', b"\r", b"\0")
+
+
+def _split_plain(raw: bytes, names: set):
+    """(columns, rows) of a file that needs no CSV parser, as _read_columns; None for any other.
 
     A file is plain when it holds no quote, CR or NUL byte, no blank line
     (the first one included), no line longer than csv.field_size_limit(),
@@ -129,7 +132,7 @@ def _split_plain(raw: bytes):
     gives its fields.  Commas and newlines are single bytes that no other
     UTF-8 character contains, so they are counted on the bytes.
     """
-    if not raw or b'"' in raw or b"\r" in raw or b"\0" in raw:
+    if not raw or any(b in raw for b in _CSV_ONLY):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -149,24 +152,26 @@ def _split_plain(raw: bytes):
     head, _, body = text.partition("\n")
     header = head.split(",")
     body = body[:-1] if body.endswith("\n") else body
-    if not body:
-        return header, [[] for _ in header]
-    fields = body.replace("\n", ",").split(",")
-    return header, [fields[j :: len(header)] for j in range(len(header))]
+    fields = body.replace("\n", ",").split(",") if body else []
+    index = {name: j for j, name in enumerate(header) if name in names}
+    return {name: fields[j :: len(header)] for name, j in index.items()}, len(fields) // len(header)
 
 
-def _read_columns(path: str) -> tuple[list[str], list[list]]:
-    """The header and the columns of the nonblank data rows of a CSV file.
+def _read_columns(path: str, names: set) -> tuple[dict[str, list], int]:
+    """The named columns of a CSV file and its number of nonblank data rows.
 
-    Fields are split as csv.reader splits them.  There is one column per
-    field position, at least one per header name and as many as the
-    longest row has fields; a row shorter than that leaves None in its
-    missing fields.  A plain file is split directly (`_split_plain`);
-    any other goes through csv.reader.
+    Fields are split as csv.reader splits them.  Only the names in the
+    header get a column; a repeated name maps to its last occurrence, as
+    in csv.DictReader, and a row too short to reach a column leaves None
+    there.  A plain file is split directly (`_split_plain`); any other
+    goes through csv.reader and only the named columns are transposed.
     """
     try:
         with open(path, "rb") as fh:
-            plain = _split_plain(fh.read())
+            # A quoted or CRLF file mostly shows it in its first buffer: then
+            # the whole file is not read twice.
+            head = fh.peek()
+            plain = None if any(b in head for b in _CSV_ONLY) else _split_plain(fh.read(), names)
         if plain is not None:
             return plain
         with open(path, newline="", encoding="utf-8") as fh:
@@ -177,12 +182,19 @@ def _read_columns(path: str) -> tuple[list[str], list[list]]:
             rows = [r for r in reader if r]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(str(exc)) from exc
-    columns = [list(c) for c in itertools.zip_longest(*rows)]
-    return header, columns + [[None] * len(rows) for _ in range(len(header) - len(columns))]
+
+    def column(j):
+        try:
+            return [r[j] for r in rows]
+        except IndexError:
+            return [r[j] if j < len(r) else None for r in rows]
+
+    index = {name: j for j, name in enumerate(header) if name in names}
+    return {name: column(j) for name, j in index.items()}, len(rows)
 
 
-def _apply_filters(columns: list[list], index: dict, filters: list[str]):
-    """Positions of the rows every --filter COL=VALUE keeps, None for every row.
+def _apply_filters(columns: dict, n: int, filters: list[str]):
+    """Positions of the rows every --filter COL=VALUE keeps, None for all n rows.
 
     A column absent from the header, and a field missing from a short
     row, read as an empty value.
@@ -192,37 +204,33 @@ def _apply_filters(columns: list[list], index: dict, filters: list[str]):
         if "=" not in f:
             raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
         col, val = f.split("=", 1)
-        if col not in index:
+        if col not in columns:
             keep = keep if val == "" else []
             continue
-        c = columns[index[col]]
-        keep = [i for i in (range(len(c)) if keep is None else keep) if (c[i] or "") == val]
+        c = columns[col]
+        keep = [i for i in (range(n) if keep is None else keep) if (c[i] or "") == val]
     return keep
 
 
-def _raise_row_error(columns: list[list], index: dict, rows, args) -> None:
+def _raise_row_error(columns: dict, rows, args) -> None:
     """Raise the error of the first bad field, scanning row by row in column order.
 
     rows holds the positions of the kept rows.  A message numbers them
     from 2, the header being row 1, as the row-by-row parse meets them.
     """
-
-    def field(name, i):
-        return columns[index[name]][i]
-
     for n, i in enumerate(rows, start=2):
         try:
-            float(field(args.outcome, i))
-            int(field(args.sector, i))
+            float(columns[args.outcome][i])
+            int(columns[args.sector][i])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"row {n}: bad outcome/sector field ({exc})") from exc
         if args.weight:
             try:
-                float(field(args.weight, i))
+                float(columns[args.weight][i])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"row {n}: bad weight ({exc})") from exc
         if args.instrument:
-            if args.instrument not in index or field(args.instrument, i) in (None, ""):
+            if args.instrument not in columns or columns[args.instrument][i] in (None, ""):
                 raise InputError(f"row {n}: missing instrument value")
 
 
@@ -233,16 +241,16 @@ def _floats(column: list) -> np.ndarray:
 def _load_sample(args) -> OutcomeSample:
     if not args.data:
         raise InputError("need --data FILE (binary, generalized and oracle also take --cells)")
-    header, columns = _read_columns(args.data)
-    # A repeated column name maps to its last occurrence, as in csv.DictReader.
-    index = {name: i for i, name in enumerate(header)}
-    keep = _apply_filters(columns, index, args.filter)
-    rows = range(len(columns[0]) if columns else 0) if keep is None else keep
+    names = {args.outcome, args.sector, args.weight, args.instrument}
+    names.update(f.split("=", 1)[0] for f in args.filter)
+    columns, n = _read_columns(args.data, names)
+    keep = _apply_filters(columns, n, args.filter)
+    rows = range(n) if keep is None else keep
     if not rows:
         raise InputError("no rows after filtering")
 
     def column(name):
-        c = columns[index[name]]
+        c = columns[name]
         return c if keep is None else [c[i] for i in keep]
 
     # One conversion per column; only a failure walks the rows for its message.
@@ -257,7 +265,7 @@ def _load_sample(args) -> OutcomeSample:
         if z is not None and not all(z):
             raise ValueError
     except (KeyError, TypeError, ValueError):
-        _raise_row_error(columns, index, rows, args)
+        _raise_row_error(columns, rows, args)
     try:
         return OutcomeSample.from_arrays(
             y,
@@ -553,6 +561,8 @@ def run(argv) -> int:
         "findings": {"model_rejected": False, "reasons": []},
     }
     try:
+        # ROY_THREADS is checked for every command, not only when a bootstrap draws.
+        inference._n_threads()
         code = _DISPATCH[args.cmd](args, report)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

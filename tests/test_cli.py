@@ -418,15 +418,36 @@ def test_plain_file_is_split_without_csv_reader(tmp_path, monkeypatch):
         cli._load_sample(args)
 
 
+@pytest.mark.parametrize("last", ['1,0,"b"\n', "1,0,b\r\n"])
+def test_quote_or_cr_past_the_first_buffer_reaches_csv_reader(tmp_path, last):
+    # The reader looks at the first buffer before reading the whole file;
+    # a quote or CR that only shows after it must still select csv.reader.
+    path = tmp_path / "late.csv"
+    path.write_text("y,d,z\n" + "0,1,a\n" * (1 << 17) + last)
+    with open(path, "rb") as fh:
+        assert last[-2] not in fh.peek().decode()
+    args = cli._make_parser().parse_args(["infer", "--data", str(path), "--instrument", "z"])
+    s = cli._load_sample(args)
+    assert s.z[-1] == "b" and _load_or_error(cli._load_sample, args) == _load_or_error(
+        dictreader_load_sample, args
+    )
+
+
 def test_roy_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
     path = write_binary_csv(tmp_path / "s.csv")
     commands = (
         ["infer", "--data", str(path), "--instrument", "z", "--bootstrap", "100"],
         ["iqr", "--data", str(path), "--bootstrap", "100"],
     )
+    # Commands that never draw a bootstrap reject it too.
+    undrawn = (
+        ["binary", "--cells", '{"q00": 0.2, "q01": 0.3, "q10": 0.1, "q11": 0.4}'],
+        ["iqr", "--data", str(path)],
+        ["infer", "--data", str(path), "--instrument", "z"],
+    )
     for bad in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("ROY_THREADS", bad)
-        for argv in commands:
+        for argv in commands + undrawn:
             assert "ROY_THREADS" in assert_input_error(argv, capsys)
     runs = []
     for threads in (None, "1", "2"):
