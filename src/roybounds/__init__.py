@@ -38,7 +38,6 @@ __all__ = [
     "functional",
     "generalized",
     "inference",
-    "oracle",
     "probability",
     "validate_cells",
 ]

@@ -201,16 +201,5 @@ def conditional_bounds(
             (c - a_hi) / (1.0 - a_hi), (c - a_lo) / (1.0 - a_lo), sharp=True, label=label
         ).clamp()
 
-    a_cells = [g.cell(x0, t1) for t1 in g.x1_support(x0)]
-    b_cells = [g.cell(t0, x1) for t0 in g.x0_support(x1)]
-    p_y1_given_y0zero = interval(
-        max(q.q10 for q in a_cells),
-        min(q.p_y1 for q in a_cells),
-        "P(Y1=1|Y0=0)",
-    )
-    p_y0_given_y1zero = interval(
-        max(q.q11 for q in b_cells),
-        min(q.p_y1 for q in b_cells),
-        "P(Y0=1|Y1=0)",
-    )
-    return p_y1_given_y0zero, p_y0_given_y1zero
+    ey0, ey1, _ = marginal_bounds_with_covariates(g, x0, x1)
+    return interval(ey0.lo, ey0.hi, "P(Y1=1|Y0=0)"), interval(ey1.lo, ey1.hi, "P(Y0=1|Y1=0)")

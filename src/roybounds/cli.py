@@ -423,8 +423,19 @@ def _cmd_infer(args, report):
     return EXIT_OK
 
 
+def _oracle():
+    """The oracle module, imported on demand: it needs scipy, the [oracle] extra."""
+    try:
+        from . import oracle
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").split(".")[0] != "scipy":
+            raise
+        raise InputError("simulate and oracle need scipy: pip install 'roybounds[oracle]'") from exc
+    return oracle
+
+
 def _joint_from_spec(spec: dict):
-    from . import oracle
+    oracle = _oracle()
 
     kind = spec.get("type", "discrete")
     if kind == "discrete":
@@ -444,7 +455,7 @@ def _joint_from_spec(spec: dict):
 
 
 def _cmd_simulate(args, report):
-    from . import oracle
+    oracle = _oracle()
 
     try:
         with open(args.design, encoding="utf-8") as fh:
@@ -495,7 +506,7 @@ _OBJECTIVES = {
 
 
 def _cmd_oracle(args, report):
-    from . import oracle
+    oracle = _oracle()
 
     if args.objective:
         if args.cells:

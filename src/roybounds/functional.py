@@ -84,6 +84,25 @@ class OutcomeSample:
         return len(self.y)
 
 
+def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray, base: float = 0.0):
+    """Weak generalized inverse of each nondecreasing row of vals on the points xs.
+
+    targets may be a scalar, one value per row or a (rows, cols) array;
+    returns xs at the first index where the row reaches the target, +inf
+    when it never does and -inf for targets not above base, the value left
+    of xs[0].  On a nondecreasing row the count of entries below a
+    threshold is exactly its left searchsorted position, so each row is
+    searched directly.
+    """
+    t = np.asarray(targets, dtype=float)
+    thr = np.broadcast_to(t - _TOL, t.shape if t.ndim == 2 else vals.shape[:1])
+    idx = np.stack(
+        [np.searchsorted(v, r, side="left") for v, r in zip(vals, thr.reshape(len(vals), -1))]
+    ).reshape(thr.shape)
+    out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], np.inf)
+    return np.where(t <= base + _TOL, -np.inf, out)
+
+
 class StepFn:
     """Right-continuous nondecreasing step function with finite jumps.
 
@@ -103,21 +122,11 @@ class StepFn:
         out = np.where(idx > 0, self.vals[np.maximum(idx - 1, 0)], self.base)
         return float(out) if np.isscalar(y) else out
 
-    def inverse(self, u: float) -> float:
-        if u <= self.base + _TOL:
-            return -np.inf
-        if u > self.vals[-1] + _TOL:
-            return np.inf
-        idx = int(np.searchsorted(self.vals, u - _TOL, side="left"))
-        return float(self.xs[idx])
-
-    def inverse_many(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self.vals, u - _TOL, side="left")
-        out = np.where(
-            idx < len(self.xs), self.xs[np.minimum(idx, len(self.xs) - 1)], np.inf
-        )
-        return np.where(u <= self.base + _TOL, -np.inf, out)
+    def inverse(self, u):
+        """Weak inverse at a scalar u, or at each entry of an array."""
+        t = np.asarray(u, dtype=float)
+        out = _row_inverse(self.vals[None], t.reshape(1, -1), self.xs, self.base)
+        return float(out[0, 0]) if t.ndim == 0 else out.reshape(t.shape)
 
     @property
     def terminal(self) -> float:
@@ -142,10 +151,6 @@ class SubCdf:
         c1 = np.cumsum(w1)
         self._cdf = StepFn(uniq, c0 + c1)
         self._sub = (StepFn(uniq, c0), StepFn(uniq, c1))
-        self._bar = (
-            StepFn(uniq, c0 + self.p_d1, base=self.p_d1),
-            StepFn(uniq, c1 + self.p_d0, base=self.p_d0),
-        )
         self._w_by_d = (w0, w1)
 
     def p_d(self, d: int) -> float:
@@ -161,7 +166,7 @@ class SubCdf:
 
     def bar(self, d: int, y):
         """Peterson envelope P(Y <= y, D = d) + P(D = 1-d)."""
-        return self._bar[d](y)
+        return self._sub[d](y) + self.p_d(1 - d)
 
     def inv_cdf(self, u: float) -> float:
         return self._cdf.inverse(u)
@@ -170,7 +175,7 @@ class SubCdf:
         return self._sub[d].inverse(u)
 
     def inv_bar(self, d: int, u: float) -> float:
-        return self._bar[d].inverse(u)
+        return self._sub[d].inverse(u - self.p_d(1 - d))
 
     def mass(self, iv, d=None) -> float:
         """Weight of {y in iv, D=d} for an Interval; d=None pools sectors."""
@@ -362,19 +367,38 @@ def iqr_bounds(c: SubCdf, d: int, q1: float, q2: float) -> IntervalBound:
     """
     if not (0.0 < q1 < q2 < 1.0):
         raise QuantileOutOfRange(f"need 0 < q1 < q2 < 1, got ({q1}, {q2})")
-    lower = max(0.0, c.inv_bar(d, q2) - c.inv_cdf(q1))
+    cd, f, xs = c._sub[d].vals[None], c._cdf.vals[None], c.jumps
+    lower = max(0.0, float(_iqr_lower(cd, f, c.p_d(1 - d), q1, q2, xs)[0]))
     y_lo = c.inv_bar(d, q1)
-    y_hi = c.inv_cdf(q1)
     if y_lo == -np.inf:
         return IntervalBound(lower, np.inf, sharp=True, label=f"IQR_{d}({q1},{q2})")
-    cand = [y for y in c.jumps if y_lo <= y <= y_hi]
-    cand += [y_lo, y_hi]
-    inv_q2 = c.inv_cdf(q2)
-    best = 0.0
-    for y in cand:
-        slope_term = c.inv_sub(d, q2 - q1 + c.sub(d, y)) - y
-        best = max(best, min(inv_q2 - y, slope_term))
+    y_hi = c.inv_cdf(q1)
+    cand = np.concatenate([xs[(xs >= y_lo) & (xs <= y_hi)], [y_lo, y_hi]])
+    best = max(0.0, float(_iqr_objective(cd, f, cand, q1, q2, xs).max()))
     return IntervalBound(lower, max(lower, best), sharp=True, label=f"IQR_{d}({q1},{q2})")
+
+
+def _iqr_lower(cd, f, p_other, q1, q2, xs):
+    """Lower IQR bound of sector d, row by row and before flooring at zero.
+
+    Each row of cd and f is the sector-d sub-cdf and the cdf on the jump
+    points xs; p_other is P(D = 1-d), a scalar or one per row.  The bound
+    is the inverse of the envelope F_hi_d at q2 minus the inverse of F at q1.
+    """
+    return _row_inverse(cd, q2 - p_other, xs) - _row_inverse(f, q1, xs)
+
+
+def _iqr_objective(cd, f, yv, q1, q2, xs):
+    """Upper IQR bound objective at the points yv: rows as in _iqr_lower, one column per point.
+
+    min(F^-1(q2) - y, F_lo_d^-1(q2 - q1 + F_lo_d(y)) - y), whose maximum over
+    y from the inverse of F_hi_d to the inverse of F at q1 is the bound.
+    """
+    pos = np.searchsorted(xs, yv, side="right") - 1
+    fd_at = np.where(pos[None, :] >= 0, cd[:, np.maximum(pos, 0)], 0.0)
+    left = _row_inverse(f, q2, xs)[:, None] - yv[None, :]
+    right = _row_inverse(cd, q2 - q1 + fd_at, xs) - yv[None, :]
+    return np.minimum(left, right)
 
 
 def _sector_quantile(c: SubCdf, d: int, q: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, QuantileOutOfRange, ZeroSectorProbability
-from .functional import OutcomeSample
+from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse, build_subcdf
 from .generalized import _COMBO, bounds_from_envelopes, envelope_array
 from .probability import IntervalBound, make_rng
 
@@ -340,25 +340,6 @@ def att_ci(theta: ThetaVector, cv: CriticalValue, which: int = 1) -> IntervalBou
     return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
 
-def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray):
-    """Per-row weak generalized inverse of nondecreasing rows of vals.
-
-    targets may be a scalar, one value per row or a (rows, cols) array;
-    returns xs at the first index where the row reaches the target, +inf
-    when it never does and -inf for nonpositive targets.  On a
-    nondecreasing row the count of entries below a threshold is exactly
-    its left searchsorted position, so each row is searched directly.
-    """
-    t = np.asarray(targets, dtype=float)
-    thr = np.broadcast_to(t - 1e-12, t.shape if t.ndim == 2 else vals.shape[:1])
-    idx = np.stack(
-        [np.searchsorted(v, r, side="left") for v, r in zip(vals, thr.reshape(len(vals), -1))]
-    ).reshape(thr.shape)
-    out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], np.inf)
-    out = np.where(t <= 1e-12, -np.inf, out)
-    return out
-
-
 def iqr_ci(
     data: OutcomeSample,
     d: int,
@@ -382,28 +363,21 @@ def iqr_ci(
         raise QuantileOutOfRange(f"need 0 < q1 < q2 < 1, got ({q1}, {q2})")
     _check_draws(b)
     n = data.n
-    ys = data.y
-    order = np.argsort(ys, kind="stable")
-    ys_s = ys[order]
-    ds_s = data.d[order]
-    ws_s = data.w[order]
-    xs, inv = np.unique(ys_s, return_inverse=True)
+    c = build_subcdf(data)
+    xs = c.jumps
     m = len(xs)
-    w_d = np.bincount(inv, weights=ws_s * (ds_s == d), minlength=m)
-    w_o = np.bincount(inv, weights=ws_s * (ds_s != d), minlength=m)
-    point_probs = np.concatenate([w_d, w_o])
-
-    # Point-estimate sub-cdfs on the jump points.
-    cd0 = np.cumsum(w_d)[None, :]
-    co0 = np.cumsum(w_o)[None, :]
-    f0 = cd0 + co0
-    p_other0 = float(co0[0, -1])
+    point_probs = np.concatenate([c._w_by_d[d], c._w_by_d[1 - d]])
+    # Point-estimate sub-cdfs on the jump points; the counterfactual share
+    # is the last cumsum entry, as in the bootstrap rows, not c.p_d(1 - d).
+    cd0 = c._sub[d].vals[None, :]
+    f0 = c._cdf.vals[None, :]
+    p_other0 = float(c._sub[1 - d].vals[-1])
 
     # Upper endpoint: grid of jump points in the widened admissible range;
     # none when q1 is below the counterfactual share (unbounded upper end).
     inv_bar_q1 = float(_row_inverse(cd0, q1 - p_other0, xs)[0])
     inv_f_q1 = float(_row_inverse(f0, q1, xs)[0])
-    spread = float(np.std(ys)) if n > 1 else 1.0
+    spread = float(np.std(data.y)) if n > 1 else 1.0
     grid = None
     if inv_bar_q1 != -np.inf:
         lln = lln_scale * np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
@@ -414,20 +388,11 @@ def iqr_ci(
             grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
         grid = np.unique(grid)
 
-    def objective(cd, f, xv):
-        """Rows: bootstrap draws; columns: grid points."""
-        pos = np.searchsorted(xs, xv, side="right") - 1
-        fd_at = np.where(pos[None, :] >= 0, cd[:, np.maximum(pos, 0)], 0.0)
-        inv_f2 = _row_inverse(f, q2, xs)
-        left = inv_f2[:, None] - xv[None, :]
-        right = _row_inverse(cd, q2 - q1 + fd_at, xs) - xv[None, :]
-        return np.minimum(left, right)
-
     # Each chunk of draws is reduced to its rows of the lower-endpoint draws
     # and of the objective, so memory does not grow with b times m.
     t_star = np.empty(b)
     if grid is not None:
-        obj0 = objective(cd0, f0, grid)[0]
+        obj0 = _iqr_objective(cd0, f0, grid, q1, q2, xs)[0]
         obj_star = np.empty((b, len(grid)))
 
     def reduce(i, counts):
@@ -436,12 +401,12 @@ def iqr_ci(
         c_o = counts[:, m:] / n
         np.cumsum(c_d, axis=1, out=c_d)
         np.cumsum(c_o, axis=1, out=c_o)
-        inv_d = _row_inverse(c_d, q2 - c_o[:, -1], xs)
+        p_o = c_o[:, -1].copy()
         # The cdf overwrites the other sector's sub-cdf (addition commutes).
         f_star = np.add(c_o, c_d, out=c_o)
-        t_star[rows] = inv_d - _row_inverse(f_star, q1, xs)
+        t_star[rows] = _iqr_lower(c_d, f_star, p_o, q1, q2, xs)
         if grid is not None:
-            obj_star[rows] = objective(c_d, f_star, grid)
+            obj_star[rows] = _iqr_objective(c_d, f_star, grid, q1, q2, xs)
 
     _bootstrap_map(reduce, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
 

@@ -229,10 +229,10 @@ class ContinuousCouplingWitness:
         y0 = np.empty(n)
         y1 = np.empty(n)
         sel = d == 1
-        y1[sel] = self.sub1.inverse_many(u[sel])
-        y0[sel] = self.rest0.inverse_many(u[sel])
-        y0[~sel] = self.sub0.inverse_many(u[~sel] - self.p_d1)
-        y1[~sel] = self.rest1.inverse_many(u[~sel] - self.p_d1)
+        y1[sel] = self.sub1.inverse(u[sel])
+        y0[sel] = self.rest0.inverse(u[sel])
+        y0[~sel] = self.sub0.inverse(u[~sel] - self.p_d1)
+        y1[~sel] = self.rest1.inverse(u[~sel] - self.p_d1)
         y = np.where(sel, y1, y0)
         return y0, y1, y, d
 

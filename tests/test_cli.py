@@ -149,11 +149,32 @@ def test_import_leaves_scipy_unloaded(cli_env):
     # Only the oracle module needs scipy; the library and the CLI load it on demand.
     code = (
         "import sys; import roybounds; a = 'scipy' in sys.modules; "
-        "import roybounds.cli; print(a, 'scipy' in sys.modules)"
+        "import roybounds.cli; b = 'scipy' in sys.modules; "
+        "from roybounds import *; print(a, b, 'scipy' in sys.modules)"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False"]
+    assert res.stdout.split() == ["False", "False", "False"]
+
+
+def test_oracle_commands_without_scipy(tmp_path, cli_env):
+    # scipy is the [oracle] extra: without it the commands that need it give
+    # one error line that names the extra, and the others still run.
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"type": "gaussian", "rho": 0.3}))
+    cells = '{"q00":0.2,"q01":0.1,"q10":0.3,"q11":0.4}'
+    code = "import sys; sys.modules['scipy'] = None; from roybounds.cli import run; sys.exit(run(sys.argv[1:]))"
+    for argv, want in (
+        (["oracle", "--cells", cells], 1),
+        (["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")], 1),
+        (["binary", "--cells", cells], 0),
+    ):
+        res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=cli_env)
+        assert res.returncode == want, res.stderr
+        if want:
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+            assert "roybounds[oracle]" in res.stderr
 
 
 def test_unknown_subcommand(capsys):

@@ -60,6 +60,114 @@ def test_generalized_inverse_convention():
     assert c.inv_cdf(0.0) == -np.inf
 
 
+def scalar_stepfn_inverse(f, u):
+    """The scalar `StepFn.inverse` that `_row_inverse` replaced, kept as its reference."""
+    if u <= f.base + fn._TOL:
+        return -np.inf
+    if u > f.vals[-1] + fn._TOL:
+        return np.inf
+    idx = int(np.searchsorted(f.vals, u - fn._TOL, side="left"))
+    return float(f.xs[idx])
+
+
+def bar_stepfns(c):
+    """The envelope StepFns F_lo_d + P(D=1-d) that SubCdf once stored, kept as their reference."""
+    return (
+        fn.StepFn(c.jumps, c._sub[0].vals + c.p_d1, base=c.p_d1),
+        fn.StepFn(c.jumps, c._sub[1].vals + c.p_d0, base=c.p_d0),
+    )
+
+
+def loop_iqr_bounds(c, d, q1, q2):
+    """`iqr_bounds` as a Python loop over the jumps on the references above, kept as its reference."""
+    bar, cdf = bar_stepfns(c)[d], c._cdf
+    lower = max(0.0, scalar_stepfn_inverse(bar, q2) - scalar_stepfn_inverse(cdf, q1))
+    y_lo = scalar_stepfn_inverse(bar, q1)
+    y_hi = scalar_stepfn_inverse(cdf, q1)
+    if y_lo == -np.inf:
+        return lower, np.inf
+    cand = [y for y in c.jumps if y_lo <= y <= y_hi]
+    cand += [y_lo, y_hi]
+    inv_q2 = scalar_stepfn_inverse(cdf, q2)
+    best = 0.0
+    for y in cand:
+        slope_term = scalar_stepfn_inverse(c._sub[d], q2 - q1 + c.sub(d, y)) - y
+        best = max(best, min(inv_q2 - y, slope_term))
+    return lower, float(max(lower, best))
+
+
+def seeded_subcdf(seed):
+    """Step functions of a seeded sample with ties and, for odd seeds, 2-decimal weights."""
+    rng = oracle.make_rng(seed, 29)
+    n = int(rng.integers(1, 60))
+    y = np.round(rng.normal(0, 1, n), int(rng.integers(0, 3)))
+    d = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+    w = np.round(rng.uniform(0.1, 3.0, n), 2) if seed % 2 else None
+    return fn.build_subcdf(fn.OutcomeSample.from_arrays(y, d, w)), rng
+
+
+def test_stepfn_inverse_equals_scalar_reference_bitwise():
+    past_end = 0
+    for seed in range(200):
+        c, rng = seeded_subcdf(seed)
+        base = float(rng.uniform(0.0, 0.5))
+        shifted = fn.StepFn(c.jumps, c._cdf.vals + base, base=base)
+        for f in (c._cdf, c._sub[0], c._sub[1], shifted, *bar_stepfns(c)):
+            # Every value the function takes, each one nudged by the tolerance,
+            # the base, and levels below the base and above the terminal value.
+            u = np.concatenate(
+                [f.vals, f.vals + fn._TOL, f.vals - fn._TOL, [f.base, f.base + fn._TOL],
+                 rng.uniform(-0.1, 1.6, 8)]
+            )
+            ref = []
+            for x in u:
+                try:
+                    ref.append(scalar_stepfn_inverse(f, x))
+                except IndexError:
+                    # x - _TOL rounds above the terminal value although x does
+                    # not exceed it by more than _TOL: the scalar form indexed
+                    # past the last jump; the weak inverse there is +inf.
+                    ref.append(np.inf)
+                    past_end += 1
+            assert repr([f.inverse(x) for x in u]) == repr(ref), seed
+            assert f.inverse(u).tobytes() == np.array(ref).tobytes(), seed
+            assert f.inverse(u[:, None]).tobytes() == np.array(ref).tobytes(), seed
+    assert past_end > 0
+
+
+def test_envelope_equals_stored_stepfn_reference_bitwise():
+    for seed in range(200):
+        c, rng = seeded_subcdf(seed)
+        ys = np.concatenate([c.jumps, c.jumps - 1e-9, [c.jumps[0] - 1.0, c.jumps[-1] + 1.0]])
+        for d, ref in enumerate(bar_stepfns(c)):
+            assert c.bar(d, ys).tobytes() == ref(ys).tobytes(), seed
+            assert repr([c.bar(d, y) for y in ys]) == repr([ref(y) for y in ys]), seed
+            # Not ref.base + _TOL: c.inv_bar shifts the level by P(D=1-d) before
+            # the tolerance test, so levels within rounding of it may differ.
+            u = np.concatenate([ref.vals, [ref.base], rng.uniform(-0.1, 1.1, 8)])
+            got = [c.inv_bar(d, x) for x in u]
+            assert repr(got) == repr([scalar_stepfn_inverse(ref, x) for x in u]), seed
+
+
+def test_iqr_bounds_equals_loop_reference_bitwise():
+    bounded = unbounded = 0
+    for seed in range(300):
+        c, rng = seeded_subcdf(seed)
+        k = int(rng.integers(2, 10))
+        pairs = [tuple(sorted(rng.uniform(0.01, 0.99, 2))), (0.25, 0.75),
+                 (1 / (2 * k), (2 * k - 1) / (2 * k)), ((k - 1) / (2 * k), k / (2 * k))]
+        for d in (0, 1):
+            for q1, q2 in pairs:
+                b = fn.iqr_bounds(c, d, q1, q2)
+                assert type(b.lo) is float and type(b.hi) is float
+                assert repr((b.lo, b.hi)) == repr(loop_iqr_bounds(c, d, q1, q2)), (seed, d, q1, q2)
+                if b.hi == np.inf:
+                    unbounded += 1
+                else:
+                    bounded += 1
+    assert bounded >= 100 and unbounded >= 100
+
+
 def test_peterson_bounds_edges():
     s = small_sample(1, 12)
     c = fn.build_subcdf(s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roybounds import generalized, inference, oracle
+from roybounds import functional, generalized, inference, oracle
 from roybounds.errors import InputError, QuantileOutOfRange, ZeroSectorProbability
 from roybounds.functional import OutcomeSample
 from roybounds.probability import InstrumentTable, IntervalBound, validate_cells
@@ -333,7 +333,7 @@ def test_row_inverse_equals_dense_reference_bitwise():
 
 def test_iqr_ci_row_inverse_calls_independent_of_grid(monkeypatch):
     data = iqr_sample(13, n=400)
-    original = inference._row_inverse
+    original = functional._row_inverse
     calls, widest = [], []
 
     def counting(vals, targets, xs):
@@ -341,6 +341,8 @@ def test_iqr_ci_row_inverse_calls_independent_of_grid(monkeypatch):
         widest[-1] = max(widest[-1], np.shape(targets)[-1] if np.ndim(targets) == 2 else 1)
         return original(vals, targets, xs)
 
+    # The one definition is in functional; inference calls it under its own name too.
+    monkeypatch.setattr(functional, "_row_inverse", counting)
     monkeypatch.setattr(inference, "_row_inverse", counting)
     for cap in (4, 512):
         calls.append(0)
