@@ -22,11 +22,17 @@ from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
 _CHUNK = 128
-# Largest `multinomial` result drawn at once.  A freed temporary stays
-# resident in the C heap (glibc raises its mmap threshold to the freed
-# size), so each one adds to peak RSS; smaller batches cost one more
+# Largest `multinomial` result drawn at once: one batch of counts over the
+# drawn categories, reduced before the next is drawn.  The IQR bootstrap
+# holds one batch with its sub-cdfs and cdf per worker thread, in scratch
+# the worker reuses, plus one (b, G) objective matrix.  A freed temporary
+# stays resident in the C heap (glibc raises its mmap threshold to the
+# freed size), so each one adds to peak RSS; smaller batches cost one more
 # `multinomial` call each.
 _DRAW_BYTES = 512 * 1024
+# Columns per `std` call when studentizing the IQR objective, so that its
+# temporaries stay far below the (b, G) matrix.
+_STD_COLS = 16
 # Fewest bootstrap draws whose quantiles and spreads are worth reporting.
 _MIN_DRAWS = 100
 
@@ -56,55 +62,69 @@ def _n_threads() -> int:
     return n
 
 
-def _bootstrap_map(fn, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
-    """Draw b multinomial count rows chunk by chunk and call fn(i, counts) on each.
+def _drawn_categories(probs: np.ndarray) -> np.ndarray:
+    """The categories `_bootstrap_map` draws: the nonzero ones and the last."""
+    return np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
 
-    Chunk i holds rows [i * _CHUNK, i * _CHUNK + len(counts)) of the draw,
-    as a (rows, len(probs)) int64 array, on its own RNG stream
-    make_rng(seed, *tag, i).  Chunk boundaries and streams do not depend on
-    the thread count, so the counts are identical for any ROY_THREADS; fn
-    runs in the worker threads and must only write its own chunk's rows.
 
-    Only the nonzero categories and the last one are drawn, in batches of
-    at most _DRAW_BYTES (one row at a time when a row is larger), and
-    scattered into a zeroed chunk.  That gives the counts of the full
-    draw: numpy's multinomial draws one binomial per category and returns
-    0 for p == 0 without touching the stream, and the last category takes
-    whatever count is left, so it is always drawn.
+def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
+    """Draw b multinomial count rows batch by batch and reduce each batch as it is drawn.
+
+    Only the categories `_drawn_categories(probs)` are drawn.  That gives
+    their columns of the full draw, and the others are 0: numpy's
+    multinomial draws one binomial per category and returns 0 for p == 0
+    without touching the stream, and the last category takes whatever
+    count is left, so it is always drawn.
+
+    Chunk i holds the _CHUNK rows from row i * _CHUNK on (fewer in the last
+    chunk), on its own RNG stream make_rng(seed, *tag, i), drawn in batches
+    of at most _DRAW_BYTES of counts (one row at a time when a row is
+    larger).  Chunk boundaries and streams do not depend on the thread
+    count, so the counts are identical for any ROY_THREADS.
+
+    Each worker thread calls reducer(rows) once, with the most rows a batch
+    can hold, and gets fn(row, counts) back; what reducer allocates is that
+    worker's scratch.  fn is called on each batch the worker draws: counts
+    is a (batch rows, drawn categories) int64 array holding rows
+    [row, row + len(counts)) of the draw, and fn must only write those rows
+    of any shared result.
     """
-    keep = np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
+    keep = _drawn_categories(probs)
     p = probs[keep]
     step = max(1, _DRAW_BYTES // (8 * len(keep)))
+    n_chunks = (b + _CHUNK - 1) // _CHUNK
 
-    def draw(i):
-        rng = make_rng(seed, *tag, i)
-        counts = np.zeros((min(_CHUNK, b - i * _CHUNK), len(probs)), dtype=np.int64)
-        # Consecutive calls continue one stream: the same rows as one call.
-        for j in range(0, len(counts), step):
-            part = counts[j : j + step]
-            part[:, keep] = rng.multinomial(n, p, size=len(part))
-        fn(i, counts)
+    def work(chunks):
+        fn = reducer(min(step, _CHUNK, b))
+        for i in chunks:
+            rng = make_rng(seed, *tag, i)
+            rows = min(_CHUNK, b - i * _CHUNK)
+            # Consecutive calls continue one stream: the same rows as one call.
+            for j in range(0, rows, step):
+                fn(i * _CHUNK + j, rng.multinomial(n, p, size=min(step, rows - j)))
 
-    chunks = range((b + _CHUNK - 1) // _CHUNK)
-    workers = _n_threads()
+    workers = min(_n_threads(), n_chunks)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(draw, chunks))
+            list(pool.map(work, [range(w, n_chunks, workers) for w in range(workers)]))
     else:
-        for i in chunks:
-            draw(i)
+        work(range(n_chunks))
 
 
 def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:
-    """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams."""
-    out = np.empty((b, len(probs)), dtype=np.int64)
+    """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams.
 
-    def put(i, counts):
-        out[i * _CHUNK : i * _CHUNK + len(counts)] = counts
+    Each batch's drawn categories are scattered into one zeroed result.
+    """
+    out = np.zeros((b, len(probs)), dtype=np.int64)
+    keep = _drawn_categories(probs)
 
-    _bootstrap_map(put, probs, n, b, seed, *tag)
+    def put(row, counts):
+        out[row : row + len(counts), keep] = counts
+
+    _bootstrap_map(lambda rows: put, probs, n, b, seed, *tag)
     return out
 
 
@@ -388,27 +408,48 @@ def iqr_ci(
             grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
         grid = np.unique(grid)
 
-    # Each chunk of draws is reduced to its rows of the lower-endpoint draws
-    # and of the objective, so memory does not grow with b times m.
+    # Each batch of draws is reduced to its rows of the lower-endpoint draws
+    # and of the objective, so memory grows with neither b nor m.
     t_star = np.empty(b)
     if grid is not None:
-        obj0 = _iqr_objective(cd0, f0, grid, q1, q2, xs)[0]
-        obj_star = np.empty((b, len(grid)))
+        obj0 = _iqr_objective(cd0, xs, f0, xs, grid, q1, q2)[0]
+        # F order keeps each column contiguous, as in a column-masked copy;
+        # the bits of std(axis=0) depend on that layout.
+        obj_star = np.empty((b, len(grid)), order="F")
 
-    def reduce(i, counts):
-        rows = slice(i * _CHUNK, i * _CHUNK + len(counts))
-        c_d = counts[:, :m] / n
-        c_o = counts[:, m:] / n
-        np.cumsum(c_d, axis=1, out=c_d)
-        np.cumsum(c_o, axis=1, out=c_o)
-        p_o = c_o[:, -1].copy()
-        # The cdf overwrites the other sector's sub-cdf (addition commutes).
-        f_star = np.add(c_o, c_d, out=c_o)
-        t_star[rows] = _iqr_lower(c_d, f_star, p_o, q1, q2, xs)
-        if grid is not None:
-            obj_star[rows] = _iqr_objective(c_d, f_star, grid, q1, q2, xs)
+    probs = point_probs / point_probs.sum()
+    keep = _drawn_categories(probs)
+    # The drawn categories of sector d come first.  Each sector's sub-cdf is
+    # a cumsum over its drawn categories only, after a 0.0 at -inf: a
+    # category left out has a count of 0 and would add exactly +0.0, so the
+    # sub-cdf steps only at its own points.  The cdf on xs adds the two
+    # sub-cdfs gathered at the last drawn point of each sector at or below x.
+    n_d = int(np.searchsorted(keep, m))
+    xd = np.concatenate([[-np.inf], xs[keep[:n_d]]])
+    at_d = np.searchsorted(keep[:n_d], np.arange(m), side="right")
+    at_o = np.searchsorted(keep[n_d:] - m, np.arange(m), side="right")
 
-    _bootstrap_map(reduce, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
+    def reducer(rows):
+        sub = np.zeros((rows, len(keep) + 2))
+        f = np.empty((rows, m))
+        f_o = np.empty((rows, m))
+
+        def reduce(row, counts):
+            r = len(counts)
+            c_d, c_o = sub[:r, : n_d + 1], sub[:r, n_d + 1 :]
+            for c, part in ((c_d, counts[:, :n_d]), (c_o, counts[:, n_d:])):
+                np.divide(part, n, out=c[:, 1:])
+                np.cumsum(c[:, 1:], axis=1, out=c[:, 1:])
+            f_star = np.take(c_d, at_d, axis=1, out=f[:r], mode="clip")
+            f_star += np.take(c_o, at_o, axis=1, out=f_o[:r], mode="clip")
+            batch = slice(row, row + r)
+            t_star[batch] = _iqr_lower(c_d, xd, f_star, xs, c_o[:, -1], q1, q2)
+            if grid is not None:
+                obj_star[batch] = _iqr_objective(c_d, xd, f_star, xs, grid, q1, q2)
+
+        return reduce
+
+    _bootstrap_map(reducer, probs, n, b, seed, _STREAM_IQR)
 
     # Lower endpoint.
     t_star = np.where(np.isnan(t_star), -np.inf, t_star)
@@ -424,10 +465,19 @@ def iqr_ci(
     finite_cols = np.isfinite(obj0) & np.all(np.isfinite(obj_star), axis=0)
     if not finite_cols.any():
         return IntervalBound(lower, np.inf, sharp=False, label=f"IQR_{d} CI")
-    g0 = obj0[finite_cols]
-    gs = obj_star[:, finite_cols]
-    sd = np.maximum(gs.std(axis=0, ddof=1), 1e-9 * max(spread, 1e-12))
-    stud = (gs - g0[None, :]) / sd[None, :]
-    c_alpha = float(np.quantile(np.sort(stud.max(axis=1)), level, method="higher"))
+    cols = np.flatnonzero(finite_cols)
+    g0 = obj0[cols]
+    # Studentize in place: move the finite columns to the front, then take
+    # std a block of columns at a time.
+    for j, col in enumerate(cols):
+        obj_star[:, j] = obj_star[:, col]
+    gs = obj_star[:, : len(cols)]
+    sd = np.concatenate(
+        [gs[:, j : j + _STD_COLS].std(axis=0, ddof=1) for j in range(0, len(cols), _STD_COLS)]
+    )
+    sd = np.maximum(sd, 1e-9 * max(spread, 1e-12))
+    gs -= g0[None, :]
+    gs /= sd[None, :]
+    c_alpha = float(np.quantile(np.sort(gs.max(axis=1)), level, method="higher"))
     upper = float(np.max(g0 + c_alpha * sd))
     return IntervalBound(lower, max(lower, upper), sharp=False, label=f"IQR_{d} CI")

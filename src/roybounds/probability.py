@@ -277,9 +277,6 @@ class SimplexPolytope:
             ok &= pts @ np.asarray(a) <= b + tol
         return ok
 
-    def intersect(self, other: "SimplexPolytope") -> "SimplexPolytope":
-        return SimplexPolytope(halfspaces=self.halfspaces + other.halfspaces)
-
 
 def membership(polytope: SimplexPolytope, p: PotentialJoint, tol: float = FEAS_TOL) -> bool:
     """True iff all halfspaces hold at p within tolerance."""

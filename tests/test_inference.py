@@ -442,6 +442,38 @@ def test_iqr_ci_equals_dense_reference(monkeypatch):
     assert bounded >= 5 and unbounded >= 5
 
 
+def test_iqr_ci_compact_batches_equal_dense_reference(monkeypatch):
+    # Each sector is reduced on its own drawn categories, batch by batch.
+    rng = oracle.make_rng(41)
+    y = rng.normal(size=1200)
+    assert inference._DRAW_BYTES // (8 * (len(y) + 1)) < inference._CHUNK // 2  # several batches a chunk
+    top_in_d = np.where(y == y.max(), 1, (rng.random(len(y)) < 0.8).astype(int))
+    tied = np.round(rng.normal(size=600), 1)
+    cases = [
+        (OutcomeSample.from_arrays(y[:300], np.ones(300, dtype=int)), 0, 0.25, 0.75),  # no rows in sector d
+        (OutcomeSample.from_arrays(y[:300], np.ones(300, dtype=int)), 1, 0.25, 0.75),  # none in the other
+        (OutcomeSample.from_arrays(y[:300], np.zeros(300, dtype=int)), 0, 0.6, 0.9),
+        (OutcomeSample.from_arrays(tied, (rng.random(600) < 0.7).astype(int)), 1, 0.4, 0.8),  # ties across sectors
+        (OutcomeSample.from_arrays(tied, (rng.random(600) < 0.7).astype(int), rng.uniform(0.2, 4.0, 600)), 0, 0.1, 0.6),
+        (OutcomeSample.from_arrays(y, top_in_d), 1, 0.25, 0.75),  # the last category has no mass
+        (OutcomeSample.from_arrays(y, top_in_d, rng.uniform(0.2, 4.0, len(y))), 1, 0.3, 0.9),
+        (OutcomeSample.from_arrays(y, 1 - top_in_d), 0, 0.05, 0.6),
+    ]
+    bounded = 0
+    for data, d, q1, q2 in cases:
+        for cap in (4, 512):
+            kw = dict(d=d, q1=q1, q2=q2, b=150, seed=3, grid_cap=cap)
+            ref = repr(dense_iqr_ci(data, **kw))
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ROY_THREADS", threads)
+                assert repr(inference.iqr_ci(data, **kw)) == ref, (d, q1, q2, cap, threads)
+            bounded += "inf" not in ref
+    assert bounded >= 6
+    monkeypatch.setenv("ROY_THREADS", "1")
+    empty_d = inference.iqr_ci(cases[0][0], 0, 0.25, 0.75, b=150)
+    assert (empty_d.lo, empty_d.hi) == (0.0, np.inf)
+
+
 def test_iqr_ci_memory_independent_of_draw_count(monkeypatch):
     # The chunk reduction keeps one chunk's counts and sub-cdfs; a whole
     # (b, 2m) draw would make the peak grow with b (about 4x from 256 to 999).
@@ -458,3 +490,22 @@ def test_iqr_ci_memory_independent_of_draw_count(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_iqr_ci_memory_independent_of_sample_size(monkeypatch):
+    # Each batch draws at most _DRAW_BYTES of counts; a 128-row chunk over
+    # all 2m categories would make the peak grow with m (about 4x from 5000
+    # to 20000 distinct outcomes).
+    import tracemalloc
+
+    monkeypatch.setenv("ROY_THREADS", "1")
+    peaks = []
+    for n in (5000, 20000):
+        data = iqr_sample(31, n=n)
+        tracemalloc.start()
+        try:
+            inference.iqr_ci(data, 1, 0.25, 0.75, b=999, seed=0, grid_cap=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
