@@ -415,8 +415,9 @@ def _cmd_infer(args, report):
     cv = inference.critical_value(theta, level=args.level, b=args.bootstrap or 999, seed=args.seed)
     ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
     report["bounds"] = ci.to_dict()
-    report["bounds"]["att1_bootstrap"] = inference.att_ci(theta, cv, which=1).to_dict()
-    report["bounds"]["att0_bootstrap"] = inference.att_ci(theta, cv, which=0).to_dict()
+    att1, att0 = inference.att_ci(theta, cv)
+    report["bounds"]["att1_bootstrap"] = att1.to_dict()
+    report["bounds"]["att0_bootstrap"] = att0.to_dict()
     if ci.ey0.lo > ci.ey0.hi or ci.ey1.lo > ci.ey1.hi:
         report["findings"] = {"model_rejected": True, "reasons": ["empty confidence interval"]}
         return EXIT_REJECTED

@@ -23,12 +23,14 @@ from .probability import IntervalBound, make_rng
 _SE_FLOOR = 1e-6
 _CHUNK = 128
 # Largest `multinomial` result drawn at once: one batch of counts over the
-# drawn categories, reduced before the next is drawn.  The IQR bootstrap
-# holds one batch with its sub-cdfs and cdf per worker thread, in scratch
-# the worker reuses, plus one (b, G) objective matrix.  A freed temporary
-# stays resident in the C heap (glibc raises its mmap threshold to the
-# freed size), so each one adds to peak RSS; smaller batches cost one more
-# `multinomial` call each.
+# drawn categories, reduced before the next is drawn.  Each worker thread
+# holds one batch with what its reducer derives from it, in scratch the
+# worker reuses: the sub-cdfs and cdf of the IQR bootstrap, or the (rows,
+# K, 4) counts and cells of the binary one.  Beyond that a bootstrap keeps
+# only its O(b) statistics, and the IQR one a (b, G) objective matrix.  A
+# freed temporary stays resident in the C heap (glibc raises its mmap
+# threshold to the freed size), so each one adds to peak RSS; smaller
+# batches cost one more `multinomial` call each.
 _DRAW_BYTES = 512 * 1024
 # Columns per `std` call when studentizing the IQR objective, so that its
 # temporaries stay far below the (b, G) matrix.
@@ -69,6 +71,10 @@ def _drawn_categories(probs: np.ndarray) -> np.ndarray:
 
 def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
     """Draw b multinomial count rows batch by batch and reduce each batch as it is drawn.
+
+    Every bootstrap draws through here: `critical_value` and `att_ci` by way
+    of `_map_cells`, and `iqr_ci` directly.  No (b, categories) matrix
+    exists, so memory grows with neither b nor the category count.
 
     Only the categories `_drawn_categories(probs)` are drawn.  That gives
     their columns of the full draw, and the others are 0: numpy's
@@ -116,7 +122,10 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
 def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:
     """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams.
 
-    Each batch's drawn categories are scattered into one zeroed result.
+    Each batch's drawn categories are scattered into one zeroed result.  No
+    bootstrap draws through this whole-matrix form; it is kept as the
+    reference the tests compare `_bootstrap_map` with, and the benchmark
+    tracer looks it up by name.
     """
     out = np.zeros((b, len(probs)), dtype=np.int64)
     keep = _drawn_categories(probs)
@@ -207,19 +216,33 @@ class CriticalValue:
     method: str = "studentized max-statistic bootstrap"
 
 
-def _bootstrap_cells(theta: ThetaVector, b: int, seed: int, tag: int) -> np.ndarray:
-    """(b, K, 4) bootstrap cell probabilities, resampling z jointly."""
+def _map_cells(fn, theta: ThetaVector, b: int, seed: int, tag: int) -> None:
+    """Call fn(row, cells) on each batch of bootstrap cell probabilities, resampling z jointly.
+
+    cells is (batch rows, K, 4): rows [row, row + len(cells)) of the b draws,
+    each z's drawn cell counts over its drawn total.  Each worker scatters
+    its batches of drawn-category counts into one zeroed (rows, 4K) scratch,
+    so the undrawn zero-probability cells stay 0.
+    """
     k = theta.k_support
     probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
-    n = theta.n
-    counts = _bootstrap_counts(probs, n, b, seed, tag).reshape(b, k, 4)
-    totals = counts.sum(axis=2, keepdims=True)
-    safe = np.maximum(totals, 1)
-    cells = counts / safe
+    keep = _drawn_categories(probs)
     # An empty bootstrap z-cell contributes the point estimate (no signal).
     point = theta.cell_counts / theta.cell_counts.sum(axis=1, keepdims=True)
-    cells = np.where(totals == 0, point[None, :, :], cells)
-    return cells
+
+    def reducer(rows):
+        scratch = np.zeros((rows, k, 4), dtype=np.int64)
+        flat = scratch.reshape(rows, 4 * k)
+
+        def reduce(row, counts):
+            flat[: len(counts), keep] = counts
+            c = scratch[: len(counts)]
+            totals = c.sum(axis=2, keepdims=True)
+            fn(row, np.where(totals == 0, point, c / np.maximum(totals, 1)))
+
+        return reduce
+
+    _bootstrap_map(reducer, probs, theta.n, b, seed, tag)
 
 
 def critical_value(
@@ -227,10 +250,13 @@ def critical_value(
 ) -> CriticalValue:
     """Level-quantile of the bootstrap max studentized theta deviation."""
     _check_draws(b)
-    cells = _bootstrap_cells(theta, b, seed, _STREAM_K)
-    theta_star = _theta_from_cells(cells)          # (b, K, 8)
-    dev = np.abs(theta_star - theta.est[None]) / theta.se[None]
-    stat = dev.reshape(b, -1).max(axis=1)
+    stat = np.empty(b)
+
+    def reduce(row, cells):
+        dev = np.abs(_theta_from_cells(cells) - theta.est) / theta.se
+        stat[row : row + len(cells)] = dev.reshape(len(cells), -1).max(axis=1)
+
+    _map_cells(reduce, theta, b, seed, _STREAM_K)
     k = float(np.quantile(np.sort(stat), level, method="higher"))
     return CriticalValue(k=k, level=level, b=b, seed=seed)
 
@@ -327,37 +353,47 @@ def infer_bounds(
     return assemble_cis(theta, cv.k, level=level, b=b, seed=seed)
 
 
-def att_ci(theta: ThetaVector, cv: CriticalValue, which: int = 1) -> IntervalBound:
-    """Bootstrap outer envelope of the sector-gain plug-in estimators.
+def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, IntervalBound]:
+    """Bootstrap outer envelopes of the two sector-gain plug-in estimators.
 
     The counterfactual-mean confidence endpoints (with the critical value
-    cv held fixed) are plugged into the ratio at every bootstrap table; the
+    cv held fixed) are plugged into the ratio at every bootstrap table; each
     interval spans the outer quantiles of the resulting lower and upper
-    plug-in draws.  The draws reuse cv's level, count and seed.
+    plug-in draws.  One draw, on cv's count and seed, serves both the
+    E(Y1-Y0|D=1) and the E(Y0-Y1|D=0) interval, returned in that order.
     """
-    cells = _bootstrap_cells(theta, cv.b, cv.seed, _STREAM_ATT)  # (b, K, 4)
-    theta_star = _theta_from_cells(cells)
-    r = bounds_from_envelopes(envelope_array(theta_star, cv.k * theta.se))
-    cf_lo, cf_hi = np.clip(r["ey0" if which == 1 else "ey1"], 0.0, 1.0)
-    p_y = theta_star[:, :, 0] if which == 1 else theta_star[:, :, 1]
-    d_col = [1, 3] if which == 1 else [0, 2]
-    p_d = cells[:, :, d_col].sum(axis=2)
-    if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
-        raise ZeroSectorProbability(f"no observations with D={which} at some z")
-    p_d = np.maximum(p_d, 1.0 / theta.n)
-    w = cells.sum(axis=2)
-    w = w / w.sum(axis=1, keepdims=True)
-    if which == 1:
-        low_star = (w * (p_y - cf_hi[:, None]) / p_d).sum(axis=1)
-        high_star = (w * (p_y - cf_lo[:, None]) / p_d).sum(axis=1)
-    else:
-        low_star = (w * (p_y - (1.0 - cf_lo)[:, None]) / p_d).sum(axis=1)
-        high_star = (w * (p_y - (1.0 - cf_hi)[:, None]) / p_d).sum(axis=1)
+    for d, d_col in ((1, [1, 3]), (0, [0, 2])):
+        if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
+            raise ZeroSectorProbability(f"no observations with D={d} at some z")
+    slack = cv.k * theta.se
+    low1, high1, low0, high0 = np.empty((4, cv.b))
+
+    def reduce(row, cells):
+        theta_star = _theta_from_cells(cells)
+        r = bounds_from_envelopes(envelope_array(theta_star, slack))
+        w = cells.sum(axis=2)
+        w = w / w.sum(axis=1, keepdims=True)
+        batch = slice(row, row + len(cells))
+        cf_lo, cf_hi = np.clip(r["ey0"], 0.0, 1.0)
+        p_y = theta_star[:, :, 0]
+        p_d = np.maximum(cells[:, :, [1, 3]].sum(axis=2), 1.0 / theta.n)
+        low1[batch] = (w * (p_y - cf_hi[:, None]) / p_d).sum(axis=1)
+        high1[batch] = (w * (p_y - cf_lo[:, None]) / p_d).sum(axis=1)
+        cf_lo, cf_hi = np.clip(r["ey1"], 0.0, 1.0)
+        p_y = theta_star[:, :, 1]
+        p_d = np.maximum(cells[:, :, [0, 2]].sum(axis=2), 1.0 / theta.n)
+        low0[batch] = (w * (p_y - (1.0 - cf_lo)[:, None]) / p_d).sum(axis=1)
+        high0[batch] = (w * (p_y - (1.0 - cf_hi)[:, None]) / p_d).sum(axis=1)
+
+    _map_cells(reduce, theta, cv.b, cv.seed, _STREAM_ATT)
     alpha = 1.0 - cv.level
-    lo = float(np.quantile(np.sort(low_star), alpha / 2, method="lower"))
-    hi = float(np.quantile(np.sort(high_star), 1.0 - alpha / 2, method="higher"))
-    label = "E(Y1-Y0|D=1) CI" if which == 1 else "E(Y0-Y1|D=0) CI"
-    return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
+
+    def interval(low_star, high_star, label):
+        lo = float(np.quantile(np.sort(low_star), alpha / 2, method="lower"))
+        hi = float(np.quantile(np.sort(high_star), 1.0 - alpha / 2, method="higher"))
+        return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
+
+    return interval(low1, high1, "E(Y1-Y0|D=1) CI"), interval(low0, high0, "E(Y0-Y1|D=0) CI")
 
 
 def iqr_ci(
@@ -368,7 +404,6 @@ def iqr_ci(
     level: float = 0.95,
     b: int = 999,
     seed: int = 0,
-    lln_scale: float = 1.0,
     grid_cap: int = 512,
 ) -> IntervalBound:
     """Confidence interval for the sector-d interquantile-range bounds.
@@ -400,13 +435,15 @@ def iqr_ci(
     spread = float(np.std(data.y)) if n > 1 else 1.0
     grid = None
     if inv_bar_q1 != -np.inf:
-        lln = lln_scale * np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
+        lln = np.sqrt(np.log(np.log(max(n, 3))) / n) * spread
         g_lo, g_hi = inv_bar_q1 - lln, inv_f_q1 + lln
         grid = xs[(xs >= g_lo) & (xs <= g_hi)]
         grid = np.concatenate([[g_lo], grid, [g_hi]])
         if len(grid) > grid_cap:
             grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
-        grid = np.unique(grid)
+        # Sorted distinct values as np.unique gives them, which would import numpy.ma.
+        grid = np.sort(grid)
+        grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
     # Each batch of draws is reduced to its rows of the lower-endpoint draws
     # and of the objective, so memory grows with neither b nor m.

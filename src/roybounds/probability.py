@@ -122,12 +122,6 @@ class InstrumentTable:
                 return q
         raise KeyError(z)
 
-    def weight(self, z) -> float:
-        for label, _, w in self.points:
-            if label == z:
-                return w
-        raise KeyError(z)
-
     def pooled(self) -> CellProbs:
         """Weighted average of the cell probabilities over z."""
         arr = sum(w * q.as_array() for _, q, w in self.points)

@@ -371,9 +371,7 @@ def test_criterion_09_inference_coverage():
             rep.ey1.lo <= g_true.ey1.lo + 1e-9 and rep.ey1.hi >= g_true.ey1.hi - 1e-9
         )
         theta = inference.estimate_theta(data)
-        att = inference.att_ci(
-            theta, inference.critical_value(theta, level=0.95, b=b, seed=r), which=1
-        )
+        att, _ = inference.att_ci(theta, inference.critical_value(theta, level=0.95, b=b, seed=r))
         cov[2] += int(
             att.lo <= att1_true.lo + 1e-9 and att.hi >= att1_true.hi - 1e-9
         )

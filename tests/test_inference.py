@@ -128,6 +128,124 @@ def test_nonzero_category_draw_equals_full_draw_bitwise(monkeypatch):
                 assert _same_bits(inference._bootstrap_counts(probs, 300, b, seed, 3), ref), (probs, b)
 
 
+def dense_bootstrap_cells(theta, b, seed, tag):
+    """The whole-matrix (b, K, 4) cell draw `_map_cells` replaced, kept as its reference."""
+    k = theta.k_support
+    probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+    n = theta.n
+    counts = inference._bootstrap_counts(probs, n, b, seed, tag).reshape(b, k, 4)
+    totals = counts.sum(axis=2, keepdims=True)
+    safe = np.maximum(totals, 1)
+    cells = counts / safe
+    # An empty bootstrap z-cell contributes the point estimate (no signal).
+    point = theta.cell_counts / theta.cell_counts.sum(axis=1, keepdims=True)
+    cells = np.where(totals == 0, point[None, :, :], cells)
+    return cells
+
+
+def dense_critical_value(theta, level=0.95, b=999, seed=0):
+    """The whole-matrix `critical_value` the batch-reduced one replaced, kept as its reference."""
+    cells = dense_bootstrap_cells(theta, b, seed, inference._STREAM_K)
+    theta_star = inference._theta_from_cells(cells)          # (b, K, 8)
+    dev = np.abs(theta_star - theta.est[None]) / theta.se[None]
+    stat = dev.reshape(b, -1).max(axis=1)
+    k = float(np.quantile(np.sort(stat), level, method="higher"))
+    return inference.CriticalValue(k=k, level=level, b=b, seed=seed)
+
+
+def dense_att_ci(theta, cv, which=1):
+    """The whole-matrix `att_ci`, one sign and one draw per call, kept as its reference."""
+    cells = dense_bootstrap_cells(theta, cv.b, cv.seed, inference._STREAM_ATT)  # (b, K, 4)
+    theta_star = inference._theta_from_cells(cells)
+    r = generalized.bounds_from_envelopes(generalized.envelope_array(theta_star, cv.k * theta.se))
+    cf_lo, cf_hi = np.clip(r["ey0" if which == 1 else "ey1"], 0.0, 1.0)
+    p_y = theta_star[:, :, 0] if which == 1 else theta_star[:, :, 1]
+    d_col = [1, 3] if which == 1 else [0, 2]
+    p_d = cells[:, :, d_col].sum(axis=2)
+    if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
+        raise ZeroSectorProbability(f"no observations with D={which} at some z")
+    p_d = np.maximum(p_d, 1.0 / theta.n)
+    w = cells.sum(axis=2)
+    w = w / w.sum(axis=1, keepdims=True)
+    if which == 1:
+        low_star = (w * (p_y - cf_hi[:, None]) / p_d).sum(axis=1)
+        high_star = (w * (p_y - cf_lo[:, None]) / p_d).sum(axis=1)
+    else:
+        low_star = (w * (p_y - (1.0 - cf_lo)[:, None]) / p_d).sum(axis=1)
+        high_star = (w * (p_y - (1.0 - cf_hi)[:, None]) / p_d).sum(axis=1)
+    alpha = 1.0 - cv.level
+    lo = float(np.quantile(np.sort(low_star), alpha / 2, method="lower"))
+    hi = float(np.quantile(np.sort(high_star), 1.0 - alpha / 2, method="higher"))
+    label = "E(Y1-Y0|D=1) CI" if which == 1 else "E(Y0-Y1|D=0) CI"
+    return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
+
+
+def _with_rows(data, y, d, z):
+    """data with the rows (y, d, z) appended."""
+    return OutcomeSample.from_arrays(
+        np.concatenate([data.y, y]).astype(float),
+        np.concatenate([data.d, d]).astype(int),
+        z=np.concatenate([data.z, z]),
+    )
+
+
+def _att_outcome(theta, cv, fn):
+    """repr of fn's two intervals, or of the ZeroSectorProbability it raises."""
+    try:
+        return repr(fn(theta, cv))
+    except ZeroSectorProbability as exc:
+        return repr(exc)
+
+
+def test_critical_value_and_att_ci_equal_dense_reference(monkeypatch):
+    assert 1 < inference._DRAW_BYTES // (8 * 4 * 300) < inference._CHUNK  # K=300: several batches a chunk
+    base = binary_sample(21, n=3000, k=3)
+    cases = [binary_sample(20 + k, n=4000, k=k) for k in (1, 3, 8, 300)] + [
+        # One row at "solo": many draws leave it empty (and it has no D=0 row).
+        _with_rows(base, [1], [1], ["solo"]),
+        # No D=0 row at "one", no D=1 row at "zero": the D=1 error comes first.
+        _with_rows(base, [1, 0], [1, 0], ["one", "zero"]),
+        # Two rows at "pair", one per sector: the ATT draws also leave it empty.
+        _with_rows(base, [1, 0], [1, 0], ["pair", "pair"]),
+        # No (Y=1, D=0) row at "gap": a zero-probability cell is never drawn.
+        _with_rows(base, [0, 0, 1, 0, 1], [0, 1, 1, 0, 1], ["gap"] * 5),
+    ]
+    empty_z = raised = 0
+    for data in cases:
+        theta = inference.estimate_theta(data)
+        for b in (100, 257):
+            monkeypatch.setenv("ROY_THREADS", "1")
+            cv = dense_critical_value(theta, b=b, seed=b)
+            att = _att_outcome(theta, cv, lambda t, c: (dense_att_ci(t, c, 1), dense_att_ci(t, c, 0)))
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ROY_THREADS", threads)
+                assert repr(inference.critical_value(theta, b=b, seed=b)) == repr(cv), (theta.k_support, b)
+                assert _att_outcome(theta, cv, inference.att_ci) == att, (theta.k_support, b, threads)
+            raised += "ZeroSector" in att
+            probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+            draws = inference._bootstrap_counts(probs, theta.n, b, b, inference._STREAM_ATT)
+            empty_z += "ZeroSector" not in att and bool((draws.reshape(b, -1, 4).sum(axis=2) == 0).any())
+    assert raised == 4 and empty_z >= 2
+
+
+def test_binary_bootstrap_memory_independent_of_k(monkeypatch):
+    # Each batch is reduced as it is drawn; a whole (b, K, 8) theta draw
+    # would make the peak grow with K (about 4x from 100 to 400).
+    import tracemalloc
+
+    monkeypatch.setenv("ROY_THREADS", "1")
+    peaks = []
+    for k in (100, 400):
+        theta = inference.estimate_theta(binary_sample(33, n=40000, k=k))
+        tracemalloc.start()
+        try:
+            inference.att_ci(theta, inference.critical_value(theta, b=999, seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
 def test_critical_value_thread_invariant(monkeypatch):
     data = binary_sample(4)
     monkeypatch.setenv("ROY_THREADS", "1")
@@ -194,8 +312,7 @@ def test_report_serializes():
 def test_att_ci_covers_plugin_and_orders():
     data = binary_sample(9, n=6000)
     th = inference.estimate_theta(data)
-    ci1 = inference.att_ci(th, inference.critical_value(th, b=300, seed=4), which=1)
-    ci0 = inference.att_ci(th, inference.critical_value(th, b=300, seed=4), which=0)
+    ci1, ci0 = inference.att_ci(th, inference.critical_value(th, b=300, seed=4))
     assert ci1.lo <= ci1.hi and ci0.lo <= ci0.hi
     rep = inference.infer_bounds(data, b=300, seed=4)
     assert ci1.lo <= rep.att1.hi + 1e-9 and ci1.hi >= rep.att1.lo - 1e-9
@@ -209,7 +326,7 @@ def test_att_ci_zero_sector():
     data = OutcomeSample.from_arrays(y, d, z=z)
     with pytest.raises(ZeroSectorProbability):
         th = inference.estimate_theta(data)
-        inference.att_ci(th, inference.critical_value(th, b=150, seed=0), which=1)
+        inference.att_ci(th, inference.critical_value(th, b=150, seed=0))
 
 
 def iqr_sample(seed, n=600, p_d1=0.9):

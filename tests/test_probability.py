@@ -66,7 +66,6 @@ def test_instrument_table_pooling():
     )
     pooled = t.pooled()
     assert pooled.q00 == pytest.approx(0.25 * 0.2 + 0.75 * 0.4)
-    assert t.weight("b") == pytest.approx(0.75)
 
 
 def test_instrument_table_bad_weights():
