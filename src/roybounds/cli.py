@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     OutcomeInstrumentDependence,
     RoyBoundsError,
+    ZeroSectorProbability,
 )
 from .functional import OutcomeSample, build_subcdf
 from .probability import CellProbs, InstrumentTable, validate_cells
@@ -323,10 +324,8 @@ def _table_from_sample(s: OutcomeSample) -> tuple[InstrumentTable, tuple]:
     return table, tab
 
 
-def _digest(args, sample=None) -> dict:
-    if sample is not None:
-        return {"rows": int(sample.n), "weight_total": float(sample.w.sum())}
-    return {"rows": 0, "weight_total": 1.0}
+def _digest(sample) -> dict:
+    return {"rows": int(sample.n), "weight_total": float(sample.w.sum())}
 
 
 def _quantile_pair(args):
@@ -343,7 +342,7 @@ def _cmd_binary(args, report):
         res = binary.sharp_bounds(q)
     else:
         sample = _load_sample(args)
-        report["digest"] = _digest(args, sample)
+        report["digest"] = _digest(sample)
         if args.instrument:
             res = binary.sharp_bounds_with_instrument(_table_from_sample(sample)[0], tau_y=args.tau_y)
         else:
@@ -358,7 +357,7 @@ def _cmd_generalized(args, report):
         table = _table_from_json(args.cells)
     else:
         sample = _load_sample(args)
-        report["digest"] = _digest(args, sample)
+        report["digest"] = _digest(sample)
         table, tab = _table_from_sample(sample)
         if args.bootstrap:
             theta = inference.theta_from_tabulation(tab, sample.n)
@@ -375,7 +374,7 @@ def _cmd_generalized(args, report):
 
 def _cmd_functional(args, report):
     sample = _load_sample(args)
-    report["digest"] = _digest(args, sample)
+    report["digest"] = _digest(sample)
     c = build_subcdf(sample)
     deciles = [round(q, 2) for q in np.linspace(0.1, 0.9, 9)]
     grid = sorted({c.inv_cdf(q) for q in deciles})
@@ -395,7 +394,7 @@ def _cmd_functional(args, report):
 
 def _cmd_iqr(args, report):
     sample = _load_sample(args)
-    report["digest"] = _digest(args, sample)
+    report["digest"] = _digest(sample)
     q1, q2 = _quantile_pair(args)
     c = build_subcdf(sample)
     res = functional.iqr_bounds(c, args.d, q1, q2)
@@ -410,14 +409,19 @@ def _cmd_iqr(args, report):
 
 def _cmd_infer(args, report):
     sample = _load_sample(args)
-    report["digest"] = _digest(args, sample)
+    report["digest"] = _digest(sample)
     theta = inference.estimate_theta(sample)
     cv = inference.critical_value(theta, level=args.level, b=args.bootstrap or 999, seed=args.seed)
     ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
     report["bounds"] = ci.to_dict()
-    att1, att0 = inference.att_ci(theta, cv)
-    report["bounds"]["att1_bootstrap"] = att1.to_dict()
-    report["bounds"]["att0_bootstrap"] = att0.to_dict()
+    try:
+        att1, att0 = inference.att_ci(theta, cv)
+    except ZeroSectorProbability:
+        # A z without one sector has no ATT; assemble_cis leaves it out too.
+        pass
+    else:
+        report["bounds"]["att1_bootstrap"] = att1.to_dict()
+        report["bounds"]["att0_bootstrap"] = att0.to_dict()
     if ci.ey0.lo > ci.ey0.hi or ci.ey1.lo > ci.ey1.hi:
         report["findings"] = {"model_rejected": True, "reasons": ["empty confidence interval"]}
         return EXIT_REJECTED
@@ -514,7 +518,7 @@ def _cmd_oracle(args, report):
             table = _table_from_json(args.cells)
         else:
             sample = _load_sample(args)
-            report["digest"] = _digest(args, sample)
+            report["digest"] = _digest(sample)
             table = _table_from_sample(sample)[0]
         res = oracle.response_type_lp(table, _OBJECTIVES[args.objective])
         report["bounds"] = {args.objective: res.to_dict()}

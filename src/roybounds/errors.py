@@ -78,9 +78,5 @@ class BoundsViolated(RoyBoundsError):
     """Candidate marginal distributions violate the functional bounds."""
 
 
-class BoundsCross(RoyBoundsError):
-    """A bound interval is empty: the model is rejected by the data."""
-
-
 class InputError(RoyBoundsError):
     """Malformed user input (CLI/data layer)."""

@@ -10,12 +10,11 @@ instrument envelopes.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BoundsCross,
     DegenerateDenominator,
     InfeasibleModel,
     ZeroConditioningCell,
@@ -32,9 +31,9 @@ from .probability import (
     unit,
 )
 
-# Cell combinations (rows) of the cells (q00, q01, q10, q11), in
-# InstrumentEnvelopes field order: the first four enter as infima over z,
-# the last four as suprema.
+# Cell combinations (rows) of the cells (q00, q01, q10, q11), in envelope
+# column order: the first four enter as infima over z, the last four as
+# suprema.
 _COMBO = np.array(
     [
         [0, 0, 1, 1],   # P(Y=1|z)
@@ -50,23 +49,6 @@ _COMBO = np.array(
 )
 
 
-@dataclass(frozen=True)
-class InstrumentEnvelopes:
-    """Infima/suprema over Supp(Z) of the identified cell combinations."""
-
-    inf_y1: float        # inf_z P(Y=1|z)
-    inf_y0: float        # inf_z P(Y=0|z)
-    inf_10_01: float     # inf_z [q10(z) + q01(z)]
-    inf_00_11: float     # inf_z [q00(z) + q11(z)]
-    sup_q10: float
-    sup_q00: float
-    sup_q11: float
-    sup_q01: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
-
-
 def envelope_array(theta: np.ndarray, slack=0.0) -> np.ndarray:
     """Envelopes (..., 8) of per-z cell combinations theta (..., K, 8).
 
@@ -78,31 +60,31 @@ def envelope_array(theta: np.ndarray, slack=0.0) -> np.ndarray:
     return np.concatenate([inf[..., :4], sup[..., 4:]], axis=-1)
 
 
-def envelopes(t: InstrumentTable) -> InstrumentEnvelopes:
-    """Componentwise min/max of the cell combinations over the support of z."""
+def envelopes(t: InstrumentTable) -> np.ndarray:
+    """The (8,) envelope array: componentwise min/max of the cell combinations over z."""
     cells = np.array([q.as_array() for _, q, _ in t.points])
-    return InstrumentEnvelopes(*map(float, envelope_array(cells @ _COMBO.T)))
+    return envelope_array(cells @ _COMBO.T)
 
 
-def joint_polytope(t: InstrumentTable, e: InstrumentEnvelopes | None = None) -> SimplexPolytope:
+def joint_polytope(t: InstrumentTable, e: np.ndarray | None = None) -> SimplexPolytope:
     """Identified set for (p00, p01, p10, p11): eight envelope conditions.
 
     Each instrument point gives one row per normal below; only the
     tightest right-hand side over z binds, so the set has eight rows for
     any support size.  e: envelopes(t), when the caller already has them.
     """
-    e = envelopes(t) if e is None else e
+    i1, i0, i1001, i0011, s10, s00, s11, s01 = envelopes(t) if e is None else e
     ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
     poly = SimplexPolytope.from_rows(
         [
-            (unit(P11), e.inf_y1),
-            (unit(P00), e.inf_y0),
-            (unit(P10), e.inf_10_01),
-            (unit(P01), e.inf_00_11),
-            (ey0, 1.0 - e.sup_q00),
-            (-ey0, -e.sup_q10),
-            (ey1, 1.0 - e.sup_q01),
-            (-ey1, -e.sup_q11),
+            (unit(P11), i1),
+            (unit(P00), i0),
+            (unit(P10), i1001),
+            (unit(P01), i0011),
+            (ey0, 1.0 - s00),
+            (-ey0, -s10),
+            (ey1, 1.0 - s01),
+            (-ey1, -s11),
         ]
     )
     if not poly.is_feasible():
@@ -140,38 +122,32 @@ def bounds_from_envelopes(env) -> dict:
     }
 
 
-def bp_marginal_bounds(
-    e: InstrumentEnvelopes, strict: bool = False
-) -> tuple[IntervalBound, IntervalBound, IntervalBound]:
-    """Sharp bounds for the pair (EY0, EY1) and their difference.
+def point_bounds(e: np.ndarray) -> dict[str, IntervalBound]:
+    """Labelled, clamped point intervals from one envelope array e (8,).
 
-    Specializes to the classic two-point-instrument treatment-effect
-    bounds when z takes two values.  Crossing rejects the model.
+    Keys: "ey0", "ey1", "ate", "benefit_strict" (P(Y1>Y0)),
+    "benefit_weak" (P(Y1>=Y0)) and "mobility" (P(Y1=1|Y0=0)).  The
+    marginals specialize to the classic two-point-instrument
+    treatment-effect bounds when z takes two values; crossing rejects the
+    model.  The weak benefit bound comes from the mirror-image bound on
+    P(Y0>Y1).  The mobility upper end is nan when P(Y0=0) may vanish.
     """
-    r = bounds_from_envelopes(e.as_array())
+    r = bounds_from_envelopes(e)
     ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0")
     ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1")
-    if strict and (ey0.crossed or ey1.crossed):
-        raise BoundsCross("marginal bounds cross: model rejected")
     ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label="E(Y1-Y0)")
-    return ey0.clamp(), ey1.clamp(), ate.clamp(-1.0, 1.0)
+    return {
+        "ey0": ey0.clamp(),
+        "ey1": ey1.clamp(),
+        "ate": ate.clamp(-1.0, 1.0),
+        "benefit_strict": IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0)").clamp(),
+        "benefit_weak": IntervalBound(*map(float, r["weak_benefit"]), label="P(Y1>=Y0)").clamp(),
+        "mobility": IntervalBound(*map(float, r["mobility"]), label="P(Y1=1|Y0=0)").clamp(),
+    }
 
 
-def benefit_bounds(e: InstrumentEnvelopes) -> tuple[IntervalBound, IntervalBound]:
-    """Bounds on P(Y1 > Y0) and P(Y1 >= Y0).
-
-    The weak bound comes from the mirror-image bound on P(Y0 > Y1) and
-    complementation.
-    """
-    r = bounds_from_envelopes(e.as_array())
-    return (
-        IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0)").clamp(),
-        IntervalBound(*map(float, r["weak_benefit"]), label="P(Y1>=Y0)").clamp(),
-    )
-
-
-def _regret(e: InstrumentEnvelopes, q) -> float:
-    return min(1.0, e.inf_00_11 / q.q00)
+def _regret(e: np.ndarray, q) -> float:
+    return min(1.0, float(e[3]) / q.q00)
 
 
 def regret_bound(t: InstrumentTable, z) -> float:
@@ -182,22 +158,15 @@ def regret_bound(t: InstrumentTable, z) -> float:
     return _regret(envelopes(t), q)
 
 
-def mobility_bounds(e: InstrumentEnvelopes) -> IntervalBound:
-    """Bounds on P(Y1=1 | Y0=0), clamped to [0, 1]."""
-    lo, hi = map(float, bounds_from_envelopes(e.as_array())["mobility"])
-    if np.isnan(hi):
-        raise DegenerateDenominator("P(Y0=0) upper bound is zero")
-    return IntervalBound(lo, hi, label="P(Y1=1|Y0=0)").clamp()
-
-
 def att_bounds(
-    t: InstrumentTable, e: InstrumentEnvelopes | None = None
+    t: InstrumentTable, e: np.ndarray | None = None
 ) -> tuple[IntervalBound, IntervalBound]:
     """Bounds on E(Y1-Y0 | D=1) and E(Y0-Y1 | D=0) via marginal plug-ins.
 
     e: envelopes(t), when the caller already has them.
     """
-    ey0, ey1, _ = bp_marginal_bounds(envelopes(t) if e is None else e)
+    p = point_bounds(envelopes(t) if e is None else e)
+    ey0, ey1 = p["ey0"], p["ey1"]
 
     def averaged(counterfactual: IntervalBound, d: int, label: str) -> IntervalBound:
         los, his = [], []
@@ -220,8 +189,8 @@ def roy_selection_test(t: InstrumentTable) -> dict:
     Checks P(Y1>Y0) lower <= P(D=1|z) <= P(Y1>=Y0) upper at every z, and
     reports the largest deviation of P(Y=1|z) from its pooled value.
     """
-    e = envelopes(t)
-    strict, weak = benefit_bounds(e)
+    p = point_bounds(envelopes(t))
+    strict, weak = p["benefit_strict"], p["benefit_weak"]
     pooled_y1 = t.pooled().p_y1
     violations = []
     for z, q, _ in t.points:
@@ -278,20 +247,9 @@ def compute_all(t: InstrumentTable) -> GeneralizedBounds:
     """Assemble every generalized-model bound for one table."""
     e = envelopes(t)
     poly = joint_polytope(t, e)
-    ey0, ey1, ate = bp_marginal_bounds(e)
-    strict, weak = benefit_bounds(e)
+    p = point_bounds(e)
     regrets = tuple((z, _regret(e, q) if q.q00 > 1e-12 else np.nan) for z, q, _ in t.points)
-    mobility = mobility_bounds(e)
+    if np.isnan(p["mobility"].hi):
+        raise DegenerateDenominator("P(Y0=0) upper bound is zero")
     att1, att0 = att_bounds(t, e)
-    return GeneralizedBounds(
-        polytope=poly,
-        ey0=ey0,
-        ey1=ey1,
-        ate=ate,
-        benefit_strict=strict,
-        benefit_weak=weak,
-        mobility=mobility,
-        att1=att1,
-        att0=att0,
-        regret_by_z=regrets,
-    )
+    return GeneralizedBounds(polytope=poly, **p, att1=att1, att0=att0, regret_by_z=regrets)

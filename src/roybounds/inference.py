@@ -213,7 +213,6 @@ class CriticalValue:
     level: float
     b: int
     seed: int
-    method: str = "studentized max-statistic bootstrap"
 
 
 def _map_cells(fn, theta: ThetaVector, b: int, seed: int, tag: int) -> None:
@@ -272,7 +271,6 @@ class CiReport:
     mobility: IntervalBound
     att1: IntervalBound | None
     att0: IntervalBound | None
-    iqr: IntervalBound | None
     level: float
     b: int
     seed: int
@@ -288,7 +286,7 @@ class CiReport:
             "bootstrap": self.b,
             "seed": self.seed,
         }
-        for name in ("att1", "att0", "iqr"):
+        for name in ("att1", "att0"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = val.to_dict()
@@ -317,7 +315,6 @@ def assemble_cis(
         mobility=mobility,
         att1=att1,
         att0=att0,
-        iqr=None,
         level=level,
         b=b,
         seed=seed,

@@ -215,7 +215,6 @@ class SimplexPolytope:
     """
 
     halfspaces: tuple[tuple[tuple[float, float, float, float], float], ...]
-    dimension: int = 3
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod

@@ -80,7 +80,8 @@ def test_criterion_03_marginal_formulas_equal_lp_optima():
         for s in range(n_designs):
             t, _ = oracle.random_type_table(k, oracle.make_rng(base + s))
             e = generalized.envelopes(t)
-            ey0, ey1, _ = generalized.bp_marginal_bounds(e)
+            p = generalized.point_bounds(e)
+            ey0, ey1 = p["ey0"], p["ey1"]
             for obj, target in (((0, 0, 1, 1), ey0), ((0, 1, 0, 1), ey1)):
                 lp = oracle.response_type_lp(t, obj)
                 assert abs(lp.lo - target.lo) <= 1e-8, (k, s, obj, lp.lo, target.lo)

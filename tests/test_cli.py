@@ -537,6 +537,27 @@ def test_infer_command(tmp_path, capsys):
         assert key in rep["bounds"]
 
 
+def test_infer_reports_bounds_without_att_when_a_z_lacks_a_sector(tmp_path, capsys):
+    # "solo" has rows in sector 1 only, so no sector-conditional gain is
+    # defined; the other intervals are still reported.  A single row there
+    # is far enough from the other z's P(Y=1|z) to empty the EY1 interval.
+    for solo_rows, expect in (("1,1\n0,1\n" * 5, 0), ("1,1\n", 2)):
+        path = write_binary_csv(tmp_path / "s.csv", seed=8, n=1000)
+        with open(path, "a", newline="") as fh:
+            fh.write(solo_rows.replace("\n", ",solo\n"))
+        code, out, err = run_cli(
+            ["infer", "--data", str(path), "--instrument", "z", "--bootstrap", "200"],
+            capsys,
+        )
+        assert (code, err) == (expect, "")
+        rep = json.loads(out)
+        assert rep["findings"]["model_rejected"] is bool(expect)
+        for key in ("ey0", "ey1", "ate", "benefit_strict", "mobility"):
+            assert key in rep["bounds"]
+        for key in ("att1", "att0", "att1_bootstrap", "att0_bootstrap"):
+            assert key not in rep["bounds"]
+
+
 def test_simulate_roundtrip(tmp_path, capsys):
     design = tmp_path / "design.json"
     design.write_text(

@@ -52,7 +52,8 @@ def test_response_type_lp_matches_envelope_formula():
         }
     )
     e = generalized.envelopes(t)
-    ey0, ey1, ate = generalized.bp_marginal_bounds(e)
+    p = generalized.point_bounds(e)
+    ey0, ey1 = p["ey0"], p["ey1"]
     lp0 = oracle.response_type_lp(t, (0, 0, 1, 1))
     lp1 = oracle.response_type_lp(t, (0, 1, 0, 1))
     assert lp0.lo == pytest.approx(ey0.lo, abs=1e-8)
