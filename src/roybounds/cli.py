@@ -48,7 +48,7 @@ def _level(text: str) -> float:
 
 
 def _nonnegative(text: str) -> int:
-    """--bootstrap (draws, 0 for none) and --seed: a nonnegative integer."""
+    """--bootstrap (draws, 0 for none), --seed and --n: a nonnegative integer."""
     try:
         n = int(text)
     except ValueError:
@@ -69,53 +69,53 @@ def _tolerance(text: str) -> float:
     return tau
 
 
-def _add_common(p):
-    p.add_argument("--data", help="CSV file with header row")
-    p.add_argument("--cells", help="JSON cell probabilities")
-    p.add_argument("--outcome", default="y")
-    p.add_argument("--sector", default="d")
-    p.add_argument("--instrument")
-    p.add_argument("--weight")
-    p.add_argument("--filter", action="append", default=[], metavar="COL=VALUE")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--level", type=_level, default=0.95)
-    p.add_argument("--bootstrap", type=_nonnegative, default=0)
-    p.add_argument("--quantiles", default="0.25,0.75")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# Every option once, by flag: the keywords of its add_argument call.
+_OPTIONS = {
+    "--data": dict(metavar="FILE", help="CSV sample with a header row"),
+    "--cells": dict(help="JSON cell probabilities, or an object of them per instrument value"),
+    "--outcome": dict(default="y", help="outcome column"),
+    "--sector": dict(default="d", help="sector column, 0 or 1"),
+    "--instrument": dict(help="instrument column"),
+    "--weight": dict(help="weight column"),
+    "--filter": dict(action="append", default=[], metavar="COL=VALUE", help="keep rows where COL is VALUE"),
+    "--out": dict(help="file for the report, in place of stdout"),
+    "--seed": dict(type=_nonnegative, default=0, help="seed of every random draw"),
+    "--level": dict(type=_level, default=0.95, help="confidence level"),
+    "--bootstrap": dict(type=_nonnegative, default=0, help="bootstrap draws, 0 for none"),
+    "--quantiles": dict(default="0.25,0.75", metavar="Q1,Q2"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--tau-y": dict(type=_tolerance, default=0.0, help="allowed outcome-instrument dependence"),
+    "--d": dict(type=int, default=1, choices=(0, 1), help="sector of the bounded IQR"),
+    "--design": dict(required=True, help="JSON design file"),
+    "--n": dict(type=_nonnegative, default=1000, help="rows to draw"),
+    "--variant": dict(choices=("roy", "generalized"), default="roy"),  # oracle.ROY, oracle.GENERALIZED
+    "--objective": dict(choices=("ey0", "ey1", "p00", "p01", "p10", "p11")),
+}
+# The options of every command that reads a sample, and of every bootstrap.
+_SAMPLE = ("--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed", "--format")
+_DRAWS = ("--level", "--bootstrap")
+# Each subcommand: its help and the options it reads.
+_COMMANDS = {
+    "binary": ("binary Roy model bounds", (*_SAMPLE, "--instrument", "--cells", "--tau-y")),
+    "generalized": ("generalized binary model bounds", (*_SAMPLE, "--instrument", "--cells", *_DRAWS)),
+    "functional": ("continuous-outcome envelope report", _SAMPLE),
+    "iqr": ("interquantile-range bounds", (*_SAMPLE, "--d", "--quantiles", *_DRAWS)),
+    "infer": ("intersection-bounds confidence intervals", (*_SAMPLE, "--instrument", *_DRAWS)),
+    "simulate": ("draw a seeded sample from a design", ("--design", "--n", "--out", "--seed")),
+    "oracle": ("brute-force oracles", (*_SAMPLE, "--instrument", "--cells", "--variant", "--objective")),
+}
+_OVERRIDES = {("infer", "--bootstrap"): dict(default=999, help="bootstrap draws, at least 100"),
+              ("simulate", "--out"): dict(required=True, help="file for the CSV sample")}
 
 
 def _make_parser() -> _Parser:
-    parser = _Parser(prog="roybounds", description=__doc__)
+    parser = _Parser(prog="roybounds", description=__doc__, allow_abbrev=False)
+    parser.set_defaults(instrument=None, format="json")  # for the commands without them
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("binary", help="binary Roy model bounds")
-    _add_common(p)
-    p.add_argument("--tau-y", type=_tolerance, default=0.0, dest="tau_y")
-
-    p = sub.add_parser("generalized", help="generalized binary model bounds")
-    _add_common(p)
-
-    p = sub.add_parser("functional", help="continuous-outcome envelope report")
-    _add_common(p)
-
-    p = sub.add_parser("iqr", help="interquantile-range bounds")
-    _add_common(p)
-    p.add_argument("--d", type=int, default=1, choices=(0, 1))
-
-    p = sub.add_parser("infer", help="intersection-bounds confidence intervals")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="draw a seeded sample from a design")
-    _add_common(p)
-    p.add_argument("--design", required=True)
-    p.add_argument("--n", type=int, default=1000)
-
-    p = sub.add_parser("oracle", help="brute-force oracle computations")
-    _add_common(p)
-    # oracle.ROY and oracle.GENERALIZED, spelled out to keep scipy unloaded.
-    p.add_argument("--variant", choices=("roy", "generalized"), default="roy")
-    p.add_argument("--objective", choices=("ey0", "ey1", "p00", "p01", "p10", "p11"))
+    for cmd, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **{**_OPTIONS[flag], **_OVERRIDES.get((cmd, flag), {})})
     return parser
 
 
@@ -411,7 +411,7 @@ def _cmd_infer(args, report):
     sample = _load_sample(args)
     report["digest"] = _digest(sample)
     theta = inference.estimate_theta(sample)
-    cv = inference.critical_value(theta, level=args.level, b=args.bootstrap or 999, seed=args.seed)
+    cv = inference.critical_value(theta, level=args.level, b=args.bootstrap, seed=args.seed)
     ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
     report["bounds"] = ci.to_dict()
     try:
@@ -439,23 +439,45 @@ def _oracle():
     return oracle
 
 
-def _joint_from_spec(spec: dict):
+def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+    """JSON numbers of a design file as floats, each finite and in [lo, hi]; else `what` is wrong."""
+    try:
+        # JSON true and false are no numbers here, though Python counts a bool as an int.
+        if not all(type(v) in (int, float) for v in values):
+            raise TypeError
+        x = np.array(values, dtype=float)
+    except (TypeError, OverflowError):
+        x = np.array([np.nan])
+    if not (np.isfinite(x) & (x >= lo) & (x <= hi)).all():
+        raise InputError(f"bad design: {what}")
+    return x
+
+
+def _joint_from_spec(spec):
     oracle = _oracle()
 
+    if not isinstance(spec, dict):
+        raise InputError("bad design: the joint law must be a JSON object")
     kind = spec.get("type", "discrete")
     if kind == "discrete":
-        return oracle.DiscreteJoint(
-            support=tuple(tuple(p) for p in spec["support"]),
-            probs=tuple(spec["probs"]),
-        )
+        probs = _design_floats(spec.get("probs"), "probs must be a list of numbers >= 0", 0)
+        support = spec.get("support")
+        pairs = isinstance(support, list) and all(isinstance(p, list) and len(p) == 2 for p in support)
+        if not pairs or len(support) != len(probs):
+            raise InputError("bad design: support must list one pair [y0, y1] per probability")
+        _design_floats([v for p in support for v in p], "support points must be finite numbers")
+        if not 0 < probs.sum() < np.inf:
+            raise InputError("bad design: probs must have a positive finite sum")
+        return oracle.DiscreteJoint(support=tuple(tuple(p) for p in support), probs=tuple(spec["probs"]))
     if kind == "gaussian":
-        return oracle.GaussianCopulaJoint(
-            mu0=spec.get("mu0", 0.0),
-            sd0=spec.get("sd0", 1.0),
-            mu1=spec.get("mu1", 0.0),
-            sd1=spec.get("sd1", 1.0),
-            rho=spec.get("rho", 0.0),
-        )
+        mu0, sd0, mu1, sd1, rho = _design_floats(
+            [spec.get("mu0", 0.0), spec.get("sd0", 1.0), spec.get("mu1", 0.0),
+             spec.get("sd1", 1.0), spec.get("rho", 0.0)],
+            "mu0, sd0, mu1, sd1 and rho must be finite numbers",
+        ).tolist()
+        if min(sd0, sd1) < 0 or not -1 <= rho <= 1:
+            raise InputError("bad design: need sd0 and sd1 >= 0 and rho in [-1, 1]")
+        return oracle.GaussianCopulaJoint(mu0=mu0, sd0=sd0, mu1=mu1, sd1=sd1, rho=rho)
     raise InputError(f"unknown joint type {kind!r}")
 
 
@@ -465,19 +487,28 @@ def _cmd_simulate(args, report):
     try:
         with open(args.design, encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad design file: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InputError("bad design file: need a JSON object")
+    labels, weights = spec.get("z_labels", []), spec.get("z_weights", [])
+    if not isinstance(labels, list) or not all(type(z) in (str, int, float) for z in labels):
+        raise InputError("bad design: z_labels must be a list of strings or numbers")
+    w = _design_floats(weights, "z_weights must be numbers >= 0", 0)
+    if len(w) and (len(w) != len(labels) or not 0 < w.sum() < np.inf):
+        raise InputError("bad design: need one z_weight per z_label, with a positive finite sum")
+    _design_floats([spec.get("pi", 0.5)], "pi must be in [0, 1]", 0, 1)
     design = oracle.SimDesign(
         joint=_joint_from_spec(spec.get("joint", spec)),
         n=args.n,
         seed=args.seed,
         pi=spec.get("pi", 0.5),
-        z_labels=tuple(spec.get("z_labels", ())),
-        z_weights=tuple(spec.get("z_weights", ())),
+        z_labels=tuple(labels),
+        z_weights=tuple(weights),
     )
-    sample, _truth = oracle.simulate(design)
-    if not args.out:
-        raise InputError("simulate requires --out for the CSV sample")
+    # A draw that overflows fails below as a non-finite outcome.
+    with np.errstate(over="ignore"):
+        sample, _truth = oracle.simulate(design)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["y", "d"] + (["z"] if sample.z is not None else [])
@@ -546,16 +577,23 @@ _DISPATCH = {
 }
 
 
+def _csv_rows(prefix: str, section: dict) -> list[str]:
+    """One `name,lo,hi` row per interval of a report section, by name."""
+    return [
+        f"{prefix}{name},{val['lo']},{val['hi']}"
+        for name, val in sorted(section.items())
+        if isinstance(val, dict) and "lo" in val
+    ]
+
+
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv" and "bounds" in report:
-        lines = ["name,lo,hi"]
-        for name, val in sorted(report["bounds"].items()):
-            if isinstance(val, dict) and "lo" in val:
-                lines.append(f"{name},{val['lo']},{val['hi']}")
-        text = "\n".join(lines) + "\n"
+    if args.format == "csv" and "bounds" in report:
+        rows = ["name,lo,hi", *_csv_rows("", report["bounds"])]
+        rows += _csv_rows("confidence.", report.get("confidence", {}))
+        text = "\n".join(rows) + "\n"
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None) and args.cmd != "simulate":
+    if args.out and args.cmd != "simulate":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

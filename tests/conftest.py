@@ -1,8 +1,10 @@
+import argparse
 import os
 
 import pytest
 
 import roybounds
+from roybounds import cli
 
 
 @pytest.fixture
@@ -19,3 +21,13 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def declared_options():
+    """The options each CLI subcommand declares, by subcommand, without -h/--help."""
+    (sub,) = [a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        cmd: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for cmd, p in sub.choices.items()
+    }

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,18 +110,19 @@ def test_non_finite_weight_rejected(tmp_path, capsys):
 
 def test_level_and_bootstrap_range_checked(tmp_path, capsys):
     path = write_binary_csv(tmp_path / "s.csv")
-    data = ["--data", str(path), "--instrument", "z"]
+    sample = ["--data", str(path)]
+    data = [*sample, "--instrument", "z"]
     for argv in (
         ["infer", *data, "--level", "1.5"],
-        ["iqr", *data, "--level", "1.5", "--bootstrap", "100"],
+        ["iqr", *sample, "--level", "1.5", "--bootstrap", "100"],
         ["generalized", *data, "--level", "0", "--bootstrap", "100"],
-        ["iqr", *data, "--bootstrap", "-5"],
+        ["iqr", *sample, "--bootstrap", "-5"],
         ["infer", *data, "--level", "nan"],
     ):
         assert_input_error(argv, capsys)
     # critical_value's own minimum still applies behind the range check, and
     # iqr_ci has the same one
-    for argv in (["generalized", *data, "--bootstrap", "50"], ["iqr", *data, "--bootstrap", "1"]):
+    for argv in (["generalized", *data, "--bootstrap", "50"], ["iqr", *sample, "--bootstrap", "1"]):
         assert "100" in assert_input_error(argv, capsys)
 
 
@@ -180,6 +182,93 @@ def test_oracle_commands_without_scipy(tmp_path, cli_env):
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 1
+
+
+# Options of every subcommand that reads a sample.
+SAMPLE_OPTIONS = {
+    "--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed", "--format",
+}
+DECLARED = {
+    "binary": SAMPLE_OPTIONS | {"--instrument", "--cells", "--tau-y"},
+    "generalized": SAMPLE_OPTIONS | {"--instrument", "--cells", "--level", "--bootstrap"},
+    "functional": SAMPLE_OPTIONS,
+    "iqr": SAMPLE_OPTIONS | {"--d", "--quantiles", "--level", "--bootstrap"},
+    "infer": SAMPLE_OPTIONS | {"--instrument", "--level", "--bootstrap"},
+    "simulate": {"--design", "--n", "--out", "--seed"},
+    "oracle": SAMPLE_OPTIONS | {"--instrument", "--cells", "--variant", "--objective"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads(declared_options):
+    assert declared_options == DECLARED
+    assert sum(map(len, DECLARED.values())) == 70
+
+
+def test_readme_flag_table_matches_parser(declared_options):
+    # The table's columns are the subcommands; a marked cell means the
+    # subcommand takes the flag of its row.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    header = next(line for line in lines if line.startswith("| flag |"))
+    commands = [c.strip() for c in header.strip("|").split("|")][1:-1]
+    table = {cmd: set() for cmd in commands}
+    for line in lines:
+        if line.startswith("| `--"):
+            flag, *marks = [c.strip() for c in line.strip("|").split("|")][:-1]
+            for cmd, mark in zip(commands, marks, strict=True):
+                if mark:
+                    table[cmd].add(flag.strip("`").split()[0])
+    assert table == declared_options
+
+
+CELLS = '{"q00":0.2,"q01":0.1,"q10":0.3,"q11":0.4}'
+# Every option some subcommand no longer takes, with a value it would have read.
+REMOVED_VALUES = {
+    "--data": "s.csv", "--cells": CELLS, "--outcome": "y", "--sector": "d", "--instrument": "z",
+    "--weight": "w", "--filter": "z=a", "--level": "0.9", "--bootstrap": "200",
+    "--quantiles": "0.25,0.75", "--format": "json",
+}
+
+
+@pytest.fixture
+def valid_commands(tmp_path, monkeypatch):
+    """A command line per subcommand that exits 0, run in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    write_binary_csv(tmp_path / "s.csv")
+    (tmp_path / "design.json").write_text('{"type": "gaussian"}')
+    return {
+        "binary": ["binary", "--cells", CELLS],
+        "generalized": ["generalized", "--cells", CELLS],
+        "functional": ["functional", "--data", "s.csv"],
+        "iqr": ["iqr", "--data", "s.csv"],
+        "infer": ["infer", "--data", "s.csv", "--instrument", "z", "--bootstrap", "100"],
+        "simulate": ["simulate", "--design", "design.json", "--n", "50", "--out", "out.csv"],
+        "oracle": ["oracle", "--cells", CELLS],
+    }
+
+
+def test_valid_commands_run(valid_commands, capsys):
+    for argv in valid_commands.values():
+        assert run_cli(argv, capsys)[0] == 0, argv
+
+
+@pytest.mark.parametrize(
+    "cmd, extra, message",
+    [
+        (cmd, [flag, REMOVED_VALUES[flag]], f"unrecognized arguments: {flag}")
+        for cmd in DECLARED
+        for flag in sorted(REMOVED_VALUES.keys() - DECLARED[cmd])
+    ]
+    + [
+        # abbreviations bind to no option
+        ("functional", ["--d", "1"], "unrecognized arguments: --d 1"),
+        ("generalized", ["--inst", "z", "--boot", "100"], "unrecognized arguments: --inst z --boot 100"),
+        ("iqr", ["--boot", "200"], "unrecognized arguments: --boot 200"),
+        # infer draws 999 by default, and an explicit 0 is too few
+        ("infer", ["--bootstrap", "0"], "at least 100"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(valid_commands, capsys, cmd, extra, message):
+    assert message in assert_input_error(valid_commands[cmd] + extra, capsys)
 
 
 def test_generalized_rejection_exit_code(tmp_path, capsys):
@@ -602,6 +691,40 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+GAUSSIAN = {"type": "gaussian"}
+PAIRS = [[0, 1], [1, 0]]
+# Design files, as JSON values or raw bytes, and the options that go with them.
+BAD_DESIGNS = {
+    "discrete-without-support": ({"joint": {"type": "discrete"}}, []),
+    "json-list": ([1, 2], []),
+    "z-weights-length": ({**GAUSSIAN, "z_labels": ["a", "b"], "z_weights": [1]}, []),
+    "rho-above-1": ({**GAUSSIAN, "rho": 2}, []),
+    "negative-n": (GAUSSIAN, ["--n", "-5"]),
+    "zero-n": (GAUSSIAN, ["--n", "0"]),
+    "joint-not-an-object": ({"joint": 5}, []),
+    "support-not-pairs": ({"type": "discrete", "support": [[0, 1], [1]], "probs": [0.5, 0.5]}, []),
+    "negative-prob": ({"type": "discrete", "support": PAIRS, "probs": [-1, 2]}, []),
+    "zero-probs": ({"type": "discrete", "support": PAIRS, "probs": [0, 0]}, []),
+    "negative-sd": ({**GAUSSIAN, "sd0": -1}, []),
+    "nan-mean": ({**GAUSSIAN, "mu1": float("nan")}, []),
+    "overflowing-draw": ({**GAUSSIAN, "mu0": 1e308, "sd0": 1e308}, []),
+    "pi-not-a-number": ({**GAUSSIAN, "pi": "x"}, []),
+    "z-labels-string": ({**GAUSSIAN, "z_labels": "ab"}, []),
+    "z-weight-bool": ({**GAUSSIAN, "z_labels": ["a"], "z_weights": [True]}, []),
+    "not-utf8": (b'{"type": "gaussian", "mu0": \xe9}', []),
+}
+
+
+# A numpy warning would be a second line on stderr.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("design, options", BAD_DESIGNS.values(), ids=BAD_DESIGNS)
+def test_simulate_rejects_bad_design_with_one_error_line(tmp_path, capsys, design, options):
+    path, out = tmp_path / "design.json", tmp_path / "sample.csv"
+    path.write_bytes(design if isinstance(design, bytes) else json.dumps(design).encode())
+    assert_input_error(["simulate", "--design", str(path), "--out", str(out), *options], capsys)
+    assert not out.exists()
+
+
 def test_oracle_halfspaces(capsys):
     cells = json.dumps({"q00": 0.2, "q01": 0.1, "q10": 0.3, "q11": 0.4})
     code, out, _ = run_cli(["oracle", "--cells", cells, "--variant", "roy"], capsys)
@@ -634,6 +757,26 @@ def test_csv_format_and_out_file(tmp_path, capsys):
     text = out_path.read_text()
     assert text.splitlines()[0] == "name,lo,hi"
     assert any(line.startswith("p10,") for line in text.splitlines())
+
+
+@pytest.mark.parametrize("argv", [["generalized", "--instrument", "z"], ["iqr", "--d", "1"]])
+def test_csv_format_keeps_confidence_intervals(tmp_path, capsys, argv):
+    path = write_binary_csv(tmp_path / "s.csv", seed=3)
+    argv = [*argv, "--data", str(path), "--bootstrap", "200"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    confidence = json.loads(out)["confidence"]
+    code, text, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = text.splitlines()
+    ci_rows = [
+        f"confidence.{name},{ci['lo']},{ci['hi']}"
+        for name, ci in sorted(confidence.items())
+        if isinstance(ci, dict)
+    ]
+    # The interval rows follow every bounds row.
+    assert len(ci_rows) > 0 and rows[-len(ci_rows):] == ci_rows
+    assert not any(r.startswith("confidence.") for r in rows[: -len(ci_rows)])
 
 
 def test_report_byte_identical_across_runs(tmp_path, capsys):

@@ -33,12 +33,12 @@ FIELDS = [
     "", "0", "1", "2", "-1", "0.7", "nan", "inf", "-inf", "1e308", "1e-300",
     "abc", "a", "b", " 1", "\x00", "1,0", '"', "\udce9",
 ]
-# Options all four commands take, and plausible and bad values for them.
-# Bootstrap counts stay small so that no example runs long.
-OPTIONS = [
-    "--data", "--cells", "--outcome", "--sector", "--instrument", "--weight",
-    "--filter", "--seed", "--level", "--bootstrap", "--quantiles", "--format",
-]
+# An edit draws its option from those the command declares (see
+# `command_options`) and from these: abbreviations and options of other
+# commands, which the parser must reject.
+FOREIGN = ["--inst", "--boot", "--design", "--variant"]
+# Plausible and bad values for the options.  Bootstrap counts stay small so
+# that no example runs long.
 VALUES = [
     "y", "d", "z", "w", "0", "1", "-1", "100", "150", "0.5", "1.5", "nan",
     "json", "csv", "z=a", "z=", "0.9,0.1", "0.25,0.75", "0.5,0.5",
@@ -46,12 +46,13 @@ VALUES = [
 ]
 
 # An edit adds an option with a value, replaces one argument after the
-# command name by a value, or deletes one.
+# command name by a value, or deletes one.  The option is drawn as an index
+# into the command's own list.
 argv_edits = st.lists(
     st.tuples(
         st.sampled_from(["add", "replace", "delete"]),
         st.integers(0, 20),
-        st.sampled_from(OPTIONS),
+        st.integers(0, 99),
         st.sampled_from(VALUES),
     ),
     max_size=3,
@@ -67,11 +68,17 @@ row_edits = st.lists(
 )
 
 
-def mutate_argv(argv, edits):
+def command_options(declared):
+    """The options an edit of a command may add: its own, but not --out, which
+    writes the report into the working directory, and the foreign ones."""
+    return sorted(declared - {"--out"}) + FOREIGN
+
+
+def mutate_argv(argv, edits, options):
     argv = list(argv)
-    for op, i, option, value in edits:
+    for op, i, k, value in edits:
         if op == "add":
-            argv += [option, value]
+            argv += [options[k % len(options)], value]
         elif op == "replace" and len(argv) > 1:
             argv[1 + i % (len(argv) - 1)] = value
         elif len(argv) > 1:
@@ -108,11 +115,12 @@ def run_in_process(argv):
 @pytest.mark.parametrize("command", list(COMMANDS))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(argv_edits=argv_edits, row_edits=row_edits)
-def test_mutated_input_fails_cleanly(command, argv_edits, row_edits, tmp_path_factory):
+def test_mutated_input_fails_cleanly(command, argv_edits, row_edits, tmp_path_factory, declared_options):
     path = tmp_path_factory.mktemp("mutated") / "sample.csv"
     path.write_bytes(mutate_csv(row_edits).encode("utf-8", "surrogateescape"))
     name, *rest = COMMANDS[command]
-    argv = mutate_argv([name, "--data", str(path), "--weight", "w", *rest], argv_edits)
+    options = command_options(declared_options[command])
+    argv = mutate_argv([name, "--data", str(path), "--weight", "w", *rest], argv_edits, options)
     code, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
