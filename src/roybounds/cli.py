@@ -88,7 +88,7 @@ _OPTIONS = {
     "--d": dict(type=int, default=1, choices=(0, 1), help="sector of the bounded IQR"),
     "--design": dict(required=True, help="JSON design file"),
     "--n": dict(type=_nonnegative, default=1000, help="rows to draw"),
-    "--variant": dict(choices=("roy", "generalized"), default="roy"),  # oracle.ROY, oracle.GENERALIZED
+    "--variant": dict(choices=("roy", "generalized")),  # oracle.ROY (the default), oracle.GENERALIZED
     "--objective": dict(choices=("ey0", "ey1", "p00", "p01", "p10", "p11")),
 }
 # The options of every command that reads a sample, and of every bootstrap.
@@ -106,6 +106,12 @@ _COMMANDS = {
 }
 _OVERRIDES = {("infer", "--bootstrap"): dict(default=999, help="bootstrap draws, at least 100"),
               ("simulate", "--out"): dict(required=True, help="file for the CSV sample")}
+# Option pairs a subcommand takes, but not together: given the first, it would ignore the second.
+_EXCLUSIVE = {
+    "binary": (("--cells", "--data"),),
+    "generalized": (("--cells", "--data"), ("--cells", "--bootstrap")),
+    "oracle": (("--cells", "--data"), ("--objective", "--variant")),
+}
 
 
 def _make_parser() -> _Parser:
@@ -557,9 +563,10 @@ def _cmd_oracle(args, report):
     if not args.cells:
         raise InputError("oracle needs --cells or --objective with a data source")
     q = _cells_from_json(args.cells)
-    poly = oracle.artstein_set(q, variant=args.variant)
+    variant = args.variant or "roy"
+    poly = oracle.artstein_set(q, variant=variant)
     report["bounds"] = {
-        "variant": args.variant,
+        "variant": variant,
         "halfspaces": [{"a": list(a), "b": b} for a, b in poly.halfspaces],
         "feasible": poly.is_feasible(),
     }
@@ -601,9 +608,11 @@ def _emit(report: dict, args) -> None:
 
 
 def run(argv) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
+        for first, second in _EXCLUSIVE.get(args.cmd, ()):
+            if getattr(args, first[2:]) and getattr(args, second[2:]):
+                raise InputError(f"argument {second}: not allowed with argument {first}")
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -22,15 +22,17 @@ from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
 _CHUNK = 128
-# Largest `multinomial` result drawn at once: one batch of counts over the
-# drawn categories, reduced before the next is drawn.  Each worker thread
-# holds one batch with what its reducer derives from it, in scratch the
-# worker reuses: the sub-cdfs and cdf of the IQR bootstrap, or the (rows,
-# K, 4) counts and cells of the binary one.  Beyond that a bootstrap keeps
-# only its O(b) statistics, and the IQR one a (b, G) objective matrix.  A
-# freed temporary stays resident in the C heap (glibc raises its mmap
-# threshold to the freed size), so each one adds to peak RSS; smaller
-# batches cost one more `multinomial` call each.
+# Batch budget of one bootstrap, shared by all its workers: each of w
+# workers draws `multinomial` batches of at most _DRAW_BYTES / w of counts
+# over the drawn categories, and reduces each before drawing the next.  A
+# worker holds its batch with what its reducer derives from it, in scratch
+# the worker reuses: the sub-cdfs and cdf of the IQR bootstrap, or the
+# (rows, K, 4) counts and cells of the binary one.  So more workers add no
+# memory.  Beyond that a bootstrap keeps only its O(b) statistics, and the
+# IQR one a (b, G) objective matrix.  A freed temporary stays resident in
+# the C heap (glibc raises its mmap threshold to the freed size), so each
+# one adds to peak RSS; smaller batches cost one more `multinomial` call
+# each.
 _DRAW_BYTES = 512 * 1024
 # Columns per `std` call when studentizing the IQR objective, so that its
 # temporaries stay far below the (b, G) matrix.
@@ -51,10 +53,18 @@ def _check_draws(b: int) -> None:
 
 
 def _n_threads() -> int:
-    """Bootstrap worker threads: ROY_THREADS, a positive integer, or 1 when unset."""
+    """Bootstrap workers: ROY_THREADS, a positive integer, or the CPUs this process may run on.
+
+    An explicit ROY_THREADS sets the count; when it is unset the count is
+    the size of the process's CPU affinity set, or os.cpu_count() where
+    that cannot be read.  The reports are the same for any count.
+    """
     text = os.environ.get("ROY_THREADS")
     if text is None:
-        return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     try:
         n = int(text)
     except ValueError:
@@ -83,13 +93,18 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     count is left, so it is always drawn.
 
     Chunk i holds the _CHUNK rows from row i * _CHUNK on (fewer in the last
-    chunk), on its own RNG stream make_rng(seed, *tag, i), drawn in batches
-    of at most _DRAW_BYTES of counts (one row at a time when a row is
-    larger).  Chunk boundaries and streams do not depend on the thread
-    count, so the counts are identical for any ROY_THREADS.
+    chunk), on its own RNG stream make_rng(seed, *tag, i).  Chunk boundaries
+    and streams do not depend on the worker count, so the counts are
+    identical for any ROY_THREADS.  Of w = min(_n_threads(), chunks)
+    workers, worker j draws chunks j, j + w, ...: the calling thread is
+    worker 0, and w - 1 helper threads run the others.  Each worker draws
+    its chunks in batches of at most _DRAW_BYTES / w of counts (one row at a
+    time when a row is larger), so all workers together hold at most
+    _DRAW_BYTES.  An exception in any worker is raised here once every
+    helper has stopped, so nothing writes into a result after this returns.
 
-    Each worker thread calls reducer(rows) once, with the most rows a batch
-    can hold, and gets fn(row, counts) back; what reducer allocates is that
+    Each worker calls reducer(rows) once, with the most rows a batch can
+    hold, and gets fn(row, counts) back; what reducer allocates is that
     worker's scratch.  fn is called on each batch the worker draws: counts
     is a (batch rows, drawn categories) int64 array holding rows
     [row, row + len(counts)) of the draw, and fn must only write those rows
@@ -97,26 +112,30 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     """
     keep = _drawn_categories(probs)
     p = probs[keep]
-    step = max(1, _DRAW_BYTES // (8 * len(keep)))
     n_chunks = (b + _CHUNK - 1) // _CHUNK
+    workers = min(_n_threads(), n_chunks)
+    step = max(1, _DRAW_BYTES // (8 * len(keep) * workers))
 
-    def work(chunks):
+    def work(first):
         fn = reducer(min(step, _CHUNK, b))
-        for i in chunks:
+        for i in range(first, n_chunks, workers):
             rng = make_rng(seed, *tag, i)
             rows = min(_CHUNK, b - i * _CHUNK)
             # Consecutive calls continue one stream: the same rows as one call.
             for j in range(0, rows, step):
                 fn(i * _CHUNK + j, rng.multinomial(n, p, size=min(step, rows - j)))
 
-    workers = min(_n_threads(), n_chunks)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if workers == 1:
+        work(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, [range(w, n_chunks, workers) for w in range(workers)]))
-    else:
-        work(range(n_chunks))
+    # Leaving the block waits for every helper, also when worker 0 raises.
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work, w) for w in range(1, workers)]
+        work(0)
+        for h in helpers:
+            h.result()
 
 
 def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:

@@ -271,6 +271,29 @@ def test_options_a_subcommand_does_not_read_are_rejected(valid_commands, capsys,
     assert message in assert_input_error(valid_commands[cmd] + extra, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # --cells is the whole input: a sample would be left unread
+        (["binary", "--cells", CELLS, "--data", "s.csv", "--instrument", "z"], "--data: not allowed with argument --cells"),
+        (["generalized", "--cells", CELLS, "--data", "s.csv"], "--data: not allowed with argument --cells"),
+        (["oracle", "--cells", CELLS, "--data", "s.csv"], "--data: not allowed with argument --cells"),
+        (["oracle", "--data", "s.csv", "--instrument", "z", "--objective", "ey0", "--cells", CELLS],
+         "--data: not allowed with argument --cells"),
+        # a bootstrap resamples a sample, and cells are none
+        (["generalized", "--cells", CELLS, "--bootstrap", "200", "--level", "0.5"],
+         "--bootstrap: not allowed with argument --cells"),
+        # the objective's linear program has no variant
+        (["oracle", "--cells", CELLS, "--objective", "ey0", "--variant", "generalized"],
+         "--variant: not allowed with argument --objective"),
+        (["oracle", "--cells", CELLS, "--objective", "p11", "--variant", "roy"],
+         "--variant: not allowed with argument --objective"),
+    ],
+)
+def test_options_that_would_be_ignored_together_are_rejected(valid_commands, capsys, argv, message):
+    assert message in assert_input_error(argv, capsys)
+
+
 def test_generalized_rejection_exit_code(tmp_path, capsys):
     # tables that no generalized selection model can produce
     cells = json.dumps(

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -626,3 +630,90 @@ def test_iqr_ci_memory_independent_of_sample_size(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_unset_roy_threads_uses_every_allowed_cpu(monkeypatch):
+    monkeypatch.delenv("ROY_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert inference._n_threads() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert inference._n_threads() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert inference._n_threads() == 1
+
+
+def test_unset_roy_threads_gives_the_one_thread_results(monkeypatch):
+    # b=300 is three chunks, so three CPUs run three workers.
+    theta = inference.estimate_theta(binary_sample(4))
+    data = iqr_sample(13, n=400)
+
+    def reports():
+        cv = inference.critical_value(theta, b=300, seed=9)
+        return [repr(cv), repr(inference.att_ci(theta, cv)), repr(inference.iqr_ci(data, 1, 0.6, 0.9, b=300, seed=7))]
+
+    monkeypatch.setenv("ROY_THREADS", "1")
+    one = reports()
+    monkeypatch.delenv("ROY_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert inference._n_threads() == 3
+    assert reports() == one
+
+
+def test_iqr_ci_memory_independent_of_thread_count(monkeypatch):
+    # All workers share one batch budget: a second worker splits it, where
+    # a batch of _DRAW_BYTES per worker would add a batch and its scratch.
+    import tracemalloc
+
+    data = iqr_sample(31, n=5000)
+    peaks = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ROY_THREADS", threads)
+        tracemalloc.start()
+        try:
+            inference.iqr_ci(data, 1, 0.25, 0.75, b=999, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+class _ReducerFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_row", [200, 0])  # in chunk 1, the helper's; in chunk 0, the caller's
+def test_bootstrap_map_raises_once_every_worker_stopped(monkeypatch, bad_row):
+    # Two workers over b=300: the caller draws chunks 0 and 2, one helper chunk 1.
+    monkeypatch.setenv("ROY_THREADS", "2")
+    done = []
+
+    def reducer(rows):
+        def fn(row, counts):
+            if row <= bad_row < row + len(counts):
+                raise _ReducerFailed(bad_row)
+            done.extend(range(row, row + len(counts)))
+
+        return fn
+
+    before = threading.active_count()
+    with pytest.raises(_ReducerFailed):
+        inference._bootstrap_map(reducer, np.array([0.2, 0.3, 0.5]), 50, 300, 0, 9)
+    assert threading.active_count() == before
+    # The other worker drew all its rows before the error was raised.
+    other = range(128, 256) if bad_row < 128 else [*range(128), *range(256, 300)]
+    assert set(other) <= set(done)
+
+
+def test_bootstrap_counts_with_more_workers_than_cores(monkeypatch):
+    # Eight workers over eight chunks, switching threads every microsecond:
+    # a batch written to another worker's rows would change the bits.
+    probs = np.random.default_rng(1).dirichlet(np.ones(3000))
+    ref = concatenate_bootstrap_counts(probs, 500, 999, 4, 3)
+    monkeypatch.setenv("ROY_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _same_bits(inference._bootstrap_counts(probs, 500, 999, 4, 3), ref)
+    finally:
+        sys.setswitchinterval(interval)
