@@ -93,15 +93,14 @@ def sharp_bounds_with_instrument(
     """
     pooled = t.pooled()
     p_y1 = pooled.p_y1
-    dev = max(abs(q.p_y1 - p_y1) for _, q, _ in t.points)
+    _, _, q10, q11 = t.cells.T
+    dev = abs(q10 + q11 - p_y1).max()
     if dev > tau_y + 1e-12:
         raise OutcomeInstrumentDependence(
             f"max_z |P(Y=1|z) - P(Y=1)| = {dev:.6g} exceeds tolerance {tau_y:.6g}"
         )
-    q10s = [q.q10 for _, q, _ in t.points]
-    q11s = [q.q11 for _, q, _ in t.points]
-    lo10, hi10 = min(q10s), max(q10s)
-    lo11, hi11 = min(q11s), max(q11s)
+    lo10, hi10 = q10.min(), q10.max()
+    lo11, hi11 = q11.min(), q11.max()
     return BinaryRoyBounds(
         p00_value=pooled.p_y0,
         p10_bound=IntervalBound(0.0, lo10, sharp=True, label="p10 (instrument)"),

@@ -107,10 +107,20 @@ _COMMANDS = {
 _OVERRIDES = {("infer", "--bootstrap"): dict(default=999, help="bootstrap draws, at least 100"),
               ("simulate", "--out"): dict(required=True, help="file for the CSV sample")}
 # Option pairs a subcommand takes, but not together: given the first, it would ignore the second.
+# --cells is the whole input, so it leaves every option that reads a sample unread.
+_CELLS_ONLY = tuple(
+    ("--cells", flag) for flag in ("--data", "--outcome", "--sector", "--instrument", "--weight", "--filter")
+)
 _EXCLUSIVE = {
-    "binary": (("--cells", "--data"),),
-    "generalized": (("--cells", "--data"), ("--cells", "--bootstrap")),
-    "oracle": (("--cells", "--data"), ("--objective", "--variant")),
+    "binary": _CELLS_ONLY,
+    "generalized": (*_CELLS_ONLY, ("--cells", "--bootstrap")),
+    "oracle": (*_CELLS_ONLY, ("--objective", "--variant")),
+}
+# Option pairs where the first is read only with the second set: given alone, it would be ignored.
+_REQUIRES = {
+    "binary": (("--tau-y", "--instrument"),),
+    "generalized": (("--level", "--bootstrap"),),
+    "iqr": (("--level", "--bootstrap"),),
 }
 
 
@@ -324,10 +334,7 @@ def _table_from_sample(s: OutcomeSample) -> tuple[InstrumentTable, tuple]:
     if s.z is None:
         raise InputError("--instrument column required")
     tab = inference.tabulate(s)
-    labels, sums, totals, _ = tab
-    cells = {z: validate_cells(*(q / tot)) for z, q, tot in zip(labels, sums, totals)}
-    table = InstrumentTable.from_cells(cells, {z: float(tot) for z, tot in zip(labels, totals)})
-    return table, tab
+    return InstrumentTable.from_sums(*tab[:3]), tab
 
 
 def _digest(sample) -> dict:
@@ -610,9 +617,15 @@ def _emit(report: dict, args) -> None:
 def run(argv) -> int:
     try:
         args = _make_parser().parse_args(argv)
+        # Told from the argv, not the values: some options have a default.  A
+        # token that is a flag, or a flag and "=", is that option to argparse too.
+        given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
         for first, second in _EXCLUSIVE.get(args.cmd, ()):
-            if getattr(args, first[2:]) and getattr(args, second[2:]):
+            if first in given and second in given:
                 raise InputError(f"argument {second}: not allowed with argument {first}")
+        for first, second in _REQUIRES.get(args.cmd, ()):
+            if first in given and not getattr(args, second[2:]):
+                raise InputError(f"argument {first}: not allowed without argument {second}")
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -28,6 +28,7 @@ from .probability import (
     InstrumentTable,
     IntervalBound,
     SimplexPolytope,
+    left_sum,
     unit,
 )
 
@@ -62,8 +63,7 @@ def envelope_array(theta: np.ndarray, slack=0.0) -> np.ndarray:
 
 def envelopes(t: InstrumentTable) -> np.ndarray:
     """The (8,) envelope array: componentwise min/max of the cell combinations over z."""
-    cells = np.array([q.as_array() for _, q, _ in t.points])
-    return envelope_array(cells @ _COMBO.T)
+    return envelope_array(t.cells @ _COMBO.T)
 
 
 def joint_polytope(t: InstrumentTable, e: np.ndarray | None = None) -> SimplexPolytope:
@@ -146,16 +146,19 @@ def point_bounds(e: np.ndarray) -> dict[str, IntervalBound]:
     }
 
 
-def _regret(e: np.ndarray, q) -> float:
-    return min(1.0, float(e[3]) / q.q00)
+def _regrets(t: InstrumentTable, e: np.ndarray) -> np.ndarray:
+    """Regret bound (K,) per z; nan where P(Y=0,D=0|z) is zero."""
+    q00 = t.cells[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q00 > 1e-12, np.minimum(1.0, e[3] / q00), np.nan)
 
 
 def regret_bound(t: InstrumentTable, z) -> float:
     """Upper bound on P(Y1=1 | Y0=0, D=0, Z=z), clamped to [0, 1]."""
-    q = t.cells(z)
-    if q.q00 <= 1e-12:
+    r = _regrets(t, envelopes(t))[t.index(z)]
+    if np.isnan(r):
         raise ZeroConditioningCell(f"P(Y=0,D=0|z={z!r}) is zero")
-    return _regret(envelopes(t), q)
+    return float(r)
 
 
 def att_bounds(
@@ -166,20 +169,19 @@ def att_bounds(
     e: envelopes(t), when the caller already has them.
     """
     p = point_bounds(envelopes(t) if e is None else e)
-    ey0, ey1 = p["ey0"], p["ey1"]
+    q00, q01, q10, q11 = t.cells.T
+    p_y1 = q10 + q11
 
-    def averaged(counterfactual: IntervalBound, d: int, label: str) -> IntervalBound:
-        los, his = [], []
-        for _, q, w in t.points:
-            p_d = q.p_d1 if d == 1 else q.p_d0
-            if p_d <= 1e-12:
-                raise ZeroSectorProbability(f"P(D={d}|z) is zero at some z")
-            los.append(w * (q.p_y1 - counterfactual.hi) / p_d)
-            his.append(w * (q.p_y1 - counterfactual.lo) / p_d)
-        return IntervalBound(sum(los), sum(his), sharp=False, label=label).clamp(-1.0, 1.0)
+    def averaged(counterfactual: IntervalBound, p_d: np.ndarray, d: int, label: str) -> IntervalBound:
+        if np.any(p_d <= 1e-12):
+            raise ZeroSectorProbability(f"P(D={d}|z) is zero at some z")
+        # Columns lo, hi; summed over z in order.
+        gaps = p_y1[:, None] - np.array([counterfactual.hi, counterfactual.lo])
+        lo, hi = left_sum(t.weights[:, None] * gaps / p_d[:, None]).tolist()
+        return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
-    att1 = averaged(ey0, 1, "E(Y1-Y0|D=1)")
-    att0 = averaged(ey1, 0, "E(Y0-Y1|D=0)")
+    att1 = averaged(p["ey0"], q01 + q11, 1, "E(Y1-Y0|D=1)")
+    att0 = averaged(p["ey1"], q00 + q10, 0, "E(Y0-Y1|D=0)")
     return att1, att0
 
 
@@ -191,21 +193,19 @@ def roy_selection_test(t: InstrumentTable) -> dict:
     """
     p = point_bounds(envelopes(t))
     strict, weak = p["benefit_strict"], p["benefit_weak"]
-    pooled_y1 = t.pooled().p_y1
-    violations = []
-    for z, q, _ in t.points:
-        p_d1 = q.p_d1
-        if p_d1 < strict.lo - 1e-12 or p_d1 > weak.hi + 1e-12:
-            violations.append(
-                {"z": z, "p_d1": p_d1, "strict_lo": strict.lo, "weak_hi": weak.hi}
-            )
-    y_z_dep = max(abs(q.p_y1 - pooled_y1) for _, q, _ in t.points)
+    _, q01, q10, q11 = t.cells.T
+    p_d1 = q01 + q11
+    bad = np.flatnonzero((p_d1 < strict.lo - 1e-12) | (p_d1 > weak.hi + 1e-12))
+    violations = [
+        {"z": t.labels[i], "p_d1": p_d1[i], "strict_lo": strict.lo, "weak_hi": weak.hi}
+        for i in bad.tolist()
+    ]
     return {
         "violations": violations,
         "n_violations": len(violations),
         "benefit_strict": strict.to_dict(),
         "benefit_weak": weak.to_dict(),
-        "max_outcome_instrument_dependence": y_z_dep,
+        "max_outcome_instrument_dependence": np.abs(q10 + q11 - t.pooled().p_y1).max(),
     }
 
 
@@ -248,7 +248,7 @@ def compute_all(t: InstrumentTable) -> GeneralizedBounds:
     e = envelopes(t)
     poly = joint_polytope(t, e)
     p = point_bounds(e)
-    regrets = tuple((z, _regret(e, q) if q.q00 > 1e-12 else np.nan) for z, q, _ in t.points)
+    regrets = tuple(zip(t.labels, _regrets(t, e).tolist()))
     if np.isnan(p["mobility"].hi):
         raise DegenerateDenominator("P(Y0=0) upper bound is zero")
     att1, att0 = att_bounds(t, e)

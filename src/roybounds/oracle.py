@@ -93,27 +93,16 @@ def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:
     Exhausts the 4 * 2^k response types (potential outcomes plus a full
     selection map over the instrument support) and solves two LPs.
     """
-    k = len(t.points)
-    types = enumerate_response_types(k)
+    types = enumerate_response_types(len(t.labels))
     c = np.asarray(objective, dtype=float)
     obj = np.array([c[_PAIR_INDEX[(y0, y1)]] for y0, y1, _ in types])
-    a_eq = []
-    b_eq = []
-    for zi, (_, q, _) in enumerate(t.points):
-        cells = {(0, 0): q.q00, (0, 1): q.q01, (1, 0): q.q10, (1, 1): q.q11}
-        for (y, d), prob in cells.items():
-            row = np.array(
-                [
-                    1.0 if (sel[zi] == d and (y1 if d else y0) == y) else 0.0
-                    for y0, y1, sel in types
-                ]
-            )
-            a_eq.append(row)
-            b_eq.append(prob)
-    a_eq.append(np.ones(len(types)))
-    b_eq.append(1.0)
-    a_eq = np.array(a_eq)
-    b_eq = np.array(b_eq)
+    y0, y1 = np.array([(a, b) for a, b, _ in types]).T
+    d = np.array([sel for _, _, sel in types]).T  # (k, types): the sector each type takes at z
+    cell = 2 * np.where(d == 1, y1, y0) + d  # its observed cell, q00, q01, q10, q11 = 0..3
+    # One row per (z, cell), in the order of t.cells.ravel(), and one for the total mass.
+    rows = (cell[:, None, :] == np.arange(4)[:, None]).reshape(-1, len(types))
+    a_eq = np.vstack([rows, np.ones(len(types))])
+    b_eq = np.append(t.cells.ravel(), 1.0)
     out = []
     for sign in (1.0, -1.0):
         res = linprog(sign * obj, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")

@@ -2,10 +2,11 @@
 
 All identified sets for binary-outcome models live on the 3-simplex of
 joint masses (p00, p01, p10, p11), with p_ij = P(Y0=i, Y1=j).  Identified
-sets are intersections of the simplex with halfspaces a.p <= b; extrema
-of linear functionals are computed by exact vertex enumeration, which is
-cheap and exact in this fixed, tiny dimension.  `make_rng` is the one
-seeded random generator behind every simulation and bootstrap draw.
+sets are intersections of the simplex with halfspaces a.p <= b, whose
+vertices are enumerated exactly, which is cheap in this fixed, tiny
+dimension.  An instrument table holds one row of cells per instrument
+value, as arrays.  `make_rng` is the one seeded random generator behind
+every simulation and bootstrap draw.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible, NegativeMass, NotNormalized
+from .errors import NegativeMass, NotNormalized
 
 NORM_TOL = 1e-12
 INPUT_NORM_TOL = 1e-9
@@ -25,6 +26,37 @@ FEAS_TOL = 1e-9
 def make_rng(seed: int, *stream) -> np.random.Generator:
     """Counter-based generator; extra ints select independent streams."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
+
+
+def _check_cells(arr: np.ndarray) -> None:
+    """Raise for the first row of cells arr (..., 4) that is not a distribution:
+    NegativeMass for a cell below -1e-12, NotNormalized for a sum off one by 1e-9 or nan."""
+    rows = arr.reshape(-1, 4)
+    neg = (rows < -NORM_TOL).any(axis=1)
+    total = rows.sum(axis=1)
+    # Negated so that a NaN sum fails too.
+    bad = np.flatnonzero(neg | ~(np.abs(total - 1.0) <= INPUT_NORM_TOL))
+    if len(bad) and neg[bad[0]]:
+        raise NegativeMass(f"negative cell probability in {rows[bad[0]]}")
+    if len(bad):
+        raise NotNormalized(f"cell probabilities sum to {total[bad[0]]:.12g}")
+
+
+def normalize_cells(raw) -> np.ndarray:
+    """Validated cell probabilities (K, 4) from raw ones, renormalizing tiny drift.
+
+    Each row is checked as in CellProbs, then clipped at zero and divided
+    by its sum.
+    """
+    raw = np.asarray(raw, dtype=float)
+    _check_cells(raw)
+    raw = np.clip(raw, 0.0, None)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def left_sum(x: np.ndarray):
+    """Sum over the first axis, added in order: np.sum adds a long axis pairwise."""
+    return np.cumsum(x, axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -37,12 +69,7 @@ class CellProbs:
     q11: float
 
     def __post_init__(self):
-        arr = self.as_array()
-        if np.any(arr < -NORM_TOL):
-            raise NegativeMass(f"negative cell probability in {arr}")
-        # Negated so that a NaN sum fails too.
-        if not abs(arr.sum() - 1.0) <= INPUT_NORM_TOL:
-            raise NotNormalized(f"cell probabilities sum to {arr.sum():.12g}")
+        _check_cells(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q00, self.q01, self.q10, self.q11])
@@ -74,58 +101,66 @@ def validate_cells(q00: float, q01: float, q10: float, q11: float) -> CellProbs:
     Raises NegativeMass for negative inputs and NotNormalized when the sum
     deviates from one by more than 1e-9 or is not a number.
     """
-    raw = np.array([q00, q01, q10, q11], dtype=float)
-    if np.any(raw < -NORM_TOL):
-        raise NegativeMass(f"negative cell probability in {raw}")
-    total = raw.sum()
-    # Negated so that NaN or infinite cells, whose sum is not finite, fail too.
-    if not abs(total - 1.0) <= INPUT_NORM_TOL:
-        raise NotNormalized(f"cell probabilities sum to {total:.12g}")
-    raw = np.clip(raw, 0.0, None)
-    raw = raw / raw.sum()
-    return CellProbs(*raw)
+    return CellProbs(*normalize_cells([[q00, q01, q10, q11]])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstrumentTable:
-    """Finite-support instrument: (z label, CellProbs, weight P(Z=z)) triples."""
+    """Finite-support instrument: labels z, cells (K, 4) in q00, q01, q10, q11
+    order and weights P(Z=z) (K,), the arrays read-only.
 
-    points: tuple[tuple[object, CellProbs, float], ...]
+    Checked once, never renormalized: distinct labels, K >= 1, positive
+    weights summing to one, and each row of cells as in CellProbs.
+    """
+
+    labels: tuple
+    cells: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        labels = [z for z, _, _ in self.points]
+        labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate instrument labels")
-        if not self.points:
+        if not labels:
             raise ValueError("instrument table needs at least one point")
-        w = np.array([w for _, _, w in self.points], dtype=float)
+        cells = np.array(self.cells, dtype=float).reshape(len(labels), 4)
+        w = np.array(self.weights, dtype=float).reshape(len(labels))
         if np.any(w <= 0):
             raise NegativeMass("instrument weights must be positive")
         if abs(w.sum() - 1.0) > INPUT_NORM_TOL:
             raise NotNormalized(f"instrument weights sum to {w.sum():.12g}")
+        _check_cells(cells)
+        cells.flags.writeable = w.flags.writeable = False
+        for name, value in (("labels", labels), ("cells", cells), ("weights", w)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_cells(cls, cells: dict, weights: dict | None = None) -> "InstrumentTable":
+        """Table from CellProbs keyed by z; weights keyed by z, scaled to sum to one
+        (equal when None)."""
         labels = sorted(cells, key=str)
-        if weights is None:
-            weights = {z: 1.0 / len(labels) for z in labels}
-        total = sum(weights[z] for z in labels)
-        return cls(tuple((z, cells[z], weights[z] / total) for z in labels))
+        w = np.array([1.0 / len(labels) if weights is None else weights[z] for z in labels], dtype=float)
+        return cls(labels, [cells[z].as_array() for z in labels], w / left_sum(w) if labels else w)
 
-    @property
-    def labels(self) -> list:
-        return [z for z, _, _ in self.points]
+    @classmethod
+    def from_sums(cls, labels, sums: np.ndarray, totals: np.ndarray) -> "InstrumentTable":
+        """Table from weighted cell sums (K, 4) and weight totals (K,) per label,
+        as `inference.tabulate` returns them."""
+        return cls(labels, normalize_cells(sums / totals[:, None]), totals / left_sum(totals))
 
-    def cells(self, z) -> CellProbs:
-        for label, q, _ in self.points:
-            if label == z:
-                return q
-        raise KeyError(z)
+    def index(self, z) -> int:
+        """Row of label z."""
+        try:
+            return self.labels.index(z)
+        except ValueError:
+            raise KeyError(z) from None
+
+    def cell(self, z) -> CellProbs:
+        return CellProbs(*self.cells[self.index(z)])
 
     def pooled(self) -> CellProbs:
         """Weighted average of the cell probabilities over z."""
-        arr = sum(w * q.as_array() for _, q, w in self.points)
-        return CellProbs(*arr)
+        return CellProbs(*left_sum(self.weights[:, None] * self.cells))
 
 
 @dataclass(frozen=True)
@@ -177,9 +212,6 @@ class IntervalBound:
     def contains(self, x: float, tol: float = FEAS_TOL) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def contains_interval(self, other: "IntervalBound", tol: float = FEAS_TOL) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
     def clamp(self, lo: float = 0.0, hi: float = 1.0) -> "IntervalBound":
         return IntervalBound(
             min(max(self.lo, lo), hi), min(max(self.hi, lo), hi), self.sharp, self.label
@@ -221,10 +253,6 @@ class SimplexPolytope:
     def from_rows(cls, rows) -> "SimplexPolytope":
         hs = tuple((tuple(float(x) for x in a), float(b)) for a, b in rows)
         return cls(halfspaces=hs)
-
-    @classmethod
-    def full_simplex(cls) -> "SimplexPolytope":
-        return cls(halfspaces=())
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """All facet rows a.p <= b, including the nonnegativity facets."""
@@ -270,33 +298,3 @@ class SimplexPolytope:
             ok &= pts @ np.asarray(a) <= b + tol
         return ok
 
-
-def membership(polytope: SimplexPolytope, p: PotentialJoint, tol: float = FEAS_TOL) -> bool:
-    """True iff all halfspaces hold at p within tolerance."""
-    return bool(polytope.contains_points(p.as_array()[None, :], tol=tol)[0])
-
-
-def polytope_extrema(polytope: SimplexPolytope, c, label: str = "") -> IntervalBound:
-    """Exact [min, max] of c.p over the polytope, by vertex enumeration."""
-    verts = polytope.vertices()
-    if len(verts) == 0:
-        raise Infeasible("polytope has no feasible point")
-    vals = verts @ np.asarray(c, dtype=float)
-    return IntervalBound(float(vals.min()), float(vals.max()), sharp=True, label=label)
-
-
-def simplex_grid(step: float = 0.01) -> np.ndarray:
-    """All points of the 3-simplex with coordinates that are multiples of step."""
-    n = round(1.0 / step)
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            rem = n - i - j
-            k = np.arange(rem + 1)
-            block = np.empty((rem + 1, 4))
-            block[:, 0] = i
-            block[:, 1] = j
-            block[:, 2] = k
-            block[:, 3] = rem - k
-            pts.append(block)
-    return np.concatenate(pts) / n

@@ -24,7 +24,9 @@ from roybounds.functional import (
     peterson_bounds,
     proposition1_check,
 )
-from roybounds.probability import InstrumentTable, simplex_grid, validate_cells
+from roybounds.probability import InstrumentTable, validate_cells
+
+from geometry import simplex_grid
 
 
 def random_cells(rng):
@@ -348,9 +350,7 @@ def test_criterion_09_inference_coverage():
     truth_table, _ = oracle.random_type_table(6, oracle.make_rng(777))
     g_true = generalized.compute_all(truth_table)
     att1_true, _ = generalized.att_bounds(truth_table)
-    cum = np.array(
-        [truth_table.cells(z).as_array() for z in truth_table.labels]
-    ).cumsum(axis=1)
+    cum = truth_table.cells.cumsum(axis=1)
     iqr_truth = norm.ppf(0.75) - norm.ppf(0.25)  # sector-1 marginal is N(1.2, 1)
     joint = oracle.GaussianCopulaJoint(mu1=1.2, rho=0.5)
     cov = np.zeros(4)

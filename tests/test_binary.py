@@ -11,11 +11,11 @@ from roybounds.errors import (
 )
 from roybounds.probability import (
     InstrumentTable,
-    membership,
     PotentialJoint,
-    simplex_grid,
     validate_cells,
 )
+
+from geometry import membership, polytope_extrema, simplex_grid
 
 
 def cells_strategy():
@@ -87,7 +87,7 @@ def test_instrument_two_point_example():
     grid = simplex_grid(0.02)
     inter = np.ones(len(grid), dtype=bool)
     for z in t.labels:
-        inter &= oracle.artstein_set(t.cells(z), oracle.ROY).contains_points(grid)
+        inter &= oracle.artstein_set(t.cell(z), oracle.ROY).contains_points(grid)
     assert np.array_equal(inter, b.polytope.contains_points(grid))
 
 
@@ -209,8 +209,6 @@ def test_adding_instrument_points_never_widens():
 
 
 def test_ate_agrees_with_polytope_extrema():
-    from roybounds.probability import polytope_extrema
-
     q = validate_cells(0.15, 0.25, 0.35, 0.25)
     b = binary.sharp_bounds(q)
     direct = polytope_extrema(b.polytope, (0, 1, -1, 0))

@@ -294,6 +294,47 @@ def test_options_that_would_be_ignored_together_are_rejected(valid_commands, cap
     assert message in assert_input_error(argv, capsys)
 
 
+# Every option that reads a sample, with a value: --cells leaves each one unread.
+SAMPLE_VALUES = {"--outcome": "y", "--sector": "d", "--instrument": "z", "--weight": "w", "--filter": "z=a"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([cmd, "--cells", CELLS, *extra, flag, value], f"{flag}: not allowed with argument --cells")
+        for cmd, extra in (("binary", []), ("generalized", []), ("oracle", ["--objective", "ey0"]))
+        for flag, value in SAMPLE_VALUES.items()
+    ]
+    + [
+        # the default value, given, is still ignored
+        (["binary", "--cells", CELLS, "--outcome=y"], "--outcome: not allowed with argument --cells"),
+        # a tolerance of the outcome's dependence on an instrument needs one
+        (["binary", "--data", "s.csv", "--tau-y", "0.1"], "--tau-y: not allowed without argument --instrument"),
+        (["binary", "--data", "s.csv", "--tau-y", "0"], "--tau-y: not allowed without argument --instrument"),
+        # a confidence level needs bootstrap draws
+        (["generalized", "--data", "s.csv", "--instrument", "z", "--level", "0.9"],
+         "--level: not allowed without argument --bootstrap"),
+        (["iqr", "--data", "s.csv", "--d", "1", "--level", "0.9"], "--level: not allowed without argument --bootstrap"),
+        (["iqr", "--data", "s.csv", "--level", "0.9", "--bootstrap", "0"],
+         "--level: not allowed without argument --bootstrap"),
+    ],
+)
+def test_options_a_command_would_ignore_are_rejected(valid_commands, capsys, argv, message):
+    assert message in assert_input_error(argv, capsys)
+
+
+def test_options_read_with_what_they_need_are_accepted(valid_commands, capsys):
+    for argv in (
+        ["binary", "--data", "s.csv", "--instrument", "z", "--tau-y", "0.5"],
+        ["binary", "--data", "s.csv", "--outcome", "y", "--sector", "d"],
+        ["iqr", "--data", "s.csv", "--level", "0.9", "--bootstrap", "100"],
+        ["generalized", "--data", "s.csv", "--instrument", "z", "--level", "0.9", "--bootstrap", "100"],
+        ["infer", "--data", "s.csv", "--instrument", "z", "--level", "0.9", "--bootstrap", "100"],
+        ["binary", "--cells", CELLS, "--out", "r.json", "--format", "csv", "--seed", "3"],
+    ):
+        assert run_cli(argv, capsys)[0] == 0, argv
+
+
 def test_generalized_rejection_exit_code(tmp_path, capsys):
     # tables that no generalized selection model can produce
     cells = json.dumps(

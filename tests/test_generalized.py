@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roybounds import binary, cli, generalized, inference, oracle
+from roybounds import binary, cli, generalized, inference, oracle, probability
 from roybounds.errors import (
     DegenerateDenominator,
     InfeasibleModel,
+    NegativeMass,
+    NotNormalized,
+    OutcomeInstrumentDependence,
     RoyBoundsError,
     ZeroConditioningCell,
     ZeroSectorProbability,
@@ -20,15 +23,17 @@ from roybounds.probability import (
     P01,
     P10,
     P11,
+    CellProbs,
     InstrumentTable,
     IntervalBound,
     PotentialJoint,
     SimplexPolytope,
-    polytope_extrema,
-    simplex_grid,
     unit,
     validate_cells,
 )
+
+from geometry import polytope_extrema, simplex_grid
+
 
 TWO_Z = InstrumentTable.from_cells(
     {
@@ -65,7 +70,7 @@ def test_envelopes_two_z():
 
 def test_envelopes_permutation_invariant():
     t_perm = InstrumentTable.from_cells(
-        {"z2": TWO_Z.cells("z2"), "z1": TWO_Z.cells("z1")}
+        {"z2": TWO_Z.cell("z2"), "z1": TWO_Z.cell("z1")}
     )
     assert np.array_equal(generalized.envelopes(TWO_Z), generalized.envelopes(t_perm))
 
@@ -85,16 +90,16 @@ def test_joint_polytope_uniform_cells():
 def per_z_polytope(t):
     """Reference identified set: the eight linear conditions at every z."""
     rows = []
-    for _, q, _ in t.points:
+    for q00, q01, q10, q11 in t.cells:
         rows += [
-            (tuple(unit(P11)), q.p_y1),
-            (tuple(unit(P00)), q.p_y0),
-            (tuple(unit(P10)), q.q10 + q.q01),
-            (tuple(unit(P01)), q.q00 + q.q11),
-            (tuple(unit(P10) + unit(P11)), 1.0 - q.q00),
-            (tuple(-(unit(P10) + unit(P11))), -q.q10),
-            (tuple(unit(P01) + unit(P11)), 1.0 - q.q01),
-            (tuple(-(unit(P01) + unit(P11))), -q.q11),
+            (tuple(unit(P11)), q10 + q11),
+            (tuple(unit(P00)), q00 + q01),
+            (tuple(unit(P10)), q10 + q01),
+            (tuple(unit(P01)), q00 + q11),
+            (tuple(unit(P10) + unit(P11)), 1.0 - q00),
+            (tuple(-(unit(P10) + unit(P11))), -q10),
+            (tuple(unit(P01) + unit(P11)), 1.0 - q01),
+            (tuple(-(unit(P01) + unit(P11))), -q11),
         ]
     return SimplexPolytope.from_rows(rows)
 
@@ -150,6 +155,68 @@ def mask_loop_theta(data):
     return labels, est, se, counts
 
 
+def left_to_right(xs):
+    """sum(xs), adding in order as sum() added floats before Python 3.12."""
+    total = 0
+    for x in xs:
+        total = total + x
+    return total
+
+
+def ref_validate_cells(q00, q01, q10, q11):
+    """Reference: validate_cells on one row, as a 1-D array."""
+    raw = np.array([q00, q01, q10, q11], dtype=float)
+    if np.any(raw < -1e-12):
+        raise NegativeMass(f"negative cell probability in {raw}")
+    total = raw.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise NotNormalized(f"cell probabilities sum to {total:.12g}")
+    raw = np.clip(raw, 0.0, None)
+    raw = raw / raw.sum()
+    return CellProbs(*raw)
+
+
+@dataclass(frozen=True)
+class TupleTable:
+    """Reference instrument table: (z label, CellProbs, weight P(Z=z)) triples."""
+
+    points: tuple
+
+    def __post_init__(self):
+        labels = [z for z, _, _ in self.points]
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate instrument labels")
+        if not self.points:
+            raise ValueError("instrument table needs at least one point")
+        w = np.array([w for _, _, w in self.points], dtype=float)
+        if np.any(w <= 0):
+            raise NegativeMass("instrument weights must be positive")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise NotNormalized(f"instrument weights sum to {w.sum():.12g}")
+
+    @classmethod
+    def from_cells(cls, cells, weights=None):
+        labels = sorted(cells, key=str)
+        if weights is None:
+            weights = {z: 1.0 / len(labels) for z in labels}
+        total = left_to_right(weights[z] for z in labels)
+        return cls(tuple((z, cells[z], weights[z] / total) for z in labels))
+
+    @property
+    def labels(self):
+        return [z for z, _, _ in self.points]
+
+    def cells(self, z):
+        for label, q, _ in self.points:
+            if label == z:
+                return q
+        raise KeyError(z)
+
+    def pooled(self):
+        arr = sum(w * q.as_array() for _, q, w in self.points)
+        return CellProbs(*arr)
+
+
 def mask_loop_table(s):
     """Reference tabulation: the CLI's instrument table, one mask per label."""
     cells, weights = {}, {}
@@ -158,9 +225,94 @@ def mask_loop_table(s):
         w, y, d = s.w[mask], s.y[mask].astype(int), s.d[mask]
         tot = w.sum()
         q = [w[(y == yy) & (d == dd)].sum() / tot for yy, dd in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        cells[z] = validate_cells(*q)
+        cells[z] = ref_validate_cells(*q)
         weights[z] = float(tot)
-    return InstrumentTable.from_cells(cells, weights)
+    return TupleTable.from_cells(cells, weights)
+
+
+def tuple_envelopes(tt):
+    """Reference: generalized.envelopes on a TupleTable."""
+    cells = np.array([q.as_array() for _, q, _ in tt.points])
+    return generalized.envelope_array(cells @ generalized._COMBO.T)
+
+
+def tuple_regret_by_z(tt, e):
+    """Reference: the regret_by_z of generalized.compute_all on a TupleTable."""
+    return tuple((z, min(1.0, float(e[3]) / q.q00) if q.q00 > 1e-12 else np.nan) for z, q, _ in tt.points)
+
+
+def tuple_att_bounds(tt, e):
+    """Reference: generalized.att_bounds on a TupleTable."""
+    p = generalized.point_bounds(e)
+    ey0, ey1 = p["ey0"], p["ey1"]
+
+    def averaged(counterfactual, d, label):
+        los, his = [], []
+        for _, q, w in tt.points:
+            p_d = q.p_d1 if d == 1 else q.p_d0
+            if p_d <= 1e-12:
+                raise ZeroSectorProbability(f"P(D={d}|z) is zero at some z")
+            los.append(w * (q.p_y1 - counterfactual.hi) / p_d)
+            his.append(w * (q.p_y1 - counterfactual.lo) / p_d)
+        return IntervalBound(left_to_right(los), left_to_right(his), sharp=False, label=label).clamp(-1.0, 1.0)
+
+    return averaged(ey0, 1, "E(Y1-Y0|D=1)"), averaged(ey1, 0, "E(Y0-Y1|D=0)")
+
+
+def tuple_roy_selection_test(tt):
+    """Reference: generalized.roy_selection_test on a TupleTable."""
+    p = generalized.point_bounds(tuple_envelopes(tt))
+    strict, weak = p["benefit_strict"], p["benefit_weak"]
+    pooled_y1 = tt.pooled().p_y1
+    violations = []
+    for z, q, _ in tt.points:
+        p_d1 = q.p_d1
+        if p_d1 < strict.lo - 1e-12 or p_d1 > weak.hi + 1e-12:
+            violations.append(
+                {"z": z, "p_d1": p_d1, "strict_lo": strict.lo, "weak_hi": weak.hi}
+            )
+    y_z_dep = max(abs(q.p_y1 - pooled_y1) for _, q, _ in tt.points)
+    return {
+        "violations": violations,
+        "n_violations": len(violations),
+        "benefit_strict": strict.to_dict(),
+        "benefit_weak": weak.to_dict(),
+        "max_outcome_instrument_dependence": y_z_dep,
+    }
+
+
+def tuple_sharp_bounds_with_instrument(tt, tau_y=0.0):
+    """Reference: binary.sharp_bounds_with_instrument on a TupleTable."""
+    pooled = tt.pooled()
+    p_y1 = pooled.p_y1
+    dev = max(abs(q.p_y1 - p_y1) for _, q, _ in tt.points)
+    if dev > tau_y + 1e-12:
+        raise OutcomeInstrumentDependence(
+            f"max_z |P(Y=1|z) - P(Y=1)| = {dev:.6g} exceeds tolerance {tau_y:.6g}"
+        )
+    q10s = [q.q10 for _, q, _ in tt.points]
+    q11s = [q.q11 for _, q, _ in tt.points]
+    lo10, hi10 = min(q10s), max(q10s)
+    lo11, hi11 = min(q11s), max(q11s)
+    return binary.BinaryRoyBounds(
+        p00_value=pooled.p_y0,
+        p10_bound=IntervalBound(0.0, lo10, sharp=True, label="p10 (instrument)"),
+        p01_bound=IntervalBound(0.0, lo11, sharp=True, label="p01 (instrument)"),
+        ey0_bound=IntervalBound(hi10, p_y1, sharp=True, label="EY0 (instrument)"),
+        ey1_bound=IntervalBound(hi11, p_y1, sharp=True, label="EY1 (instrument)"),
+        ate_bound=IntervalBound(-lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
+        polytope=binary._roy_polytope(pooled.p_y0, lo10, lo11),
+    )
+
+
+def assert_same_table(t, tt):
+    """The array table t holds the bits of the reference tuple table tt."""
+    assert t.labels == tuple(tt.labels)
+    assert t.cells.tobytes() == np.array([q.as_array() for _, q, _ in tt.points]).tobytes()
+    assert t.weights.tobytes() == np.array([w for _, _, w in tt.points]).tobytes()
+    assert t.pooled().as_array().tobytes() == tt.pooled().as_array().tobytes()
+    for z in (tt.labels[0], tt.labels[-1]):
+        assert t.cell(z).as_array().tobytes() == tt.cells(z).as_array().tobytes()
 
 
 def mask_loop_pooled(s):
@@ -186,7 +338,7 @@ def test_tabulate_equals_mask_loop_reference_bitwise():
     for data in tabulation_samples():
         labels, est, se, counts = mask_loop_theta(data)
         table, tab = cli._table_from_sample(data)
-        assert repr(table) == repr(mask_loop_table(data))
+        assert_same_table(table, mask_loop_table(data))
         # The theta of the shared tabulation and of a fresh one are the same bits.
         for th in (inference.estimate_theta(data), inference.theta_from_tabulation(tab, data.n)):
             assert list(th.labels) == labels and labels == sorted(labels, key=str)
@@ -195,6 +347,86 @@ def test_tabulate_equals_mask_loop_reference_bitwise():
         pooled = OutcomeSample.from_arrays(data.y, data.d, data.w)
         new_pooled = validate_cells(*inference.tabulate(pooled)[1][0])
         assert repr(new_pooled) == repr(mask_loop_pooled(pooled))
+
+
+def paired_tables(seed=53):
+    """(array table, tuple reference table) pairs with K in 1..60, weighted
+    and not: through cli._table_from_sample, and through from_cells on Roy
+    cells (feasible for any K) and on Dirichlet cells."""
+    rng = oracle.make_rng(seed)
+    for k in range(1, 61):
+        for weighted in (False, True):
+            size = int(rng.integers(k, 20 * k + 1))
+            z = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size - k)]))
+            w = rng.uniform(0.05, 5.0, size) if weighted else None
+            s = OutcomeSample.from_arrays(
+                (rng.random(size) < 0.5).astype(float), (rng.random(size) < 0.4).astype(int), w, z=z
+            )
+            yield cli._table_from_sample(s)[0], mask_loop_table(s)
+            p = PotentialJoint(*rng.dirichlet(np.ones(4)))
+            roy = {f"z{j}": oracle.roy_cells(p, pi) for j, pi in enumerate(rng.uniform(0.05, 0.95, k))}
+            dirichlet = {f"z{j}": validate_cells(*rng.dirichlet(np.full(4, 0.5))) for j in range(k)}
+            for cells in (roy, dirichlet):
+                weights = dict(zip(cells, rng.uniform(0.1, 2.0, k))) if weighted else None
+                yield InstrumentTable.from_cells(cells, weights), TupleTable.from_cells(cells, weights)
+
+
+def test_array_table_equals_tuple_reference_bitwise():
+    feasible = 0
+    for t, tt in paired_tables():
+        assert_same_table(t, tt)
+        e = generalized.envelopes(t)
+        assert e.tobytes() == tuple_envelopes(tt).tobytes()
+        regrets = tuple_regret_by_z(tt, e)
+        assert generalized._regrets(t, e).tobytes() == np.array([r for _, r in regrets]).tobytes()
+        try:
+            res = generalized.compute_all(t)
+        except RoyBoundsError:
+            pass
+        else:
+            assert [z for z, _ in res.regret_by_z] == [z for z, _ in regrets]
+            assert np.array([r for _, r in res.regret_by_z]).tobytes() == np.array([r for _, r in regrets]).tobytes()
+            feasible += 1
+        assert _outcome(generalized.att_bounds, t) == _outcome(lambda u: tuple_att_bounds(u, e), tt)
+        assert _outcome(generalized.roy_selection_test, t) == _outcome(tuple_roy_selection_test, tt)
+        for tau_y in (0.0, 0.05, 1.0):
+            new = _outcome(lambda u: binary.sharp_bounds_with_instrument(u, tau_y).to_dict(), t)
+            assert new == _outcome(lambda u: tuple_sharp_bounds_with_instrument(u, tau_y).to_dict(), tt)
+        new, ref = binary.sharp_bounds_with_instrument(t, 1.0), tuple_sharp_bounds_with_instrument(tt, 1.0)
+        assert new.polytope.halfspaces == ref.polytope.halfspaces
+    assert feasible >= 100
+
+
+def test_validate_cells_equals_one_row_reference_bitwise():
+    rng = oracle.make_rng(59)
+    for i in range(2000):
+        raw = rng.dirichlet(np.full(4, 0.5)) * (1.0 + rng.uniform(-2e-9, 2e-9))
+        if i % 3 == 0:
+            raw[rng.integers(4)] -= rng.uniform(0.0, 2e-12)
+        got, want = (_outcome(lambda q: fn(*q).as_array().tolist(), raw) for fn in (validate_cells, ref_validate_cells))
+        assert got == want
+        if isinstance(want, str):
+            rows = probability.normalize_cells(raw[None, :])
+            assert rows.tobytes() == ref_validate_cells(*raw).as_array().tobytes()
+
+
+def test_table_from_sample_builds_no_cell_records(monkeypatch):
+    # One CellProbs per instrument value was the size cliff in K.
+    calls = []
+    init = probability.CellProbs.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(probability.CellProbs, "__init__", counted)
+    rng = oracle.make_rng(67)
+    z = np.arange(15_000) % 5000
+    s = OutcomeSample.from_arrays((rng.random(len(z)) < 0.5).astype(float), (rng.random(len(z)) < 0.5).astype(int), z=z)
+    table, _ = cli._table_from_sample(s)
+    assert len(table.labels) == 5000 and calls == []
+    validate_cells(0.25, 0.25, 0.25, 0.25)
+    assert calls == [1]
 
 
 def test_joint_polytope_rows_independent_of_support_size():
@@ -392,7 +624,7 @@ def test_att_brackets_truth_on_roy_simulation():
 @settings(max_examples=15, deadline=None)
 @given(tables_strategy())
 def test_interval_shrinkage_in_z(t):
-    sub = InstrumentTable.from_cells({"z0": t.cells("z0")})
+    sub = InstrumentTable.from_cells({"z0": t.cell("z0")})
     e_all = generalized.envelopes(t)
     e_sub = generalized.envelopes(sub)
     p_all, p_sub = generalized.point_bounds(e_all), generalized.point_bounds(e_sub)
@@ -480,7 +712,7 @@ class InstrumentEnvelopes:
 
 
 def ref_envelopes(t):
-    cells = np.array([q.as_array() for _, q, _ in t.points])
+    cells = np.array([row for row in t.cells])
     return InstrumentEnvelopes(*map(float, generalized.envelope_array(cells @ generalized._COMBO.T)))
 
 
@@ -531,12 +763,12 @@ def ref_att_bounds(t, e):
 
     def averaged(counterfactual, d, label):
         los, his = [], []
-        for _, q, w in t.points:
-            p_d = q.p_d1 if d == 1 else q.p_d0
+        for (q00, q01, q10, q11), w in zip(t.cells, t.weights):
+            p_d = q01 + q11 if d == 1 else q00 + q10
             if p_d <= 1e-12:
                 raise ZeroSectorProbability(f"P(D={d}|z) is zero at some z")
-            los.append(w * (q.p_y1 - counterfactual.hi) / p_d)
-            his.append(w * (q.p_y1 - counterfactual.lo) / p_d)
+            los.append(w * (q10 + q11 - counterfactual.hi) / p_d)
+            his.append(w * (q10 + q11 - counterfactual.lo) / p_d)
         return IntervalBound(sum(los), sum(his), sharp=False, label=label).clamp(-1.0, 1.0)
 
     return averaged(ey0, 1, "E(Y1-Y0|D=1)"), averaged(ey1, 0, "E(Y0-Y1|D=0)")
@@ -549,7 +781,7 @@ def ref_compute_all(t):
     ey0, ey1, ate = ref_bp_marginal_bounds(e)
     strict, weak = ref_benefit_bounds(e)
     regrets = tuple(
-        (z, min(1.0, e.inf_00_11 / q.q00) if q.q00 > 1e-12 else np.nan) for z, q, _ in t.points
+        (z, min(1.0, e.inf_00_11 / q00) if q00 > 1e-12 else np.nan) for z, q00 in zip(t.labels, t.cells[:, 0])
     )
     mobility = ref_mobility_bounds(e)
     att1, att0 = ref_att_bounds(t, e)
@@ -571,8 +803,8 @@ def ref_roy_selection_test(t):
     strict, weak = ref_benefit_bounds(ref_envelopes(t))
     pooled_y1 = t.pooled().p_y1
     violations = []
-    for z, q, _ in t.points:
-        p_d1 = q.p_d1
+    for z, (q00, q01, q10, q11) in zip(t.labels, t.cells):
+        p_d1 = q01 + q11
         if p_d1 < strict.lo - 1e-12 or p_d1 > weak.hi + 1e-12:
             violations.append(
                 {"z": z, "p_d1": p_d1, "strict_lo": strict.lo, "weak_hi": weak.hi}
@@ -582,7 +814,7 @@ def ref_roy_selection_test(t):
         "n_violations": len(violations),
         "benefit_strict": strict.to_dict(),
         "benefit_weak": weak.to_dict(),
-        "max_outcome_instrument_dependence": max(abs(q.p_y1 - pooled_y1) for _, q, _ in t.points),
+        "max_outcome_instrument_dependence": max(abs(q10 + q11 - pooled_y1) for _, _, q10, q11 in t.cells),
     }
 
 

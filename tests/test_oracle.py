@@ -7,9 +7,10 @@ from roybounds.functional import OutcomeSample, StepFn, build_subcdf
 from roybounds.probability import (
     InstrumentTable,
     PotentialJoint,
-    simplex_grid,
     validate_cells,
 )
+
+from geometry import simplex_grid
 
 
 def test_make_rng_reproducible_streams():

@@ -10,12 +10,11 @@ from roybounds.probability import (
     IntervalBound,
     PotentialJoint,
     SimplexPolytope,
-    membership,
-    polytope_extrema,
-    simplex_grid,
     unit,
     validate_cells,
 )
+
+from geometry import contains_interval, membership, polytope_extrema, simplex_grid
 
 
 def cells_strategy():
@@ -70,11 +69,46 @@ def test_instrument_table_pooling():
 
 def test_instrument_table_bad_weights():
     with pytest.raises(NegativeMass):
-        InstrumentTable(((("a"), validate_cells(0.25, 0.25, 0.25, 0.25), -0.5),))
+        InstrumentTable(("a",), [[0.25, 0.25, 0.25, 0.25]], [-0.5])
+
+
+def test_instrument_table_checks_its_arrays_once():
+    ok = [0.25, 0.25, 0.25, 0.25]
+    with pytest.raises(ValueError, match="duplicate"):
+        InstrumentTable(("a", "a"), [ok, ok], [0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one"):
+        InstrumentTable((), np.empty((0, 4)), [])
+    with pytest.raises(ValueError, match="at least one"):
+        InstrumentTable.from_cells({})
+    with pytest.raises(NotNormalized, match="weights sum to 1.1"):
+        InstrumentTable(("a", "b"), [ok, ok], [0.5, 0.6])
+    # The first bad row is reported, as validate_cells reports it.
+    with pytest.raises(NegativeMass, match=r"\[ 0.5 -0.1  0.3  0.3\]"):
+        InstrumentTable(("a", "b", "c"), [ok, [0.5, -0.1, 0.3, 0.3], [0.5] * 4], [0.25, 0.25, 0.5])
+    with pytest.raises(NotNormalized, match="sum to 1.1$"):
+        InstrumentTable(("a", "b", "c"), [ok, [0.5, 0.1, 0.2, 0.3], [0.5, -1, 0, 0]], [0.25, 0.25, 0.5])
+    with pytest.raises(NotNormalized, match="sum to nan"):
+        InstrumentTable(("a",), [[np.nan, 0, 0, 1]], [1.0])
+    # No second renormalization: drift within tolerance stays as given.
+    drift = [0.25, 0.25, 0.25, 0.25 + 5e-10]
+    t = InstrumentTable(("a",), [drift], [1.0])
+    assert t.cells.tolist() == [drift]
+    assert not t.cells.flags.writeable and not t.weights.flags.writeable
+    with pytest.raises(KeyError):
+        t.cell("b")
+
+
+def test_instrument_table_from_sums_renormalizes_each_row_once():
+    sums = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0 + 1e-9]])
+    t = InstrumentTable.from_sums(["a", "b"], sums, np.array([10.0, 8.0]))
+    rows = [validate_cells(*(row / tot)).as_array() for row, tot in zip(sums, (10.0, 8.0))]
+    assert t.cells.tobytes() == np.array(rows).tobytes()
+    assert t.weights.tolist() == [10.0 / 18.0, 8.0 / 18.0]
+    assert t.labels == ("a", "b") and t.cell("b").as_array().tobytes() == rows[1].tobytes()
 
 
 def test_full_simplex_extrema():
-    p = SimplexPolytope.full_simplex()
+    p = SimplexPolytope(halfspaces=())
     b = polytope_extrema(p, (0, 0, 1, 0))
     assert (b.lo, b.hi) == (0.0, 1.0)
 
@@ -107,7 +141,7 @@ def test_infeasible_polytope():
 
 
 def test_membership_cases():
-    full = SimplexPolytope.full_simplex()
+    full = SimplexPolytope(halfspaces=())
     assert membership(full, PotentialJoint(0.25, 0.25, 0.25, 0.25))
     p = SimplexPolytope.from_rows([(tuple(unit(2)), 0.3)])
     assert not membership(p, PotentialJoint(0.3, 0.0, 0.31, 0.39))
@@ -157,7 +191,7 @@ def test_interval_bound_utilities():
     c = b.clamp()
     assert (c.lo, c.hi) == (0.0, 1.0)
     assert b.contains(0.5)
-    assert IntervalBound(0.1, 0.9).contains_interval(IntervalBound(0.2, 0.8))
+    assert contains_interval(IntervalBound(0.1, 0.9), IntervalBound(0.2, 0.8))
     assert IntervalBound(0.6, 0.4).crossed
     d = IntervalBound(np.inf, -np.inf).to_dict()
     assert d["lo"] == "+inf" and d["hi"] == "-inf"
