@@ -1,8 +1,8 @@
 """Exception hierarchy for roybounds.
 
-Input-validation errors and substantive findings are kept distinct:
-crossed bounds are *reported* (they are evidence against the model),
-while an infeasible polytope or malformed table raises.
+Input-validation errors and substantive findings are kept distinct: a
+rejected model (bounds that cross, so its identified set is empty) raises
+`Infeasible` or `OutcomeInstrumentDependence`, reported with exit 2.
 """
 
 

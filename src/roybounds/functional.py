@@ -75,10 +75,6 @@ class OutcomeSample:
             z = np.asarray(z, dtype=object)
         return cls(y=y, d=d, w=w, z=z)
 
-    def subset(self, mask: np.ndarray) -> "OutcomeSample":
-        z = self.z[mask] if self.z is not None else None
-        return OutcomeSample.from_arrays(self.y[mask], self.d[mask], self.w[mask], z=z)
-
     @property
     def n(self) -> int:
         return len(self.y)

@@ -66,14 +66,14 @@ def envelopes(t: InstrumentTable) -> np.ndarray:
     return envelope_array(t.cells @ _COMBO.T)
 
 
-def joint_polytope(t: InstrumentTable, e: np.ndarray | None = None) -> SimplexPolytope:
+def joint_polytope(t: InstrumentTable) -> SimplexPolytope:
     """Identified set for (p00, p01, p10, p11): eight envelope conditions.
 
     Each instrument point gives one row per normal below; only the
     tightest right-hand side over z binds, so the set has eight rows for
-    any support size.  e: envelopes(t), when the caller already has them.
+    any support size.  It is empty exactly when the EY0 or EY1 bounds cross.
     """
-    i1, i0, i1001, i0011, s10, s00, s11, s01 = envelopes(t) if e is None else e
+    i1, i0, i1001, i0011, s10, s00, s11, s01 = envelopes(t)
     ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
     poly = SimplexPolytope.from_rows(
         [
@@ -213,15 +213,14 @@ def roy_selection_test(t: InstrumentTable) -> dict:
 class GeneralizedBounds:
     """All generalized-model bounds for one instrument table."""
 
-    polytope: SimplexPolytope
     ey0: IntervalBound
     ey1: IntervalBound
     ate: IntervalBound
     benefit_strict: IntervalBound
     benefit_weak: IntervalBound
     mobility: IntervalBound
-    att1: IntervalBound
-    att0: IntervalBound
+    att1: IntervalBound | None
+    att0: IntervalBound | None
     regret_by_z: tuple[tuple[object, float], ...]
 
     @property
@@ -229,27 +228,35 @@ class GeneralizedBounds:
         return self.ey0.crossed or self.ey1.crossed
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "ey0": self.ey0.to_dict(),
             "ey1": self.ey1.to_dict(),
             "ate": self.ate.to_dict(),
             "benefit_strict": self.benefit_strict.to_dict(),
             "benefit_weak": self.benefit_weak.to_dict(),
             "mobility": self.mobility.to_dict(),
-            "att1": self.att1.to_dict(),
-            "att0": self.att0.to_dict(),
-            "regret_by_z": {str(z): r for z, r in self.regret_by_z},
+            # An undefined regret is null: a bare NaN is not JSON.
+            "regret_by_z": {str(z): None if np.isnan(r) else r for z, r in self.regret_by_z},
             "crossed": self.crossed,
         }
+        if self.att1 is not None:
+            out.update(att1=self.att1.to_dict(), att0=self.att0.to_dict())
+        return out
 
 
 def compute_all(t: InstrumentTable) -> GeneralizedBounds:
-    """Assemble every generalized-model bound for one table."""
+    """Every generalized-model bound for one table; att1 and att0 are None
+    when some z has no mass in one sector.  Crossed EY0 or EY1 bounds
+    (an empty `joint_polytope(t)`) raise InfeasibleModel."""
     e = envelopes(t)
-    poly = joint_polytope(t, e)
     p = point_bounds(e)
+    if p["ey0"].crossed or p["ey1"].crossed:
+        raise InfeasibleModel("instrument table inconsistent with the generalized model")
     regrets = tuple(zip(t.labels, _regrets(t, e).tolist()))
     if np.isnan(p["mobility"].hi):
         raise DegenerateDenominator("P(Y0=0) upper bound is zero")
-    att1, att0 = att_bounds(t, e)
-    return GeneralizedBounds(polytope=poly, **p, att1=att1, att0=att0, regret_by_z=regrets)
+    try:
+        att1, att0 = att_bounds(t, e)
+    except ZeroSectorProbability:
+        att1 = att0 = None
+    return GeneralizedBounds(**p, att1=att1, att0=att0, regret_by_z=regrets)

@@ -340,12 +340,20 @@ def assemble_cis(
     )
 
 
+def _sector_shares(theta: ThetaVector):
+    """P(D=1|z) and P(D=0|z), each (K,), and the first sector d (1, then 0)
+    whose share is at most 1e-12 at some z, or None: the ATT divides by both."""
+    p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
+    p_d0 = 1.0 - p_d1
+    empty = next((d for d, p_d in ((1, p_d1), (0, p_d0)) if np.any(p_d <= 1e-12)), None)
+    return p_d1, p_d0, empty
+
+
 def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
     w = theta.z_weights()
     p_y1 = theta.est[:, 0]
-    p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
-    p_d0 = 1.0 - p_d1
-    if np.any(p_d1 <= 1e-12) or np.any(p_d0 <= 1e-12):
+    p_d1, p_d0, empty = _sector_shares(theta)
+    if empty is not None:
         return None, None
     att1 = IntervalBound(
         float((w * (p_y1 - ey0.hi) / p_d1).sum()),
@@ -378,9 +386,9 @@ def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, Interv
     plug-in draws.  One draw, on cv's count and seed, serves both the
     E(Y1-Y0|D=1) and the E(Y0-Y1|D=0) interval, returned in that order.
     """
-    for d, d_col in ((1, [1, 3]), (0, [0, 2])):
-        if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
-            raise ZeroSectorProbability(f"no observations with D={d} at some z")
+    empty = _sector_shares(theta)[2]
+    if empty is not None:
+        raise ZeroSectorProbability(f"P(D={empty}|z) is zero at some z")
     slack = cv.k * theta.se
     low1, high1, low0, high0 = np.empty((4, cv.b))
 

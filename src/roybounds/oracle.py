@@ -305,7 +305,6 @@ class SimDesign:
     z_labels: tuple = ()
     z_weights: tuple = ()
     selection_rule: object = None
-    label: str = ""
 
 
 def simulate(design: SimDesign):

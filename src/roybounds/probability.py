@@ -209,9 +209,6 @@ class IntervalBound:
     def crossed(self) -> bool:
         return bool(self.lo > self.hi + NORM_TOL)
 
-    def contains(self, x: float, tol: float = FEAS_TOL) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
     def clamp(self, lo: float = 0.0, hi: float = 1.0) -> "IntervalBound":
         return IntervalBound(
             min(max(self.lo, lo), hi), min(max(self.hi, lo), hi), self.sharp, self.label
@@ -289,12 +286,4 @@ class SimplexPolytope:
 
     def is_feasible(self) -> bool:
         return len(self.vertices()) > 0
-
-    def contains_points(self, pts: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-        """Vectorized membership for an (n, 4) array of simplex points."""
-        pts = np.atleast_2d(pts)
-        ok = np.all(pts >= -tol, axis=1) & (np.abs(pts.sum(axis=1) - 1.0) <= 1e-9)
-        for a, b in self.halfspaces:
-            ok &= pts @ np.asarray(a) <= b + tol
-        return ok
 

@@ -1,6 +1,6 @@
 """Brute-force simplex geometry for the tests.
 
-A grid of the 3-simplex, membership of one point, extrema of a linear
+A grid of the 3-simplex, membership of points, extrema of a linear
 functional by vertex enumeration, and interval containment: independent
 routes to what the closed forms compute, so no bound depends on them.
 """
@@ -11,9 +11,18 @@ from roybounds.errors import Infeasible
 from roybounds.probability import FEAS_TOL, IntervalBound, PotentialJoint, SimplexPolytope
 
 
+def contains_points(polytope: SimplexPolytope, pts: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
+    """Vectorized membership for an (n, 4) array of simplex points."""
+    pts = np.atleast_2d(pts)
+    ok = np.all(pts >= -tol, axis=1) & (np.abs(pts.sum(axis=1) - 1.0) <= 1e-9)
+    for a, b in polytope.halfspaces:
+        ok &= pts @ np.asarray(a) <= b + tol
+    return ok
+
+
 def membership(polytope: SimplexPolytope, p: PotentialJoint, tol: float = FEAS_TOL) -> bool:
     """True iff all halfspaces hold at p within tolerance."""
-    return bool(polytope.contains_points(p.as_array()[None, :], tol=tol)[0])
+    return bool(contains_points(polytope, p.as_array()[None, :], tol=tol)[0])
 
 
 def polytope_extrema(polytope: SimplexPolytope, c, label: str = "") -> IntervalBound:
@@ -40,6 +49,11 @@ def simplex_grid(step: float = 0.01) -> np.ndarray:
             block[:, 3] = rem - k
             pts.append(block)
     return np.concatenate(pts) / n
+
+
+def contains(bound: IntervalBound, x: float, tol: float = FEAS_TOL) -> bool:
+    """True iff x lies in bound, up to tol at each end."""
+    return bound.lo - tol <= x <= bound.hi + tol
 
 
 def contains_interval(outer: IntervalBound, inner: IntervalBound, tol: float = FEAS_TOL) -> bool:

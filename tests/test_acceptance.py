@@ -26,7 +26,7 @@ from roybounds.functional import (
 )
 from roybounds.probability import InstrumentTable, validate_cells
 
-from geometry import simplex_grid
+from geometry import contains_points, simplex_grid
 
 
 def random_cells(rng):
@@ -38,8 +38,8 @@ def _grid_agreement(variant, closed_fn, n_designs, seed):
     disagreements = 0
     for s in range(n_designs):
         q = random_cells(oracle.make_rng(seed + s))
-        closed = closed_fn(q).contains_points(grid)
-        enum = oracle.artstein_set(q, variant).contains_points(grid)
+        closed = contains_points(closed_fn(q), grid)
+        enum = contains_points(oracle.artstein_set(q, variant), grid)
         disagreements += int((closed != enum).sum())
     return disagreements, len(grid)
 

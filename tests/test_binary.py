@@ -15,7 +15,7 @@ from roybounds.probability import (
     validate_cells,
 )
 
-from geometry import membership, polytope_extrema, simplex_grid
+from geometry import contains_points, membership, polytope_extrema, simplex_grid
 
 
 def cells_strategy():
@@ -41,8 +41,8 @@ def test_sharp_bounds_example():
 def test_polytope_matches_artstein_oracle():
     q = validate_cells(0.1, 0.2, 0.3, 0.4)
     grid = simplex_grid(0.01)
-    closed = binary.sharp_bounds(q).polytope.contains_points(grid)
-    enumerated = oracle.artstein_set(q, oracle.ROY).contains_points(grid)
+    closed = contains_points(binary.sharp_bounds(q).polytope, grid)
+    enumerated = contains_points(oracle.artstein_set(q, oracle.ROY), grid)
     assert np.array_equal(closed, enumerated)
 
 
@@ -87,8 +87,8 @@ def test_instrument_two_point_example():
     grid = simplex_grid(0.02)
     inter = np.ones(len(grid), dtype=bool)
     for z in t.labels:
-        inter &= oracle.artstein_set(t.cell(z), oracle.ROY).contains_points(grid)
-    assert np.array_equal(inter, b.polytope.contains_points(grid))
+        inter &= contains_points(oracle.artstein_set(t.cell(z), oracle.ROY), grid)
+    assert np.array_equal(inter, contains_points(b.polytope, grid))
 
 
 def test_instrument_dependence_rejected():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roybounds import cli, inference, oracle
+from roybounds import cli, inference, oracle, probability
 from roybounds.errors import InputError, RoyBoundsError
 from roybounds.functional import OutcomeSample
 
@@ -347,6 +347,136 @@ def test_generalized_rejection_exit_code(tmp_path, capsys):
     assert code == 2
     rep = json.loads(out)
     assert rep["findings"]["model_rejected"] is True
+
+
+REJECTED_CELLS = {
+    "z1": {"q00": 0.9, "q01": 0.0, "q10": 0.0, "q11": 0.1},
+    "z2": {"q00": 0.0, "q01": 0.1, "q10": 0.9, "q11": 0.0},
+}
+REJECTED_REASON = "instrument table inconsistent with the generalized model"
+
+
+def strict_json(text):
+    """A report parsed as strict JSON, in which NaN and Infinity are no values."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def write_cells_csv(path, counts):
+    """A y,d,z sample with counts[z][c] rows in cell c = q00, q01, q10, q11 at z."""
+    with open(path, "w", newline="") as fh:
+        fh.write("y,d,z\n")
+        for z, row in counts.items():
+            for c, m in enumerate(row):
+                fh.write(f"{c // 2},{c % 2},{z}\n" * m)
+    return path
+
+
+def write_sector_less_csv(path, weighted=False):
+    """3000 rows at z in {a, b}: at b every row is in sector 0, or with
+    weighted=True, its sector-1 rows carry weight 1e-14 and the others 1."""
+    rng = oracle.make_rng(17)
+    n = 3000
+    z = np.where(rng.random(n) < 0.5, "a", "b")
+    y0, y1 = (rng.random(n) < 0.4).astype(int), (rng.random(n) < 0.55).astype(int)
+    d = np.where(y1 > y0, 1, np.where(y1 < y0, 0, (rng.random(n) < 0.5).astype(int)))
+    if not weighted:
+        d[z == "b"] = 0
+    w = np.where((z == "b") & (d == 1), 1e-14, 1.0)
+    y = np.where(d == 1, y1, y0)
+    with open(path, "w", newline="") as fh:
+        fh.write("y,d,z,w\n" + "".join(f"{a},{b},{c},{e!r}\n" for a, b, c, e in zip(y, d, z, w.tolist())))
+    return path
+
+
+def test_generalized_enumerates_no_vertices(tmp_path, capsys, monkeypatch):
+    def vertices(self):
+        raise AssertionError("generalized enumerated polytope vertices")
+
+    monkeypatch.setattr(probability.SimplexPolytope, "vertices", vertices)
+    feasible = {
+        "z1": {"q00": 0.1, "q01": 0.3, "q10": 0.2, "q11": 0.4},
+        "z2": {"q00": 0.3, "q01": 0.1, "q10": 0.1, "q11": 0.5},
+    }
+    # EY0 crosses by 1e-10, less than the 1e-9 tolerance of vertex enumeration.
+    barely = {
+        "z1": {"q00": 0.3, "q01": 0.05, "q10": 0.6, "q11": 0.05},
+        "z2": {"q00": 0.1, "q01": 0.1, "q10": 0.7 + 1e-10, "q11": 0.1 - 1e-10},
+    }
+    sample = write_binary_csv(tmp_path / "s.csv", seed=3)
+    # Each z's rows in the proportions of REJECTED_CELLS.
+    rejected = write_cells_csv(tmp_path / "r.csv", {"z1": (9, 0, 0, 1), "z2": (0, 1, 9, 0)})
+    for argv, expect in (
+        (["generalized", "--cells", json.dumps(feasible)], 0),
+        (["generalized", "--cells", json.dumps(REJECTED_CELLS)], 2),
+        (["generalized", "--cells", json.dumps(barely)], 2),
+        (["generalized", "--data", str(sample), "--instrument", "z", "--bootstrap", "200"], 0),
+        (["generalized", "--data", str(rejected), "--instrument", "z"], 2),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (expect, ""), argv
+        rep = strict_json(out)
+        if expect:
+            # The one reason, and no bounds.
+            assert rep["findings"] == {"model_rejected": True, "reasons": [REJECTED_REASON]}
+            assert rep["bounds"] == {}
+        else:
+            assert "ey0" in rep["bounds"] and not rep["bounds"]["crossed"]
+
+
+def test_generalized_reports_bounds_without_att_when_a_z_lacks_a_sector(tmp_path, capsys):
+    path = write_sector_less_csv(tmp_path / "s.csv")
+    cells = json.dumps(
+        {
+            "a": {"q00": 0.2, "q01": 0.2, "q10": 0.3, "q11": 0.3},
+            "b": {"q00": 0.5, "q01": 0.0, "q10": 0.5, "q11": 0.0},
+        }
+    )
+    for argv in (
+        ["generalized", "--data", str(path), "--instrument", "z"],
+        ["generalized", "--data", str(path), "--instrument", "z", "--bootstrap", "200"],
+        ["generalized", "--cells", cells],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        rep = strict_json(out)
+        for section in (rep["bounds"], rep.get("confidence", {"ey0": {}})):
+            assert "ey0" in section and "att1" not in section and "att0" not in section
+        for key in ("ey1", "ate", "benefit_strict", "benefit_weak", "mobility"):
+            assert key in rep["bounds"]
+
+
+def test_reports_are_strict_json(valid_commands, capsys):
+    # P(Y=0,D=0|a) is zero, so the regret bound at a is undefined: null.
+    cells = json.dumps(
+        {
+            "a": {"q00": 0, "q01": 0.3, "q10": 0.3, "q11": 0.4},
+            "b": {"q00": 0.1, "q01": 0.3, "q10": 0.2, "q11": 0.4},
+        }
+    )
+    code, out, _ = run_cli(["generalized", "--cells", cells], capsys)
+    assert code == 0
+    regrets = strict_json(out)["bounds"]["regret_by_z"]
+    assert regrets["a"] is None and 0.0 <= regrets["b"] <= 1.0
+    for argv in valid_commands.values():
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and strict_json(out), argv
+
+
+def test_infer_leaves_out_every_att_by_one_rule(tmp_path, capsys):
+    # At b the sector-1 rows weigh 1e-14: P(D=1|b) <= 1e-12, so neither
+    # the plug-in ATT nor its bootstrap interval is reported.
+    path = write_sector_less_csv(tmp_path / "s.csv", weighted=True)
+    argv = ["infer", "--data", str(path), "--instrument", "z", "--weight", "w", "--bootstrap", "200"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    bounds = strict_json(out)["bounds"]
+    assert "ey0" in bounds
+    for key in ("att1", "att0", "att1_bootstrap", "att0_bootstrap"):
+        assert key not in bounds
 
 
 def test_generalized_with_inference(tmp_path, capsys):

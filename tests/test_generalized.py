@@ -32,7 +32,7 @@ from roybounds.probability import (
     validate_cells,
 )
 
-from geometry import polytope_extrema, simplex_grid
+from geometry import contains_points, polytope_extrema, simplex_grid
 
 
 TWO_Z = InstrumentTable.from_cells(
@@ -80,8 +80,8 @@ def test_joint_polytope_uniform_cells():
     t1 = InstrumentTable.from_cells({"z": q})
     t3 = InstrumentTable.from_cells({"a": q, "b": q, "c": q})
     grid = simplex_grid(0.02)
-    m1 = generalized.joint_polytope(t1).contains_points(grid)
-    m3 = generalized.joint_polytope(t3).contains_points(grid)
+    m1 = contains_points(generalized.joint_polytope(t1), grid)
+    m3 = contains_points(generalized.joint_polytope(t3), grid)
     assert np.array_equal(m1, m3)
     b = polytope_extrema(generalized.joint_polytope(t1), (0, 0, 0, 1))
     assert (b.lo, b.hi) == (pytest.approx(0.0), pytest.approx(0.5))
@@ -129,10 +129,110 @@ def test_joint_polytope_equals_per_z_reference():
             continue
         poly = generalized.joint_polytope(t)
         assert poly.is_feasible()
-        assert np.array_equal(poly.contains_points(grid), ref.contains_points(grid))
+        assert np.array_equal(contains_points(poly, grid), contains_points(ref, grid))
         assert np.array_equal(poly.vertices(), ref.vertices())
         feasible += 1
     assert feasible >= 150 and infeasible >= 40
+
+
+def crossing(cells):
+    """How far the EY0 or EY1 closed form of the cells (K, 4) crosses; <= 0 when not."""
+    r = generalized.bounds_from_envelopes(generalized.envelope_array(cells @ generalized._COMBO.T))
+    return max(r["ey0"][0] - r["ey0"][1], r["ey1"][0] - r["ey1"][1])
+
+
+def model_check_tables(n=2400, seed=83):
+    """Seeded (kind, table) pairs with K in 1..6, cycling over four kinds:
+    Dirichlet cells, sparse two-decimal cells, cells generated forward from a
+    sparse response-type law, and near-boundary cells.  A near-boundary
+    table mixes a forward table F with a Dirichlet table G that crosses,
+    (1 - s) F + s G, at s = s* (1 + eps): s* is where the mixture starts to
+    cross, found by bisection, and eps is +-1e-3 ... 1e-7.  A one-z table
+    never crosses, so there G is the table."""
+    rng = oracle.make_rng(seed)
+    for i in range(n):
+        k = 1 + i % 6
+        kind = (i // 6) % 4
+        if kind == 0:
+            cells = rng.dirichlet(np.ones(4), size=k)
+        elif kind == 1:
+            cells = rng.multinomial(100, rng.dirichlet(np.full(4, 0.3)), size=k) / 100
+        else:
+            y0, y1, sel = zip(*oracle.enumerate_response_types(k))
+            d = np.array(sel).T  # (k, types): the sector each type takes at z
+            cell = 2 * np.where(d == 1, np.array(y1), np.array(y0)) + d
+            mass = rng.dirichlet(np.full(len(y0), 0.05))
+            cells = np.zeros((k, 4))
+            for z in range(k):
+                np.add.at(cells[z], cell[z], mass)
+        if kind == 3:
+            for _ in range(100):
+                bad = rng.dirichlet(np.ones(4), size=k)
+                if crossing(bad) > 0:
+                    lo, hi = 0.0, 1.0
+                    for _ in range(60):
+                        mid = (lo + hi) / 2
+                        lo, hi = (lo, mid) if crossing((1 - mid) * cells + mid * bad) > 0 else (mid, hi)
+                    s = min(1.0, hi * (1.0 + rng.choice([-1, 1]) * 10.0 ** -rng.integers(3, 8)))
+                    cells = (1 - s) * cells + s * bad
+                    break
+            else:
+                cells = bad
+        cells = cells / cells.sum(axis=1, keepdims=True)
+        yield kind, InstrumentTable(tuple(f"z{j}" for j in range(k)), cells, np.full(k, 1.0 / k))
+
+
+def rejects(fn, t) -> bool:
+    """Whether fn(t) raises InfeasibleModel; any other outcome is False."""
+    try:
+        fn(t)
+    except InfeasibleModel:
+        return True
+    except RoyBoundsError:
+        pass
+    return False
+
+
+def test_compute_all_rejects_exactly_the_empty_identified_sets():
+    # compute_all rejects from the crossed EY0/EY1 closed forms; the
+    # reference is vertex enumeration of the eight-row identified set.  That
+    # finds a vertex within FEAS_TOL = 1e-9 of every row, so it still accepts
+    # a table whose bounds cross by less; the closed forms reject it.
+    seen = np.zeros((4, 2), dtype=int)
+    below_tolerance = 0
+    for kind, t in model_check_tables():
+        empty, rejected = rejects(generalized.joint_polytope, t), rejects(generalized.compute_all, t)
+        if rejected and not empty:
+            assert 0 < crossing(t.cells) <= probability.FEAS_TOL, (kind, t.cells.tolist())
+            below_tolerance += 1
+            continue
+        assert rejected == empty, (kind, t.cells.tolist())
+        seen[kind, int(empty)] += 1
+    # Every kind gives feasible tables, and all but the forward ones infeasible.
+    assert seen.sum() + below_tolerance == 2400 and 1 <= below_tolerance <= 10
+    assert seen[:, 0].min() >= 100 and seen[[0, 1, 3], 1].min() >= 50 and seen[2, 1] == 0
+
+
+def test_compute_all_rejects_a_crossing_below_the_vertex_tolerance():
+    # EY0 crosses by 1e-10: the closed forms reject the table, while vertex
+    # enumeration, with its 1e-9 feasibility tolerance, still finds a vertex.
+    t = InstrumentTable.from_cells(
+        {"z1": validate_cells(0.3, 0.05, 0.6, 0.05), "z2": validate_cells(0.1, 0.1, 0.7 + 1e-10, 0.1 - 1e-10)}
+    )
+    assert generalized.joint_polytope(t).is_feasible()
+    with pytest.raises(InfeasibleModel, match="inconsistent with the generalized model"):
+        generalized.compute_all(t)
+
+
+def test_compute_all_leaves_out_att_when_a_z_lacks_a_sector():
+    t = InstrumentTable.from_cells({"a": validate_cells(0.3, 0.2, 0.2, 0.3), "b": validate_cells(0.5, 0.0, 0.5, 0.0)})
+    with pytest.raises(ZeroSectorProbability):
+        generalized.att_bounds(t)
+    res = generalized.compute_all(t)
+    assert res.att1 is None and res.att0 is None
+    out = res.to_dict()
+    assert "att1" not in out and "att0" not in out
+    assert {"ey0", "ey1", "ate", "benefit_strict", "benefit_weak", "mobility"} <= out.keys()
 
 
 def mask_loop_theta(data):
@@ -441,7 +541,7 @@ def test_joint_polytope_rows_independent_of_support_size():
 def test_joint_polytope_matches_lp_oracle_on_grid():
     poly = generalized.joint_polytope(TWO_Z)
     grid = simplex_grid(0.02)
-    member = poly.contains_points(grid)
+    member = contains_points(poly, grid)
     # spot-check against the response-type LP on a subsample
     idx = np.arange(len(grid))[::97]
     for i in idx:
@@ -640,8 +740,8 @@ def test_single_z_polytope_contains_roy_polytope():
     q = validate_cells(0.2, 0.1, 0.3, 0.4)
     t = InstrumentTable.from_cells({"z": q})
     grid = simplex_grid(0.02)
-    roy = binary.sharp_bounds(q).polytope.contains_points(grid)
-    gen = generalized.joint_polytope(t).contains_points(grid)
+    roy = contains_points(binary.sharp_bounds(q).polytope, grid)
+    gen = contains_points(generalized.joint_polytope(t), grid)
     assert np.all(gen[roy])
 
 
@@ -775,18 +875,21 @@ def ref_att_bounds(t, e):
 
 
 def ref_compute_all(t):
-    """Reference: compute_all assembled from the named envelopes and three wrappers."""
+    """Reference: compute_all assembled from the named envelopes and three wrappers,
+    rejecting the model by vertex enumeration."""
     e = ref_envelopes(t)
-    poly = ref_joint_polytope(e)
+    ref_joint_polytope(e)
     ey0, ey1, ate = ref_bp_marginal_bounds(e)
     strict, weak = ref_benefit_bounds(e)
     regrets = tuple(
         (z, min(1.0, e.inf_00_11 / q00) if q00 > 1e-12 else np.nan) for z, q00 in zip(t.labels, t.cells[:, 0])
     )
     mobility = ref_mobility_bounds(e)
-    att1, att0 = ref_att_bounds(t, e)
+    try:
+        att1, att0 = ref_att_bounds(t, e)
+    except ZeroSectorProbability:
+        att1 = att0 = None
     return generalized.GeneralizedBounds(
-        polytope=poly,
         ey0=ey0,
         ey1=ey1,
         ate=ate,

@@ -167,7 +167,7 @@ def dense_att_ci(theta, cv, which=1):
     d_col = [1, 3] if which == 1 else [0, 2]
     p_d = cells[:, :, d_col].sum(axis=2)
     if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
-        raise ZeroSectorProbability(f"no observations with D={which} at some z")
+        raise ZeroSectorProbability(f"P(D={which}|z) is zero at some z")
     p_d = np.maximum(p_d, 1.0 / theta.n)
     w = cells.sum(axis=2)
     w = w / w.sum(axis=1, keepdims=True)
@@ -331,6 +331,23 @@ def test_att_ci_zero_sector():
     with pytest.raises(ZeroSectorProbability):
         th = inference.estimate_theta(data)
         inference.att_ci(th, inference.critical_value(th, b=150, seed=0))
+
+
+def test_att_plugin_and_att_ci_leave_out_the_att_by_one_rule():
+    # Sector 1 at z1 weighs 1e-14 per row: P(D=1|z1) <= 1e-12 though it has rows.
+    data = binary_sample(5, n=2000)
+    tiny = (data.z == "z1") & (data.d == 1)
+    for w, defined in ((np.ones(data.n), True), (np.where(tiny, 1e-14, 1.0), False)):
+        weighted = OutcomeSample.from_arrays(data.y, data.d, w, z=data.z)
+        th = inference.estimate_theta(weighted)
+        cv = inference.critical_value(th, b=150, seed=0)
+        rep = inference.assemble_cis(th, cv.k, b=cv.b, seed=cv.seed)
+        assert (rep.att1 is not None, rep.att0 is not None) == (defined, defined)
+        if defined:
+            inference.att_ci(th, cv)
+        else:
+            with pytest.raises(ZeroSectorProbability, match="D=1"):
+                inference.att_ci(th, cv)
 
 
 def iqr_sample(seed, n=600, p_d1=0.9):
