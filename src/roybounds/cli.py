@@ -139,49 +139,113 @@ def _make_parser() -> _Parser:
 _CSV_ONLY = (b'"', b"\r", b"\0")
 
 
+def _plain_column(padded: bytes, start: np.ndarray, stop: np.ndarray) -> tuple[list, np.ndarray]:
+    """The fields padded[start:stop], none over 8 bytes, as their distinct strings and one code each.
+
+    A field is keyed by its bytes read as a big-endian unsigned integer,
+    zero-padded to the longest field.  No field holds a NUL byte, so
+    distinct fields get distinct keys, and keys sort as the bytes do,
+    which for UTF-8 text is code-point order; the distinct strings come
+    out in that order.  padded runs on 8 bytes past the last stop.
+    """
+    length = stop - start
+    width = max(int(length.max()), 1)
+    size = 1 << (width - 1).bit_length()  # bytes read per field: 1, 2, 4 or 8
+    words = np.ndarray((len(padded) - size + 1,), dtype=f">u{size}", buffer=padded, strides=(1,))
+    keys = np.right_shift(words[start], 8 * (size - width), dtype=np.uint64)
+    if length.min() < width:
+        masks = [(1 << 8 * width) - (1 << 8 * (width - k)) for k in range(width + 1)]
+        keys &= np.array(masks, dtype=np.uint64)[length]
+    lo = keys.min()
+    if keys.max() - lo < len(keys):
+        # Keys in a narrow range, such as labels that differ only in their
+        # last byte: count them, and look the codes up by key.
+        offset = (keys - lo).astype(np.intp)
+        present = np.bincount(offset) > 0
+        distinct = np.flatnonzero(present).astype(np.uint64) + lo
+        codes = (np.cumsum(present) - 1).astype(np.min_scalar_type(len(distinct)))[offset]
+    else:
+        order = np.argsort(keys)
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        codes = np.empty(len(keys), dtype=np.min_scalar_type(len(distinct)))
+        codes[order] = np.cumsum(first) - 1
+    # Left-aligned again, each key is its field's bytes as S8, which drops the zero padding.
+    distinct = (distinct << np.uint64(64 - 8 * width)).astype(">u8").view("S8")
+    return b"\n".join(distinct.tolist()).decode("utf-8").split("\n"), codes
+
+
 def _split_plain(raw: bytes, names: set):
     """(columns, rows) of a file that needs no CSV parser, as _read_columns; None for any other.
 
     A file is plain when it holds no quote, CR or NUL byte, no blank line
     (the first one included), no line longer than csv.field_size_limit(),
     and as many commas on every line as on the header.  csv.reader splits
-    such a file at every comma and newline, so one split of the whole text
-    gives its fields.  Commas and newlines are single bytes that no other
-    UTF-8 character contains, so they are counted on the bytes.
+    such a file at every comma and newline, so the positions of those
+    bytes give every field.  Commas and newlines are single bytes that no
+    other UTF-8 character contains, so a column of fields up to 8 bytes
+    is read straight from the bytes (`_plain_column`), with no Python
+    object per row.
     """
     if not raw or any(b in raw for b in _CSV_ONLY):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if raw[-1:] != b"\n":
-        ends = np.append(ends, len(raw))
-    lengths = np.diff(ends, prepend=-1) - 1
-    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
-        return None
-    # Commas per line; no line is empty, so no two line starts coincide.
-    commas = np.add.reduceat(buf == ord(","), ends - lengths, dtype=np.intp)
-    if (commas != commas[0]).any():
-        return None
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    head, _, body = text.partition("\n")
-    header = head.split(",")
-    body = body[:-1] if body.endswith("\n") else body
-    fields = body.replace("\n", ",").split(",") if body else []
+    if raw[-1:] != b"\n":
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    sep = buf == ord("\n")
+    lines = np.count_nonzero(sep)
+    sep |= buf == ord(",")
+    # Positions below 2**31 fit int32, at half the memory of intp.
+    sep = np.flatnonzero(sep).astype(np.int32 if len(raw) < 2**31 else np.intp)
+    # nc separators per line, the last of each nc a newline: then every
+    # line holds nc - 1 commas, as the header does.
+    nc = raw.count(b",", 0, raw.index(b"\n")) + 1
+    if len(sep) != lines * nc:
+        return None
+    sep = sep.reshape(lines, nc)
+    ends = sep[:, -1]
+    if (buf[ends] != ord("\n")).any():
+        return None
+    lengths = np.diff(ends, prepend=ends.dtype.type(-1)) - 1
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
+        return None
+    header = raw[: ends[0]].decode("utf-8").split(",")
     index = {name: j for j, name in enumerate(header) if name in names}
-    return {name: fields[j :: len(header)] for name, j in index.items()}, len(fields) // len(header)
+    padded, fields, columns = raw + bytes(8), None, {}
+    for name, j in index.items():
+        # A field runs from one past the separator before it to the one after it.
+        start, stop = (sep[1:, j - 1] if j else ends[:-1]) + 1, sep[1:, j]
+        if lines > 1 and (stop - start).max() <= 8:
+            columns[name] = _plain_column(padded, start, stop)
+            continue
+        # Longer fields, such as a continuous outcome's digits, are listed
+        # row by row from one split of the whole text: coding them as
+        # padded byte strings, or with a dict, measured slower than
+        # converting them row by row when nearly all are distinct.
+        if fields is None:
+            fields = raw[:-1].decode("utf-8").replace("\n", ",").split(",")
+        columns[name] = fields[nc + j :: nc], np.arange(lines - 1)
+    return columns, lines - 1
 
 
-def _read_columns(path: str, names: set) -> tuple[dict[str, list], int]:
+def _read_columns(path: str, names: set) -> tuple[dict[str, tuple[list, np.ndarray]], int]:
     """The named columns of a CSV file and its number of nonblank data rows.
 
-    Fields are split as csv.reader splits them.  Only the names in the
-    header get a column; a repeated name maps to its last occurrence, as
-    in csv.DictReader, and a row too short to reach a column leaves None
-    there.  A plain file is split directly (`_split_plain`); any other
-    goes through csv.reader and only the named columns are transposed.
+    Each column is (a list of fields, and per row the index of its field
+    in that list).  A plain file is split directly (`_split_plain`), and
+    a column of fields up to 8 bytes lists each distinct field once, in
+    code-point order; any other column lists its fields row by row.  Any
+    other file goes through csv.reader, and only the named columns are
+    kept.  Fields are split as csv.reader splits them.  Only the names in
+    the header get a column; a repeated name maps to its last occurrence,
+    as in csv.DictReader, and a row too short to reach a column has the
+    field None there.
     """
     try:
         with open(path, "rb") as fh:
@@ -202,9 +266,9 @@ def _read_columns(path: str, names: set) -> tuple[dict[str, list], int]:
 
     def column(j):
         try:
-            return [r[j] for r in rows]
+            return [r[j] for r in rows], np.arange(len(rows))
         except IndexError:
-            return [r[j] if j < len(r) else None for r in rows]
+            return [r[j] if j < len(r) else None for r in rows], np.arange(len(rows))
 
     index = {name: j for j, name in enumerate(header) if name in names}
     return {name: column(j) for name, j in index.items()}, len(rows)
@@ -216,17 +280,19 @@ def _apply_filters(columns: dict, n: int, filters: list[str]):
     A column absent from the header, and a field missing from a short
     row, read as an empty value.
     """
-    keep = None
+    if not filters:
+        return None
+    keep = np.ones(n, dtype=bool)
     for f in filters:
         if "=" not in f:
             raise InputError(f"bad --filter {f!r}, expected COL=VALUE")
         col, val = f.split("=", 1)
         if col not in columns:
-            keep = keep if val == "" else []
+            keep &= val == ""
             continue
-        c = columns[col]
-        keep = [i for i in (range(n) if keep is None else keep) if (c[i] or "") == val]
-    return keep
+        values, codes = columns[col]
+        keep &= np.array([(v or "") == val for v in values], dtype=bool)[codes]
+    return np.flatnonzero(keep)
 
 
 def _raise_row_error(columns: dict, rows, args) -> None:
@@ -235,24 +301,26 @@ def _raise_row_error(columns: dict, rows, args) -> None:
     rows holds the positions of the kept rows.  A message numbers them
     from 2, the header being row 1, as the row-by-row parse meets them.
     """
+    columns = {name: (values, codes.tolist()) for name, (values, codes) in columns.items()}
+
+    def field(name, i):
+        values, codes = columns[name]
+        return values[codes[i]]
+
     for n, i in enumerate(rows, start=2):
         try:
-            float(columns[args.outcome][i])
-            int(columns[args.sector][i])
+            float(field(args.outcome, i))
+            int(field(args.sector, i))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"row {n}: bad outcome/sector field ({exc})") from exc
         if args.weight:
             try:
-                float(columns[args.weight][i])
+                float(field(args.weight, i))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"row {n}: bad weight ({exc})") from exc
         if args.instrument:
-            if args.instrument not in columns or columns[args.instrument][i] in (None, ""):
+            if args.instrument not in columns or field(args.instrument, i) in (None, ""):
                 raise InputError(f"row {n}: missing instrument value")
-
-
-def _floats(column: list) -> np.ndarray:
-    return np.fromiter(map(float, column), dtype=float, count=len(column))
 
 
 def _load_sample(args) -> OutcomeSample:
@@ -263,33 +331,36 @@ def _load_sample(args) -> OutcomeSample:
     columns, n = _read_columns(args.data, names)
     keep = _apply_filters(columns, n, args.filter)
     rows = range(n) if keep is None else keep
-    if not rows:
+    if not len(rows):
         raise InputError("no rows after filtering")
 
     def column(name):
-        c = columns[name]
-        return c if keep is None else [c[i] for i in keep]
+        """The listed fields of the kept rows and the index of each row's, every field kept by some row."""
+        values, codes = columns[name]
+        if keep is None:
+            return values, codes
+        codes = codes[keep]
+        used = np.bincount(codes, minlength=len(values)) > 0
+        if used.all():
+            return values, codes
+        return [v for v, u in zip(values, used.tolist()) if u], (np.cumsum(used) - 1)[codes]
 
-    # One conversion per column; only a failure walks the rows for its message.
+    def parse(convert, name):
+        values, codes = column(name)
+        return np.array(list(map(convert, values)))[codes]
+
+    # Each listed field is converted once; only a failure walks the rows for its message.
     try:
-        y = _floats(column(args.outcome))
-        # A sector column holds few distinct fields: parse each one once.
-        d = column(args.sector)
-        memo = {v: int(v) for v in set(d)}
-        d = [memo[v] for v in d]
-        w = _floats(column(args.weight)) if args.weight else None
-        z = column(args.instrument) if args.instrument else None
-        if z is not None and not all(z):
+        y = parse(float, args.outcome)
+        d = parse(int, args.sector)
+        w = parse(float, args.weight) if args.weight else None
+        labels, z = column(args.instrument) if args.instrument else (None, None)
+        if labels is not None and (None in labels or "" in labels):
             raise ValueError
     except (KeyError, TypeError, ValueError):
         _raise_row_error(columns, rows, args)
     try:
-        return OutcomeSample.from_arrays(
-            y,
-            np.array(d),
-            w,
-            z=None if z is None else np.array(z, dtype=object),
-        )
+        return OutcomeSample.from_arrays(y, d, w, z=z, labels=labels)
     except RoyBoundsError as exc:
         raise InputError(str(exc)) from exc
 
@@ -331,7 +402,7 @@ def _table_from_json(text: str) -> InstrumentTable:
 
 def _table_from_sample(s: OutcomeSample) -> tuple[InstrumentTable, tuple]:
     """The instrument table of a sample, and the tabulation it was built from."""
-    if s.z is None:
+    if s.labels is None:
         raise InputError("--instrument column required")
     tab = inference.tabulate(s)
     return InstrumentTable.from_sums(*tab[:3]), tab
@@ -520,12 +591,12 @@ def _cmd_simulate(args, report):
         sample, _truth = oracle.simulate(design)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["y", "d"] + (["z"] if sample.z is not None else [])
-        writer.writerow(header)
+        z = sample.z
+        writer.writerow(["y", "d"] + (["z"] if z is not None else []))
         for i in range(sample.n):
             row = [repr(float(sample.y[i])), int(sample.d[i])]
-            if sample.z is not None:
-                row.append(sample.z[i])
+            if z is not None:
+                row.append(z[i])
             writer.writerow(row)
     with open(args.out + ".truth.json", "w", encoding="utf-8") as fh:
         json.dump(

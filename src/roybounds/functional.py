@@ -30,14 +30,17 @@ _TOL = 1e-12
 class OutcomeSample:
     """Weighted records (y, d, w) with weights normalized to sum to one.
 
-    An optional instrument column z rides along untouched; the step
-    functions below pool over it, and callers subset by z themselves.
+    An optional instrument is held coded: its distinct labels, sorted by
+    their string form, and per row the index of its label (`codes`).  The
+    step functions below pool over it; `inference.tabulate` groups the
+    rows by code, and `z` gives the per-row labels.
     """
 
     y: np.ndarray
     d: np.ndarray
     w: np.ndarray
-    z: np.ndarray | None = None
+    labels: tuple | None = None
+    codes: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records) -> "OutcomeSample":
@@ -50,7 +53,9 @@ class OutcomeSample:
         return cls.from_arrays(y, d, w)
 
     @classmethod
-    def from_arrays(cls, y, d, w=None, z=None) -> "OutcomeSample":
+    def from_arrays(cls, y, d, w=None, z=None, labels=None) -> "OutcomeSample":
+        """Sample from per-row arrays; z is each row's instrument label, or with
+        `labels` (each used by some row) the index of its label in that list."""
         y = np.asarray(y, dtype=float)
         try:
             d = np.asarray(d, dtype=int)
@@ -71,9 +76,24 @@ class OutcomeSample:
             w = w / w.sum()
         if not np.all(w > 0):
             raise BadInterval("weights span more than the floating-point range")
-        if z is not None:
-            z = np.asarray(z, dtype=object)
-        return cls(y=y, d=d, w=w, z=z)
+        if z is None:
+            return cls(y=y, d=d, w=w)
+        if labels is None:
+            labels, z = np.asarray(z, dtype=object).tolist(), None
+        distinct = sorted(set(labels), key=str)
+        index = {v: i for i, v in enumerate(distinct)}
+        dtype = np.min_scalar_type(len(distinct))
+        codes = np.fromiter(map(index.__getitem__, labels), dtype=dtype, count=len(labels))
+        return cls(y=y, d=d, w=w, labels=tuple(distinct), codes=codes if z is None else codes[z])
+
+    @property
+    def z(self) -> np.ndarray | None:
+        """The instrument label of each row, as an object array; None without an instrument."""
+        if self.labels is None:
+            return None
+        labels = np.empty(len(self.labels), dtype=object)
+        labels[:] = self.labels
+        return labels[self.codes]
 
     @property
     def n(self) -> int:

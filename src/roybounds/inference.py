@@ -186,32 +186,40 @@ def _theta_from_cells(cells: np.ndarray) -> np.ndarray:
 def tabulate(data: OutcomeSample):
     """Weighted binary cell sums per instrument point: all the bounds use of data.
 
-    Returns (labels, sums, totals, n_eff): the labels sorted by their string
-    form (the one label None without an instrument column), the (K, 4)
-    weighted cell sums in q00, q01, q10, q11 order, and per label the weight
-    total and the effective sample size total**2 / sum(w**2).  A stable sort
-    groups the rows by label, so each sum adds the same weights in the same
-    order as a per-label mask; np.bincount would change the last bits.
+    Returns (labels, sums, totals, n_eff): the sample's instrument labels,
+    sorted by their string form (the one label None without an instrument
+    column), the (K, 4) weighted cell sums in q00, q01, q10, q11 order, and
+    per label the weight total and the effective sample size
+    total**2 / sum(w**2).  Stable sorts of the label codes group the rows
+    by label and by (label, cell) in row order, so each sum adds the same
+    weights in the same order as a per-label mask; np.bincount would
+    change the last bits.
     """
     bad = (data.y != 0) & (data.y != 1)
     if bad.any():
         raise InputError(f"binary outcome required, got y={float(data.y[bad][0])!r}")
     cell = 2 * data.y.astype(int) + data.d  # 0:q00 1:q01 2:q10 3:q11
-    z = [None] * data.n if data.z is None else data.z.tolist()
-    labels = sorted(set(z), key=str)
-    index = {v: i for i, v in enumerate(labels)}
-    # A small integer dtype makes the stable argsort a radix sort.
-    inv = np.fromiter(map(index.__getitem__, z), dtype=np.min_scalar_type(len(labels)), count=len(z))
-    order = np.argsort(inv, kind="stable")
-    groups = [(data.w[r], cell[r]) for r in np.split(order, np.cumsum(np.bincount(inv))[:-1])]
-    sums = np.array([[w[c == j].sum() for j in range(4)] for w, c in groups])
-    totals = np.array([w.sum() for w, _ in groups])
-    return labels, sums, totals, totals**2 / np.array([(w**2).sum() for w, _ in groups])
+    if data.labels is None:
+        labels, codes = [None], np.zeros(data.n, dtype=np.uint8)
+    else:
+        labels, codes = list(data.labels), data.codes
+    k = len(labels)
+
+    def groups(key, m):
+        """The weights of the rows of each key in 0..m-1, in row order."""
+        # A small integer dtype makes the stable argsort a radix sort.
+        order = np.argsort(key.astype(np.min_scalar_type(m), copy=False), kind="stable")
+        return np.split(data.w[order], np.cumsum(np.bincount(key, minlength=m))[:-1])
+
+    sums = np.array([g.sum() for g in groups(4 * codes.astype(np.intp) + cell, 4 * k)]).reshape(k, 4)
+    by_label = groups(codes, k)
+    totals = np.array([g.sum() for g in by_label])
+    return labels, sums, totals, totals**2 / np.array([(g**2).sum() for g in by_label])
 
 
 def estimate_theta(data: OutcomeSample) -> ThetaVector:
     """Weighted cell proportions per instrument point with multinomial SEs."""
-    if data.z is None:
+    if data.labels is None:
         raise InputError("instrument column required for inference")
     return theta_from_tabulation(tabulate(data), data.n)
 

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roybounds import cli, inference, oracle, probability
+from roybounds import cli, functional, generalized, inference, oracle, probability
 from roybounds.errors import InputError, RoyBoundsError
 from roybounds.functional import OutcomeSample
 
@@ -562,7 +564,7 @@ def _load_or_error(load, args):
         s = load(args)
     except InputError as exc:
         return str(exc)
-    z = None if s.z is None else (s.z.dtype, s.z.tolist())
+    z = None if s.z is None else (s.z.dtype, s.z.tolist(), s.labels)
     return [(a.dtype, a.shape, a.tobytes()) for a in (s.y, s.d, s.w)] + [z]
 
 
@@ -627,6 +629,21 @@ LOADER_CASES = [
     ("\ny,d\n0,1\n1,0\n", ["--filter", "q="], "row 2: bad outcome/sector field ('y')"),
     # Python 3.10's csv.reader refuses a NUL byte; later ones keep it in the field
     ("y,d,g\n0,1,\x00\n1,0,a\n", [], "line contains NUL" if sys.version_info < (3, 11) else "arrays"),
+    # a plain file's fields are keyed by their bytes: non-ASCII and
+    # mixed-width instrument labels, one of more than 8 bytes beside 1-byte
+    # ones, labels that differ only by a trailing space, and an outcome
+    # column of fields both up to and over 8 bytes
+    ("y,d,z\n0,1,é\n1,0,Z\n0,0,a\n1,1,z9\n0,1,z10\n1,0,é\n0,0,a\n", ["--instrument", "z"], "arrays"),
+    ("y,d,z\n0,1,a\n1,0,b_is_longer\n0,0,c\n1,1,a\n0,1,b_is_longer\n", ["--instrument", "z"], "arrays"),
+    ("y,d,z\n0,1,a\n1,0,a \n0,0,a\n1,1,a \n", ["--instrument", "z"], "arrays"),
+    ("y,d\n1,1\n0.25,0\n-1.234567890123,1\n2.5e-300,0\n0.25,1\n-1.234567890123,0\n", [], "arrays"),
+    # one long label among many short ones
+    ("y,d,z\n" + "0,1,a\n1,0,b\n" * 30 + "1,1," + "c" * 500 + "\n0,0,é\n",
+     ["--instrument", "z", "--filter", "z=" + "c" * 500], "arrays"),
+    ("y,d,z\n" + "0,1,a\n1,0,b\n" * 30 + "1,1," + "c" * 500 + "\n0,0,é\n", ["--instrument", "z"], "arrays"),
+    # a bad outcome deep into a large plain file: the row the row-by-row parse meets
+    pytest.param("y,d,z\n" + "0,1,a\n" * 149_999 + "x,1,a\n" + "1,0,b\n" * 50_000, ["--instrument", "z"],
+                 "row 150001: bad outcome/sector field (could not convert string to float: 'x')", id="bad-row-150001"),
 ]
 
 
@@ -695,6 +712,59 @@ def test_loader_equals_dictreader_reference_on_generated_text(
         pos %= len(text) + 1
         text = text[:pos] + char + text[pos + (not insert) :]
     assert_loaders_agree(tmp_path_factory.mktemp("csv") / "s.csv", text, *options)
+
+
+def test_plain_reader_codes_short_fields_in_code_point_order():
+    fields = ["é", "Z", "a", "z9", "z10", "a ", "", "12345678", "a", "é"]
+    raw = ("z,y\n" + "".join(f"{f},1\n" for f in fields)).encode()
+    columns, n = cli._split_plain(raw, {"z"})
+    values, codes = columns["z"]
+    assert n == len(fields) and values == sorted(set(fields)) and [values[c] for c in codes] == fields
+
+
+def test_plain_load_allocates_at_most_24_mb(tmp_path):
+    # The benchmark's infer input: 200k rows of binary y and d and one of 8 labels.
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, [2, 2, 8], size=(200_000, 3)).tolist()
+    path = tmp_path / "s.csv"
+    path.write_text("y,d,z\n" + "".join(f"{y},{d},z{z:02d}\n" for y, d, z in rows))
+    args = cli._make_parser().parse_args(["infer", "--data", str(path), "--instrument", "z"])
+    tracemalloc.start()
+    try:
+        sample = cli._load_sample(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6, f"peak {peak / 1e6:.1f} MB"
+    assert sample.n == 200_000
+
+
+def test_plain_load_of_one_long_field_allocates_little(tmp_path):
+    # Memory follows the file's size, not its rows times its longest field
+    # (40 MB here).
+    path = tmp_path / "s.csv"
+    path.write_text("y,d,g\n" + "0,1,a\n" * 10_000 + "1,0," + "b" * 4000 + "\n")
+    args = cli._make_parser().parse_args(["iqr", "--data", str(path), "--filter", "g=a"])
+    tracemalloc.start()
+    try:
+        sample = cli._load_sample(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n == 10_000 and peak <= 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these attributes for --trace 1; a rename here
+    # would make the traced run fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets(cli, inference, functional, generalized, probability)
+    assert targets
+    for owner, attr, name, _count in targets:
+        assert callable(getattr(owner, attr, None)), name
 
 
 class _ReaderCalled(Exception):
