@@ -142,38 +142,25 @@ _CSV_ONLY = (b'"', b"\r", b"\0")
 def _plain_column(padded: bytes, start: np.ndarray, stop: np.ndarray) -> tuple[list, np.ndarray]:
     """The fields padded[start:stop], none over 8 bytes, as their distinct strings and one code each.
 
-    A field is keyed by its bytes read as a big-endian unsigned integer,
-    zero-padded to the longest field.  No field holds a NUL byte, so
-    distinct fields get distinct keys, and keys sort as the bytes do,
-    which for UTF-8 text is code-point order; the distinct strings come
-    out in that order.  padded runs on 8 bytes past the last stop.
+    A field is keyed by the 8 bytes from its start read as a big-endian
+    unsigned integer, with all but its own bytes masked to zero.  No
+    field holds a NUL byte, so distinct fields get distinct keys, and
+    keys sort as the bytes do, which for UTF-8 text is code-point order;
+    the distinct strings come out in that order.  padded runs on 8 bytes
+    past the last stop.
     """
-    length = stop - start
-    width = max(int(length.max()), 1)
-    size = 1 << (width - 1).bit_length()  # bytes read per field: 1, 2, 4 or 8
-    words = np.ndarray((len(padded) - size + 1,), dtype=f">u{size}", buffer=padded, strides=(1,))
-    keys = np.right_shift(words[start], 8 * (size - width), dtype=np.uint64)
-    if length.min() < width:
-        masks = [(1 << 8 * width) - (1 << 8 * (width - k)) for k in range(width + 1)]
-        keys &= np.array(masks, dtype=np.uint64)[length]
-    lo = keys.min()
-    if keys.max() - lo < len(keys):
-        # Keys in a narrow range, such as labels that differ only in their
-        # last byte: count them, and look the codes up by key.
-        offset = (keys - lo).astype(np.intp)
-        present = np.bincount(offset) > 0
-        distinct = np.flatnonzero(present).astype(np.uint64) + lo
-        codes = (np.cumsum(present) - 1).astype(np.min_scalar_type(len(distinct)))[offset]
-    else:
-        order = np.argsort(keys)
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = ordered[first]
-        codes = np.empty(len(keys), dtype=np.min_scalar_type(len(distinct)))
-        codes[order] = np.cumsum(first) - 1
-    # Left-aligned again, each key is its field's bytes as S8, which drops the zero padding.
-    distinct = (distinct << np.uint64(64 - 8 * width)).astype(">u8").view("S8")
+    words = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    masks = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], dtype=np.uint64)
+    keys = words[start].astype(np.uint64) & masks[stop - start]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    codes = np.empty(len(keys), dtype=np.min_scalar_type(len(distinct)))
+    codes[order] = np.cumsum(first) - 1
+    # As S8, each key is its field's bytes, the zero padding dropped.
+    distinct = distinct.astype(">u8").view("S8")
     return b"\n".join(distinct.tolist()).decode("utf-8").split("\n"), codes
 
 
@@ -329,6 +316,15 @@ def _load_sample(args) -> OutcomeSample:
     names = {args.outcome, args.sector, args.weight, args.instrument}
     names.update(f.split("=", 1)[0] for f in args.filter)
     columns, n = _read_columns(args.data, names)
+    # The sector and instrument hold few distinct fields: listed row by row
+    # (by csv.reader, or for fields over 8 bytes), each is coded with one
+    # dict pass, so each distinct field is converted once below.
+    for name in (args.sector, args.instrument):
+        if name in columns:
+            values, codes = columns[name]
+            distinct, first = functional.code_values(values)
+            if len(distinct) < len(values):
+                columns[name] = distinct, first[codes]
     keep = _apply_filters(columns, n, args.filter)
     rows = range(n) if keep is None else keep
     if not len(rows):
@@ -354,13 +350,13 @@ def _load_sample(args) -> OutcomeSample:
         y = parse(float, args.outcome)
         d = parse(int, args.sector)
         w = parse(float, args.weight) if args.weight else None
-        labels, z = column(args.instrument) if args.instrument else (None, None)
+        labels, codes = column(args.instrument) if args.instrument else (None, None)
         if labels is not None and (None in labels or "" in labels):
             raise ValueError
     except (KeyError, TypeError, ValueError):
         _raise_row_error(columns, rows, args)
     try:
-        return OutcomeSample.from_arrays(y, d, w, z=z, labels=labels)
+        return OutcomeSample.from_arrays(y, d, w, labels=labels, codes=codes)
     except RoyBoundsError as exc:
         raise InputError(str(exc)) from exc
 

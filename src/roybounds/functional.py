@@ -26,6 +26,14 @@ from .probability import IntervalBound
 _TOL = 1e-12
 
 
+def code_values(values: list) -> tuple[list, np.ndarray]:
+    """The distinct entries of a list, in order of first appearance, and
+    per entry the index of its value among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    dtype = np.min_scalar_type(len(index))
+    return list(index), np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values))
+
+
 @dataclass(frozen=True)
 class OutcomeSample:
     """Weighted records (y, d, w) with weights normalized to sum to one.
@@ -53,9 +61,10 @@ class OutcomeSample:
         return cls.from_arrays(y, d, w)
 
     @classmethod
-    def from_arrays(cls, y, d, w=None, z=None, labels=None) -> "OutcomeSample":
-        """Sample from per-row arrays; z is each row's instrument label, or with
-        `labels` (each used by some row) the index of its label in that list."""
+    def from_arrays(cls, y, d, w=None, z=None, labels=None, codes=None) -> "OutcomeSample":
+        """Sample from per-row arrays.  An instrument is given either as z,
+        each row's label, or as distinct `labels`, each used by some row,
+        with `codes`, each row's index into them."""
         y = np.asarray(y, dtype=float)
         try:
             d = np.asarray(d, dtype=int)
@@ -76,15 +85,18 @@ class OutcomeSample:
             w = w / w.sum()
         if not np.all(w > 0):
             raise BadInterval("weights span more than the floating-point range")
-        if z is None:
-            return cls(y=y, d=d, w=w)
+        if z is not None:
+            labels, codes = code_values(np.asarray(z, dtype=object).tolist())
         if labels is None:
-            labels, z = np.asarray(z, dtype=object).tolist(), None
-        distinct = sorted(set(labels), key=str)
-        index = {v: i for i, v in enumerate(distinct)}
-        dtype = np.min_scalar_type(len(distinct))
-        codes = np.fromiter(map(index.__getitem__, labels), dtype=dtype, count=len(labels))
-        return cls(y=y, d=d, w=w, labels=tuple(distinct), codes=codes if z is None else codes[z])
+            return cls(y=y, d=d, w=w)
+        # The labels are held sorted by their string form.
+        codes = np.asarray(codes)
+        order = sorted(range(len(labels)), key=lambda i: str(labels[i]))
+        if order != list(range(len(labels))):
+            rank = np.empty(len(order), dtype=codes.dtype)
+            rank[order] = np.arange(len(order))
+            labels, codes = [labels[i] for i in order], rank[codes]
+        return cls(y=y, d=d, w=w, labels=tuple(labels), codes=codes)
 
     @property
     def z(self) -> np.ndarray | None:

@@ -564,6 +564,8 @@ def _load_or_error(load, args):
         s = load(args)
     except InputError as exc:
         return str(exc)
+    # Both loaders code the labels in OutcomeSample.from_arrays: check the order itself.
+    assert s.labels is None or list(s.labels) == sorted(set(s.labels), key=str)
     z = None if s.z is None else (s.z.dtype, s.z.tolist(), s.labels)
     return [(a.dtype, a.shape, a.tobytes()) for a in (s.y, s.d, s.w)] + [z]
 
@@ -641,6 +643,11 @@ LOADER_CASES = [
     ("y,d,z\n" + "0,1,a\n1,0,b\n" * 30 + "1,1," + "c" * 500 + "\n0,0,é\n",
      ["--instrument", "z", "--filter", "z=" + "c" * 500], "arrays"),
     ("y,d,z\n" + "0,1,a\n1,0,b\n" * 30 + "1,1," + "c" * 500 + "\n0,0,é\n", ["--instrument", "z"], "arrays"),
+    # a CRLF file goes through csv.reader, which codes the sector and the
+    # labels in the order they first appear, out of code-point order here
+    ("y,d,z\r\n0,1,é\r\n1,0,Z\r\n0,0,a\r\n1,1,z9\r\n0,1,z10\r\n1,0,é\r\n",
+     ["--instrument", "z", "--filter", "d=1"], "arrays"),
+    ("y,d,z\r\n0,1,b\r\n1,0,a\r\n0,0,b\r\n1,1,a\r\n", ["--instrument", "z"], "arrays"),
     # a bad outcome deep into a large plain file: the row the row-by-row parse meets
     pytest.param("y,d,z\n" + "0,1,a\n" * 149_999 + "x,1,a\n" + "1,0,b\n" * 50_000, ["--instrument", "z"],
                  "row 150001: bad outcome/sector field (could not convert string to float: 'x')", id="bad-row-150001"),

@@ -211,6 +211,18 @@ def test_sample_rejects_weights_that_do_not_normalize():
             fn.OutcomeSample.from_arrays(y, d, np.array(w))
 
 
+def test_sample_holds_labels_sorted_from_either_instrument_form():
+    y, d = np.zeros(6), np.array([0, 1, 1, 0, 1, 0])
+    z = ["é", "z9", "Z", "z10", "é", "a"]
+    by_row = fn.OutcomeSample.from_arrays(y, d, z=np.array(z, dtype=object))
+    labels, codes = fn.code_values(z)
+    assert labels == ["é", "z9", "Z", "z10", "a"] and codes.tolist() == [0, 1, 2, 3, 0, 4]
+    coded = fn.OutcomeSample.from_arrays(y, d, labels=labels, codes=codes)
+    for s in (by_row, coded):
+        assert s.labels == tuple(sorted(set(z)))
+        assert s.z.tolist() == z
+
+
 def test_upper_lower_sets_quadrant():
     a = fn.RectUnion.lower_quadrant(1.0, 2.0)
     u0, u1, l0, l1 = fn.upper_lower_sets(a)
