@@ -116,21 +116,14 @@ def sharp_bounds_with_instrument(
 class CovariateGrid:
     """Cell probabilities indexed by sector-specific covariate pairs (x0, x1).
 
-    Supports default to all pairs present in the mapping; pass explicit
-    supports to restrict Supp(X1|X0=x0) / Supp(X0|X1=x1).
+    Supp(X1|X0=x0) and Supp(X0|X1=x1) are the pairs present in the mapping.
     """
 
     cells: tuple[tuple[tuple[object, object], CellProbs], ...]
-    supp_x1: tuple[tuple[object, tuple], ...] = ()
-    supp_x0: tuple[tuple[object, tuple], ...] = ()
 
     @classmethod
-    def from_dict(cls, mapping: dict, supp_x1: dict | None = None, supp_x0: dict | None = None):
-        return cls(
-            cells=tuple(sorted(mapping.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))),
-            supp_x1=tuple(sorted((k, tuple(v)) for k, v in (supp_x1 or {}).items())),
-            supp_x0=tuple(sorted((k, tuple(v)) for k, v in (supp_x0 or {}).items())),
-        )
+    def from_dict(cls, mapping: dict):
+        return cls(cells=tuple(sorted(mapping.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))))
 
     def cell(self, x0, x1) -> CellProbs:
         for (a, b), q in self.cells:
@@ -139,18 +132,12 @@ class CovariateGrid:
         raise MissingCell(f"no cells for (x0, x1) = ({x0!r}, {x1!r})")
 
     def x1_support(self, x0) -> list:
-        for k, v in self.supp_x1:
-            if k == x0:
-                return list(v)
         vals = [b for (a, b), _ in self.cells if a == x0]
         if not vals:
             raise MissingCell(f"x0 = {x0!r} not in grid")
         return vals
 
     def x0_support(self, x1) -> list:
-        for k, v in self.supp_x0:
-            if k == x1:
-                return list(v)
         vals = [a for (a, b), _ in self.cells if b == x1]
         if not vals:
             raise MissingCell(f"x1 = {x1!r} not in grid")

@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import binary, generalized, functional, inference
-from .errors import (
-    Infeasible,
-    InputError,
-    OutcomeInstrumentDependence,
-    RoyBoundsError,
-    ZeroSectorProbability,
-)
+from .errors import Infeasible, InputError, OutcomeInstrumentDependence, RoyBoundsError
 from .functional import OutcomeSample, build_subcdf
 from .probability import CellProbs, InstrumentTable, validate_cells
 
@@ -461,7 +455,7 @@ def _cmd_functional(args, report):
                 "y": y,
                 "f0": functional.peterson_bounds(c, 0, y).to_dict(),
                 "f1": functional.peterson_bounds(c, 1, y).to_dict(),
-                "mobility_upper": functional.mobility_upper(c, y) if c.bar(0, y) > 0 else None,
+                "mobility_upper": functional.mobility_upper(c, y),
             }
         )
     report["bounds"] = out
@@ -486,19 +480,9 @@ def _cmd_iqr(args, report):
 def _cmd_infer(args, report):
     sample = _load_sample(args)
     report["digest"] = _digest(sample)
-    theta = inference.estimate_theta(sample)
-    cv = inference.critical_value(theta, level=args.level, b=args.bootstrap, seed=args.seed)
-    ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
+    ci = inference.infer_bounds(sample, level=args.level, b=args.bootstrap, seed=args.seed)
     report["bounds"] = ci.to_dict()
-    try:
-        att1, att0 = inference.att_ci(theta, cv)
-    except ZeroSectorProbability:
-        # A z without one sector has no ATT; assemble_cis leaves it out too.
-        pass
-    else:
-        report["bounds"]["att1_bootstrap"] = att1.to_dict()
-        report["bounds"]["att0_bootstrap"] = att0.to_dict()
-    if ci.ey0.lo > ci.ey0.hi or ci.ey1.lo > ci.ey1.hi:
+    if ci.crossed:
         report["findings"] = {"model_rejected": True, "reasons": ["empty confidence interval"]}
         return EXIT_REJECTED
     return EXIT_OK
@@ -586,7 +570,8 @@ def _cmd_simulate(args, report):
     with np.errstate(over="ignore"):
         sample, _truth = oracle.simulate(design)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        # "\n" line ends keep the file plain, for the loader's fast path.
+        writer = csv.writer(fh, lineterminator="\n")
         z = sample.z
         writer.writerow(["y", "d"] + (["z"] if z is not None else []))
         for i in range(sample.n):

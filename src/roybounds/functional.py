@@ -333,8 +333,8 @@ def upper_lower_sets(a: RectUnion):
     """Upper/lower set calculus for a rectangle union.
 
     Returns (U0, U1, L0, L1): the sets of y whose sector-d half-line
-    ({y} paired with all values <= y in the other coordinate) meets,
-    respectively lies inside, the set a.
+    ({y} paired with all values <= y in the other coordinate) meets the
+    set a, respectively lies inside one rectangle of a.
     """
     u0, u1, l0, l1 = [], [], [], []
     for r in a.rects:
@@ -370,11 +370,13 @@ def interval_lower_bound(c: SubCdf, d: int, y1: float, y2: float) -> float:
 
 
 def joint_set_bounds(c: SubCdf, a: RectUnion) -> IntervalBound:
-    """Sharp bounds on P((Y0, Y1) in a) for a rectangle union."""
+    """Bounds on P((Y0, Y1) in a) for a rectangle union, sharp for one rectangle:
+    the union of several rectangles' lower sets misses a half-line that they
+    cover only together, so the lower end is then valid but not sharp."""
     u0, u1, l0, l1 = upper_lower_sets(a)
     lo = _union_mass(c, l0, 0) + _union_mass(c, l1, 1)
     hi = _union_mass(c, u0, 0) + _union_mass(c, u1, 1)
-    return IntervalBound(lo, hi, sharp=True, label="P((Y0,Y1) in A)")
+    return IntervalBound(lo, hi, sharp=len(a.rects) <= 1, label="P((Y0,Y1) in A)")
 
 
 def mobility_upper(c: SubCdf, y: float) -> float:

@@ -161,6 +161,13 @@ def regret_bound(t: InstrumentTable, z) -> float:
     return float(r)
 
 
+def empty_sector(p_d1: np.ndarray, p_d0: np.ndarray) -> int | None:
+    """The first sector d, 1 then 0, whose share P(D=d|z) is at most 1e-12
+    at some z, or None: the sector-conditional gains divide by both shares,
+    so they exist only when this is None."""
+    return next((d for d, p_d in ((1, p_d1), (0, p_d0)) if np.any(p_d <= 1e-12)), None)
+
+
 def att_bounds(
     t: InstrumentTable, e: np.ndarray | None = None
 ) -> tuple[IntervalBound, IntervalBound]:
@@ -168,20 +175,22 @@ def att_bounds(
 
     e: envelopes(t), when the caller already has them.
     """
-    p = point_bounds(envelopes(t) if e is None else e)
     q00, q01, q10, q11 = t.cells.T
+    p_d1, p_d0 = q01 + q11, q00 + q10
+    empty = empty_sector(p_d1, p_d0)
+    if empty is not None:
+        raise ZeroSectorProbability(f"P(D={empty}|z) is zero at some z")
+    p = point_bounds(envelopes(t) if e is None else e)
     p_y1 = q10 + q11
 
-    def averaged(counterfactual: IntervalBound, p_d: np.ndarray, d: int, label: str) -> IntervalBound:
-        if np.any(p_d <= 1e-12):
-            raise ZeroSectorProbability(f"P(D={d}|z) is zero at some z")
+    def averaged(counterfactual: IntervalBound, p_d: np.ndarray, label: str) -> IntervalBound:
         # Columns lo, hi; summed over z in order.
         gaps = p_y1[:, None] - np.array([counterfactual.hi, counterfactual.lo])
         lo, hi = left_sum(t.weights[:, None] * gaps / p_d[:, None]).tolist()
         return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
-    att1 = averaged(p["ey0"], q01 + q11, 1, "E(Y1-Y0|D=1)")
-    att0 = averaged(p["ey1"], q00 + q10, 0, "E(Y0-Y1|D=0)")
+    att1 = averaged(p["ey0"], p_d1, "E(Y1-Y0|D=1)")
+    att0 = averaged(p["ey1"], p_d0, "E(Y0-Y1|D=0)")
     return att1, att0
 
 

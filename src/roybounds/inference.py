@@ -11,13 +11,13 @@ interquantile-range inference bootstrap the plug-in estimators directly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError, QuantileOutOfRange, ZeroSectorProbability
 from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse, build_subcdf
-from .generalized import _COMBO, bounds_from_envelopes, envelope_array
+from .generalized import _COMBO, bounds_from_envelopes, empty_sector, envelope_array
 from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
@@ -301,6 +301,13 @@ class CiReport:
     level: float
     b: int
     seed: int
+    # The `att_ci` intervals, which only `infer_bounds` draws; None with att1.
+    att1_bootstrap: IntervalBound | None = None
+    att0_bootstrap: IntervalBound | None = None
+
+    @property
+    def crossed(self) -> bool:
+        return self.ey0.crossed or self.ey1.crossed
 
     def to_dict(self) -> dict:
         out = {
@@ -313,7 +320,7 @@ class CiReport:
             "bootstrap": self.b,
             "seed": self.seed,
         }
-        for name in ("att1", "att0"):
+        for name in ("att1", "att0", "att1_bootstrap", "att0_bootstrap"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = val.to_dict()
@@ -349,12 +356,10 @@ def assemble_cis(
 
 
 def _sector_shares(theta: ThetaVector):
-    """P(D=1|z) and P(D=0|z), each (K,), and the first sector d (1, then 0)
-    whose share is at most 1e-12 at some z, or None: the ATT divides by both."""
+    """P(D=1|z) and P(D=0|z), each (K,), and their `empty_sector`."""
     p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
     p_d0 = 1.0 - p_d1
-    empty = next((d for d, p_d in ((1, p_d1), (0, p_d0)) if np.any(p_d <= 1e-12)), None)
-    return p_d1, p_d0, empty
+    return p_d1, p_d0, empty_sector(p_d1, p_d0)
 
 
 def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
@@ -379,10 +384,16 @@ def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
 def infer_bounds(
     data: OutcomeSample, level: float = 0.95, b: int = 999, seed: int = 0
 ) -> CiReport:
-    """One-call pipeline: theta, critical value, assembled intervals."""
+    """One-call pipeline, every interval `infer` reports: theta, critical
+    value, assembled intervals and, where the ATT exists, its bootstrap
+    intervals on the same critical value."""
     theta = estimate_theta(data)
     cv = critical_value(theta, level=level, b=b, seed=seed)
-    return assemble_cis(theta, cv.k, level=level, b=b, seed=seed)
+    ci = assemble_cis(theta, cv.k, level=level, b=b, seed=seed)
+    if ci.att1 is None:
+        return ci
+    att1, att0 = att_ci(theta, cv)
+    return replace(ci, att1_bootstrap=att1, att0_bootstrap=att0)
 
 
 def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, IntervalBound]:

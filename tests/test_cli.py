@@ -120,6 +120,7 @@ def test_level_and_bootstrap_range_checked(tmp_path, capsys):
         ["generalized", *data, "--level", "0", "--bootstrap", "100"],
         ["iqr", *sample, "--bootstrap", "-5"],
         ["infer", *data, "--level", "nan"],
+        ["infer", *data, "--level", "abc"],
     ):
         assert_input_error(argv, capsys)
     # critical_value's own minimum still applies behind the range check, and
@@ -135,6 +136,12 @@ def test_tau_y_range_checked(tmp_path, capsys):
         assert "--tau-y" in assert_input_error(argv + [bad], capsys)
     assert run_cli(argv + ["0"], capsys)[0] == 2
     assert run_cli(argv + ["0.5"], capsys)[0] == 0
+
+
+def test_generalized_data_needs_instrument(tmp_path, capsys):
+    path = write_binary_csv(tmp_path / "s.csv")
+    err = assert_input_error(["generalized", "--data", str(path)], capsys)
+    assert "--instrument column required" in err
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
@@ -962,6 +969,25 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_writes_a_plain_file(tmp_path, capsys):
+    # "\n" line ends: the loader splits the file from its bytes, and a CRLF
+    # copy, which goes through csv.reader, loads to the same sample.
+    design = tmp_path / "design.json"
+    joint = {"type": "discrete", "support": [[0, 0], [0, 1], [1, 0], [1, 1]], "probs": [0.3, 0.2, 0.2, 0.3]}
+    design.write_text(json.dumps({"joint": joint, "z_labels": ["a", "b", "c"]}))
+    path, crlf = tmp_path / "s.csv", tmp_path / "crlf.csv"
+    argv = ["simulate", "--design", str(design), "--n", "300", "--seed", "2", "--out", str(path)]
+    assert run_cli(argv, capsys)[0] == 0
+    raw = path.read_bytes()
+    assert b"\r" not in raw and cli._split_plain(raw, {"y", "d", "z"}) is not None
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    loads = []
+    for p in (path, crlf):
+        args = cli._make_parser().parse_args(["infer", "--data", str(p), "--instrument", "z"])
+        loads.append(_load_or_error(cli._load_sample, args))
+    assert loads[0] == loads[1] and loads[0][3][2] == ("a", "b", "c")
+
+
 GAUSSIAN = {"type": "gaussian"}
 PAIRS = [[0, 1], [1, 0]]
 # Design files, as JSON values or raw bytes, and the options that go with them.
@@ -983,6 +1009,7 @@ BAD_DESIGNS = {
     "z-labels-string": ({**GAUSSIAN, "z_labels": "ab"}, []),
     "z-weight-bool": ({**GAUSSIAN, "z_labels": ["a"], "z_weights": [True]}, []),
     "not-utf8": (b'{"type": "gaussian", "mu0": \xe9}', []),
+    "unknown-joint-type": ({"type": "weird"}, []),
 }
 
 
@@ -1016,6 +1043,20 @@ def test_oracle_lp_objective(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["bounds"]["ey0"]["lo"] <= rep["bounds"]["ey0"]["hi"]
+
+
+def test_oracle_lp_on_a_sample_equals_the_closed_form(tmp_path, capsys):
+    # The response-type LP and generalized's closed form, on one tabulated sample.
+    path = str(write_binary_csv(tmp_path / "s.csv", seed=3))
+    sample = ["--data", path, "--instrument", "z"]
+    code, out, _ = run_cli(["oracle", *sample, "--objective", "ey0"], capsys)
+    assert code == 0
+    lp = json.loads(out)["bounds"]["ey0"]
+    code, out, _ = run_cli(["generalized", *sample], capsys)
+    assert code == 0
+    closed = json.loads(out)["bounds"]["ey0"]
+    assert lp["lo"] == pytest.approx(closed["lo"], abs=1e-9)
+    assert lp["hi"] == pytest.approx(closed["hi"], abs=1e-9)
 
 
 def test_csv_format_and_out_file(tmp_path, capsys):

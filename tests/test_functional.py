@@ -292,6 +292,28 @@ def test_joint_set_bounds_plane():
     assert b.lo == pytest.approx(1.0) and b.hi == pytest.approx(1.0)
 
 
+def test_joint_set_bounds_is_sharp_for_one_rectangle_only():
+    # One set written as one rectangle and as two: the half-lines {y1} x
+    # (-inf, y1] with 0 < y1 <= 5 lie in the union but in neither rectangle,
+    # so the union's lower end is lower, and it is not tagged sharp.
+    rng = np.random.default_rng(0)
+    y = np.round(rng.normal(2, 3, 400), 2)
+    d = (rng.random(400) < 0.6).astype(int)
+    c = fn.build_subcdf(fn.OutcomeSample.from_arrays(y, d))
+    below10 = fn.Interval(-np.inf, 10.0)
+    one = fn.RectUnion.of([fn.Rect(fn.Interval(-np.inf, 5.0), below10)])
+    two = fn.RectUnion.of(
+        [fn.Rect(fn.Interval(-np.inf, 0.0), below10), fn.Rect(fn.Interval(0.0, 5.0), below10)]
+    )
+    b1, b2 = fn.joint_set_bounds(c, one), fn.joint_set_bounds(c, two)
+    assert (b1.lo, b1.sharp) == (pytest.approx(0.845), True)
+    assert (b2.lo, b2.sharp) == (pytest.approx(0.4875), False)
+    assert b1.hi == b2.hi
+    # IntervalUnion.of merges the two touching sector-0 sets into one.
+    u0, _, l0, _ = fn.upper_lower_sets(two)
+    assert u0.parts == l0.parts == (fn.Interval(-np.inf, 5.0),)
+
+
 def test_joint_rect_upper_is_improved_formula():
     s = small_sample(7, 30)
     c = fn.build_subcdf(s)

@@ -303,6 +303,33 @@ def test_assemble_cis_caps_mobility_when_denominator_vanishes():
     assert rep.mobility.hi == 1.0
 
 
+def test_ci_report_crossed_beyond_1e_12_only():
+    # At z2 P(Y=0,D=0) is 0.5 + gap, so the EY0 upper end 1 - 0.5 - gap falls
+    # below the lower end, z1's P(Y=1,D=0) = 0.5, by gap (and EY1's likewise).
+    for gap, crossed in ((0.5e-12, False), (2e-12, True)):
+        cells = np.array([[0.0, 0.25, 0.5, 0.25], [0.5 + gap, 0.25, 0.0, 0.25 - gap]])
+        est = cells @ generalized._COMBO.T
+        th = inference.ThetaVector(
+            labels=("z1", "z2"), est=est, se=np.full_like(est, inference._SE_FLOOR),
+            cell_counts=cells * 1000, n=2000,
+        )
+        rep = inference.assemble_cis(th, 0.0)
+        assert rep.ey0.lo - rep.ey0.hi == pytest.approx(gap, rel=0.01)
+        assert rep.crossed == crossed
+
+
+def test_infer_bounds_carries_the_att_bootstrap_on_its_critical_value():
+    data = binary_sample(9, n=6000)
+    rep = inference.infer_bounds(data, level=0.9, b=200, seed=4)
+    th = inference.estimate_theta(data)
+    cv = inference.critical_value(th, level=0.9, b=200, seed=4)
+    assert (rep.att1_bootstrap, rep.att0_bootstrap) == inference.att_ci(th, cv)
+    assert {"att1_bootstrap", "att0_bootstrap"} <= set(rep.to_dict())
+    # assemble_cis alone, as generalized --bootstrap uses it, draws none.
+    alone = inference.assemble_cis(th, cv.k, level=0.9, b=200, seed=4)
+    assert alone.att1_bootstrap is None and "att1_bootstrap" not in alone.to_dict()
+
+
 def test_report_serializes():
     rep = inference.infer_bounds(binary_sample(8), b=200, seed=3)
     out = rep.to_dict()
