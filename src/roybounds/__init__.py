@@ -10,7 +10,7 @@ Submodules:
   cli          - batch command-line interface
 """
 
-# Not oracle: it loads scipy; `from roybounds import oracle` when needed.
+# Not oracle, a verification tool off the runtime path: `from roybounds import oracle`.
 from . import binary, functional, generalized, inference, probability
 from .errors import RoyBoundsError
 from .functional import OutcomeSample, build_subcdf

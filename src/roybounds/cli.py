@@ -488,17 +488,6 @@ def _cmd_infer(args, report):
     return EXIT_OK
 
 
-def _oracle():
-    """The oracle module, imported on demand: it needs scipy, the [oracle] extra."""
-    try:
-        from . import oracle
-    except ModuleNotFoundError as exc:
-        if (exc.name or "").split(".")[0] != "scipy":
-            raise
-        raise InputError("simulate and oracle need scipy: pip install 'roybounds[oracle]'") from exc
-    return oracle
-
-
 def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
     """JSON numbers of a design file as floats, each finite and in [lo, hi]; else `what` is wrong."""
     try:
@@ -514,7 +503,7 @@ def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -
 
 
 def _joint_from_spec(spec):
-    oracle = _oracle()
+    from . import oracle
 
     if not isinstance(spec, dict):
         raise InputError("bad design: the joint law must be a JSON object")
@@ -542,7 +531,7 @@ def _joint_from_spec(spec):
 
 
 def _cmd_simulate(args, report):
-    oracle = _oracle()
+    from . import oracle
 
     try:
         with open(args.design, encoding="utf-8") as fh:
@@ -603,7 +592,7 @@ _OBJECTIVES = {
 
 
 def _cmd_oracle(args, report):
-    oracle = _oracle()
+    from . import oracle
 
     if args.objective:
         if args.cells:
@@ -612,7 +601,12 @@ def _cmd_oracle(args, report):
             sample = _load_sample(args)
             report["digest"] = _digest(sample)
             table = _table_from_sample(sample)[0]
-        res = oracle.response_type_lp(table, _OBJECTIVES[args.objective])
+        try:
+            res = oracle.response_type_lp(table, _OBJECTIVES[args.objective])
+        except ModuleNotFoundError as exc:
+            if (exc.name or "").split(".")[0] != "scipy":
+                raise
+            raise InputError("oracle --objective needs scipy: pip install 'roybounds[oracle]'") from exc
         report["bounds"] = {args.objective: res.to_dict()}
         return EXIT_OK
     if not args.cells:

@@ -95,8 +95,9 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     Chunk i holds the _CHUNK rows from row i * _CHUNK on (fewer in the last
     chunk), on its own RNG stream make_rng(seed, *tag, i).  Chunk boundaries
     and streams do not depend on the worker count, so the counts are
-    identical for any ROY_THREADS.  Of w = min(_n_threads(), chunks)
-    workers, worker j draws chunks j, j + w, ...: the calling thread is
+    identical for any ROY_THREADS.  Of w = min(_n_threads(), chunks,
+    batches) workers, batches being the _DRAW_BYTES budgets the whole draw
+    fills, worker j draws chunks j, j + w, ...: the calling thread is
     worker 0, and w - 1 helper threads run the others.  Each worker draws
     its chunks in batches of at most _DRAW_BYTES / w of counts (one row at a
     time when a row is larger), so all workers together hold at most
@@ -113,7 +114,8 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     keep = _drawn_categories(probs)
     p = probs[keep]
     n_chunks = (b + _CHUNK - 1) // _CHUNK
-    workers = min(_n_threads(), n_chunks)
+    batches = (8 * len(keep) * b + _DRAW_BYTES - 1) // _DRAW_BYTES
+    workers = min(_n_threads(), n_chunks, batches)
     step = max(1, _DRAW_BYTES // (8 * len(keep) * workers))
 
     def work(first):

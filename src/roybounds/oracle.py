@@ -5,6 +5,7 @@ to the same objects, used to verify the closed forms: exhaustive
 subset-inequality enumeration for the binary identified sets, a linear
 program over response types for the instrument case, explicit coupling
 constructions that attain bound endpoints, and seeded data generators.
+Only the LP and the Gaussian truth cdf import scipy, when they run.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import norm
 
 from .errors import BoundsViolated, InfeasibleLP, OutOfRange
 from .functional import OutcomeSample, StepFn, SubCdf
@@ -93,6 +92,8 @@ def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:
     Exhausts the 4 * 2^k response types (potential outcomes plus a full
     selection map over the instrument support) and solves two LPs.
     """
+    from scipy.optimize import linprog
+
     types = enumerate_response_types(len(t.labels))
     c = np.asarray(objective, dtype=float)
     obj = np.array([c[_PAIR_INDEX[(y0, y1)]] for y0, y1, _ in types])
@@ -284,6 +285,8 @@ class GaussianCopulaJoint:
         return self.mu0 + self.sd0 * z0, self.mu1 + self.sd1 * z1
 
     def cdf(self, d: int, y: float) -> float:
+        from scipy.stats import norm
+
         mu = self.mu1 if d else self.mu0
         sd = self.sd1 if d else self.sd0
         return float(norm.cdf((y - mu) / sd))

@@ -157,35 +157,61 @@ def test_unreadable_csv_rejected(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_unloaded(cli_env):
-    # Only the oracle module needs scipy; the library and the CLI load it on demand.
+    # Only the response-type LP and the Gaussian truth cdf need scipy, and
+    # they import it when they run: no module loads it on import.
     code = (
         "import sys; import roybounds; a = 'scipy' in sys.modules; "
         "import roybounds.cli; b = 'scipy' in sys.modules; "
-        "from roybounds import *; print(a, b, 'scipy' in sys.modules)"
+        "from roybounds import *; c = 'scipy' in sys.modules; "
+        "import roybounds.oracle; print(a, b, c, 'scipy' in sys.modules)"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False", "False"]
+    assert res.stdout.split() == ["False"] * 4
 
 
 def test_oracle_commands_without_scipy(tmp_path, cli_env):
-    # scipy is the [oracle] extra: without it the commands that need it give
-    # one error line that names the extra, and the others still run.
-    design = tmp_path / "design.json"
-    design.write_text(json.dumps({"type": "gaussian", "rho": 0.3}))
+    # scipy is the [oracle] extra. Without it simulate and the Artstein
+    # halfspaces write the same bytes as with it; only the LP of
+    # oracle --objective needs it, and gives one error line naming the extra.
+    (tmp_path / "gauss.json").write_text(json.dumps({"type": "gaussian", "rho": 0.3}))
+    (tmp_path / "binary.json").write_text(json.dumps(
+        {"joint": {"type": "discrete", "support": [[0, 0], [0, 1], [1, 0], [1, 1]], "probs": [0.3, 0.2, 0.2, 0.3]},
+         "z_labels": ["a", "b"], "z_weights": [0.4, 0.6]}
+    ))
     cells = '{"q00":0.2,"q01":0.1,"q10":0.3,"q11":0.4}'
-    code = "import sys; sys.modules['scipy'] = None; from roybounds.cli import run; sys.exit(run(sys.argv[1:]))"
-    for argv, want in (
-        (["oracle", "--cells", cells], 1),
-        (["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")], 1),
-        (["binary", "--cells", cells], 0),
+    blocked = "sys.modules['scipy'] = None; "
+
+    def run(argv, block=""):
+        code = f"import sys; {block}from roybounds.cli import run; sys.exit(run(sys.argv[1:]))"
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=cli_env, cwd=tmp_path)
+
+    # The binary simulate last: its sample is the --data input below.
+    for argv in (
+        ["oracle", "--cells", cells],
+        ["oracle", "--cells", cells, "--variant", "generalized"],
+        ["binary", "--cells", cells],
+        ["simulate", "--design", "gauss.json", "--n", "300", "--out", "s.csv"],
+        ["simulate", "--design", "binary.json", "--n", "300", "--out", "s.csv"],
     ):
-        res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=cli_env)
-        assert res.returncode == want, res.stderr
-        if want:
-            assert res.stdout == ""
-            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
-            assert "roybounds[oracle]" in res.stderr
+        runs = []
+        for block in ("", blocked):
+            for f in tmp_path.glob("s.csv*"):
+                f.unlink()
+            res = run(argv, block)
+            written = sorted((f.name, f.read_bytes()) for f in tmp_path.glob("s.csv*"))
+            runs.append((res.returncode, res.stdout, res.stderr, written))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == 0 and runs[0][1], runs[0][2]
+    assert len(runs[0][3]) == 2
+    for source in (["--cells", f'{{"a":{cells},"b":{cells}}}'], ["--data", "s.csv", "--instrument", "z"]):
+        argv = ["oracle", *source, "--objective", "ey0"]
+        assert run(argv).returncode == 0
+        res = run(argv, blocked)
+        assert res.returncode == 1 and res.stdout == b""
+        err = res.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "roybounds[oracle]" in err
 
 
 def test_unknown_subcommand(capsys):

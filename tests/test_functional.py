@@ -8,6 +8,7 @@ from roybounds import oracle
 from roybounds.errors import (
     BadInterval,
     EmptySample,
+    EmptySector,
     QuantileOutOfRange,
 )
 
@@ -451,6 +452,20 @@ def test_proposition1_equal_sectors():
     rep = fn.proposition1_check(c, 1, 0.3, 0.7)
     assert rep["counterfactual_dominates_sector"]
     assert rep["sector_dominates_counterfactual"]
+
+
+def test_proposition1_one_sector_only():
+    # Every row in sector 1: sector 0 has nothing to check, and sector 1's
+    # potential range is point identified as the observed one, with the
+    # empty counterfactual taken as dominating it.
+    c = fn.build_subcdf(fn.OutcomeSample.from_arrays(np.arange(6.0), np.ones(6, dtype=int)))
+    with pytest.raises(EmptySector, match="D=0"):
+        fn.proposition1_check(c, 0, 0.25, 0.75)
+    rep = fn.proposition1_check(c, 1, 0.25, 0.75)
+    assert rep["observed_iqr"] == rep["potential_iqr"]["lo"] == rep["potential_iqr"]["hi"] == 3.0
+    assert rep["counterfactual_dominates_sector"]
+    assert not rep["sector_dominates_counterfactual"]
+    assert not rep["observed_exceeds_upper"]
 
 
 def comprehension_proposition1_check(c, d, q1, q2):

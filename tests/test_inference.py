@@ -688,7 +688,8 @@ def test_unset_roy_threads_uses_every_allowed_cpu(monkeypatch):
 
 
 def test_unset_roy_threads_gives_the_one_thread_results(monkeypatch):
-    # b=300 is three chunks, so three CPUs run three workers.
+    # b=300 is three chunks: three CPUs run the IQR draw, two batch budgets,
+    # on two workers, and the binary draws, under one budget, on one.
     theta = inference.estimate_theta(binary_sample(4))
     data = iqr_sample(13, n=400)
 
@@ -729,6 +730,9 @@ class _ReducerFailed(Exception):
 @pytest.mark.parametrize("bad_row", [200, 0])  # in chunk 1, the helper's; in chunk 0, the caller's
 def test_bootstrap_map_raises_once_every_worker_stopped(monkeypatch, bad_row):
     # Two workers over b=300: the caller draws chunks 0 and 2, one helper chunk 1.
+    # 300 categories fill two batch budgets, so the draw gets both workers.
+    probs = np.full(300, 1 / 300)
+    assert 8 * len(probs) * 300 > inference._DRAW_BYTES
     monkeypatch.setenv("ROY_THREADS", "2")
     done = []
 
@@ -742,11 +746,30 @@ def test_bootstrap_map_raises_once_every_worker_stopped(monkeypatch, bad_row):
 
     before = threading.active_count()
     with pytest.raises(_ReducerFailed):
-        inference._bootstrap_map(reducer, np.array([0.2, 0.3, 0.5]), 50, 300, 0, 9)
+        inference._bootstrap_map(reducer, probs, 50, 300, 0, 9)
     assert threading.active_count() == before
     # The other worker drew all its rows before the error was raised.
     other = range(128, 256) if bad_row < 128 else [*range(128), *range(256, 300)]
     assert set(other) <= set(done)
+
+
+def test_bootstrap_map_draws_one_batch_in_the_calling_thread(monkeypatch):
+    # Workers are capped at the batch budgets the whole draw fills: b=300 of
+    # 218 categories fits one, and runs on the calling thread whatever
+    # ROY_THREADS allows; 219 categories fill two, and get one helper.
+    assert 8 * 218 * 300 <= inference._DRAW_BYTES < 8 * 219 * 300
+    monkeypatch.setenv("ROY_THREADS", "8")
+
+    def threads(m):
+        seen = set()
+        inference._bootstrap_map(lambda rows: lambda row, counts: seen.add(threading.get_ident()),
+                                 np.full(m, 1 / m), 50, 300, 0, 9)
+        return seen
+
+    before = threading.active_count()
+    assert threads(218) == {threading.get_ident()}
+    assert len(threads(219)) == 2
+    assert threading.active_count() == before
 
 
 def test_bootstrap_counts_with_more_workers_than_cores(monkeypatch):
