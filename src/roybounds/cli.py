@@ -692,6 +692,10 @@ def run(argv) -> int:
     except RoyBoundsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; a bare MemoryError has none.
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return EXIT_INPUT
     _emit(report, args)
     return code
 

@@ -10,7 +10,7 @@ instrument envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -219,38 +219,42 @@ def roy_selection_test(t: InstrumentTable) -> dict:
 
 
 @dataclass(frozen=True)
-class GeneralizedBounds:
-    """All generalized-model bounds for one instrument table."""
+class EnvelopeReport:
+    """The intervals that the point bounds and their confidence intervals
+    share, all derived from one envelope array."""
 
     ey0: IntervalBound
     ey1: IntervalBound
     ate: IntervalBound
     benefit_strict: IntervalBound
-    benefit_weak: IntervalBound
     mobility: IntervalBound
     att1: IntervalBound | None
     att0: IntervalBound | None
-    regret_by_z: tuple[tuple[object, float], ...]
 
     @property
     def crossed(self) -> bool:
         return self.ey0.crossed or self.ey1.crossed
 
     def to_dict(self) -> dict:
-        out = {
-            "ey0": self.ey0.to_dict(),
-            "ey1": self.ey1.to_dict(),
-            "ate": self.ate.to_dict(),
-            "benefit_strict": self.benefit_strict.to_dict(),
-            "benefit_weak": self.benefit_weak.to_dict(),
-            "mobility": self.mobility.to_dict(),
+        """Every field that holds an interval, under its field name."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.to_dict() for name, v in values if isinstance(v, IntervalBound)}
+
+
+@dataclass(frozen=True)
+class GeneralizedBounds(EnvelopeReport):
+    """All generalized-model bounds for one instrument table."""
+
+    benefit_weak: IntervalBound
+    regret_by_z: tuple[tuple[object, float], ...]
+
+    def to_dict(self) -> dict:
+        return {
+            **super().to_dict(),
             # An undefined regret is null: a bare NaN is not JSON.
             "regret_by_z": {str(z): None if np.isnan(r) else r for z, r in self.regret_by_z},
             "crossed": self.crossed,
         }
-        if self.att1 is not None:
-            out.update(att1=self.att1.to_dict(), att0=self.att0.to_dict())
-        return out
 
 
 def compute_all(t: InstrumentTable) -> GeneralizedBounds:

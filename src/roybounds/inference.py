@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, QuantileOutOfRange, ZeroSectorProbability
 from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse, build_subcdf
-from .generalized import _COMBO, bounds_from_envelopes, empty_sector, envelope_array
+from .generalized import _COMBO, EnvelopeReport, bounds_from_envelopes, empty_sector, envelope_array
 from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
@@ -285,21 +285,14 @@ def critical_value(
         stat[row : row + len(cells)] = dev.reshape(len(cells), -1).max(axis=1)
 
     _map_cells(reduce, theta, b, seed, _STREAM_K)
-    k = float(np.quantile(np.sort(stat), level, method="higher"))
+    k = float(np.quantile(stat, level, method="higher"))
     return CriticalValue(k=k, level=level, b=b, seed=seed)
 
 
 @dataclass(frozen=True)
-class CiReport:
+class CiReport(EnvelopeReport):
     """Confidence intervals for the generalized-model bounds."""
 
-    ey0: IntervalBound
-    ey1: IntervalBound
-    ate: IntervalBound
-    benefit_strict: IntervalBound
-    mobility: IntervalBound
-    att1: IntervalBound | None
-    att0: IntervalBound | None
     level: float
     b: int
     seed: int
@@ -307,26 +300,8 @@ class CiReport:
     att1_bootstrap: IntervalBound | None = None
     att0_bootstrap: IntervalBound | None = None
 
-    @property
-    def crossed(self) -> bool:
-        return self.ey0.crossed or self.ey1.crossed
-
     def to_dict(self) -> dict:
-        out = {
-            "ey0": self.ey0.to_dict(),
-            "ey1": self.ey1.to_dict(),
-            "ate": self.ate.to_dict(),
-            "benefit_strict": self.benefit_strict.to_dict(),
-            "mobility": self.mobility.to_dict(),
-            "level": self.level,
-            "bootstrap": self.b,
-            "seed": self.seed,
-        }
-        for name in ("att1", "att0", "att1_bootstrap", "att0_bootstrap"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val.to_dict()
-        return out
+        return {**super().to_dict(), "level": self.level, "bootstrap": self.b, "seed": self.seed}
 
 
 def assemble_cis(
@@ -434,8 +409,8 @@ def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, Interv
     alpha = 1.0 - cv.level
 
     def interval(low_star, high_star, label):
-        lo = float(np.quantile(np.sort(low_star), alpha / 2, method="lower"))
-        hi = float(np.quantile(np.sort(high_star), 1.0 - alpha / 2, method="higher"))
+        lo = float(np.quantile(low_star, alpha / 2, method="lower"))
+        hi = float(np.quantile(high_star, 1.0 - alpha / 2, method="higher"))
         return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
     return interval(low1, high1, "E(Y1-Y0|D=1) CI"), interval(low0, high0, "E(Y0-Y1|D=0) CI")
@@ -538,8 +513,8 @@ def iqr_ci(
     alpha = 1.0 - level
     finite = np.isfinite(t_star)
     if finite.any():
-        t_sorted = np.sort(np.where(finite, t_star, np.min(t_star[finite])))
-        lower = max(0.0, float(np.quantile(t_sorted, alpha / 2, method="lower")))
+        t_floored = np.where(finite, t_star, np.min(t_star[finite]))
+        lower = max(0.0, float(np.quantile(t_floored, alpha / 2, method="lower")))
     else:
         lower = 0.0
     if grid is None:
@@ -560,6 +535,6 @@ def iqr_ci(
     sd = np.maximum(sd, 1e-9 * max(spread, 1e-12))
     gs -= g0[None, :]
     gs /= sd[None, :]
-    c_alpha = float(np.quantile(np.sort(gs.max(axis=1)), level, method="higher"))
+    c_alpha = float(np.quantile(gs.max(axis=1), level, method="higher"))
     upper = float(np.max(g0 + c_alpha * sd))
     return IntervalBound(lower, max(lower, upper), sharp=False, label=f"IQR_{d} CI")

@@ -419,21 +419,35 @@ def test_criterion_10_reports_byte_identical(tmp_path, cli_env):
             blobs.add(sample_csv.read_bytes())
     assert len(blobs) == 1, "simulate output varied across runs or thread counts"
     rng = oracle.make_rng(55)
-    zvals = rng.choice(["a", "b", "c"], size=800)
-    rows = ["y,d,z"]
-    for i in range(800):
-        y0 = int(rng.random() < 0.4)
-        y1 = int(rng.random() < 0.6)
-        d = int(y1 > y0 or (y1 == y0 and rng.random() < 0.5))
-        rows.append(f"{y1 if d else y0},{d},{zvals[i]}")
-    data_csv = tmp_path / "binary.csv"
-    data_csv.write_text("\n".join(rows) + "\n")
+
+    def binary_csv(name, labels, n):
+        zvals = rng.choice(labels, size=n)
+        rows = ["y,d,z"]
+        for i in range(n):
+            y0 = int(rng.random() < 0.4)
+            y1 = int(rng.random() < 0.6)
+            d = int(y1 > y0 or (y1 == y0 and rng.random() < 0.5))
+            rows.append(f"{y1 if d else y0},{d},{zvals[i]}")
+        path = tmp_path / name
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    data_csv = binary_csv("binary.csv", ["a", "b", "c"], 800)
+    # 64 instrument points: 8 bytes x 256 cells x 300 draws fill two draw
+    # batches, so ROY_THREADS=8 runs a helper thread beside the calling one
+    # (K=3 fits one batch and runs on the calling thread only).
+    assert 8 * 4 * 64 * 300 > inference._DRAW_BYTES
+    wide_csv = binary_csv("binary_k64.csv", [f"z{j}" for j in range(64)], 6400)
     reports = {
         name: set()
-        for name in ("infer", "iqr")
+        for name in ("infer", "infer_k64", "iqr")
     }
     infer_args = [
         "infer", "--data", str(data_csv), "--instrument", "z",
+        "--bootstrap", "300", "--seed", "7",
+    ]
+    infer_k64_args = [
+        "infer", "--data", str(wide_csv), "--instrument", "z",
         "--bootstrap", "300", "--seed", "7",
     ]
     iqr_args = [
@@ -443,6 +457,7 @@ def test_criterion_10_reports_byte_identical(tmp_path, cli_env):
     for threads in (1, 8):
         for _ in range(2):
             reports["infer"].add(_run_cli(infer_args, threads, tmp_path, cli_env))
+            reports["infer_k64"].add(_run_cli(infer_k64_args, threads, tmp_path, cli_env))
             reports["iqr"].add(_run_cli(iqr_args, threads, tmp_path, cli_env))
     for name, blob in reports.items():
         assert len(blob) == 1, f"{name} report varied across runs or thread counts"

@@ -1049,6 +1049,26 @@ def test_simulate_rejects_bad_design_with_one_error_line(tmp_path, capsys, desig
     assert not out.exists()
 
 
+def test_draw_too_large_for_memory_gives_one_error_line(tmp_path, capsys):
+    # Each size fails at its first allocation (728 TiB of float64), so
+    # nothing is drawn before the error.
+    huge = "100000000000000"
+    data = write_binary_csv(tmp_path / "s.csv")
+    design, out = tmp_path / "design.json", tmp_path / "sample.csv"
+    design.write_text(json.dumps(GAUSSIAN))
+    for argv in (
+        ["infer", "--data", str(data), "--instrument", "z", "--bootstrap", huge],
+        ["iqr", "--data", str(data), "--d", "1", "--bootstrap", huge],
+        ["simulate", "--design", str(design), "--n", huge, "--out", str(out)],
+    ):
+        assert "allocate" in assert_input_error(argv, capsys)
+    assert not out.exists()
+
+
+def test_oracle_needs_cells_or_objective(capsys):
+    assert "--cells or --objective" in assert_input_error(["oracle"], capsys)
+
+
 def test_oracle_halfspaces(capsys):
     cells = json.dumps({"q00": 0.2, "q01": 0.1, "q10": 0.3, "q11": 0.4})
     code, out, _ = run_cli(["oracle", "--cells", cells, "--variant", "roy"], capsys)

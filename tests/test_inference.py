@@ -259,6 +259,29 @@ def test_critical_value_thread_invariant(monkeypatch):
     assert k1 == k8
 
 
+def test_critical_value_thread_invariant_over_two_batches(monkeypatch):
+    # 72 instrument points: the 288 drawn cells of b=256 draws fill two draw
+    # batches, so ROY_THREADS=8 runs one helper thread beside the calling one.
+    theta = inference.estimate_theta(binary_sample(4, n=8000, k=72))
+    probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+    assert 8 * len(inference._drawn_categories(probs)) * 256 > inference._DRAW_BYTES
+    seen = set()
+    theta_from_cells = inference._theta_from_cells
+
+    def spy(cells):
+        seen.add(threading.get_ident())
+        return theta_from_cells(cells)
+
+    monkeypatch.setattr(inference, "_theta_from_cells", spy)
+    ks = {}
+    for threads in ("1", "8"):
+        monkeypatch.setenv("ROY_THREADS", threads)
+        seen.clear()
+        ks[threads] = inference.critical_value(theta, b=256, seed=9).k
+        assert len(seen) == (1 if threads == "1" else 2)
+    assert ks["1"] == ks["8"]
+
+
 def test_ci_contains_plugin_bounds():
     data = binary_sample(5, n=6000)
     rep = inference.infer_bounds(data, level=0.95, b=300, seed=2)
