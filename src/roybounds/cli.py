@@ -355,6 +355,17 @@ def _load_sample(args) -> OutcomeSample:
         raise InputError(str(exc)) from exc
 
 
+def _json_floats(values) -> np.ndarray:
+    """A list of JSON numbers as floats; TypeError for anything else, or an int too large for a float."""
+    # JSON true and false are no numbers here, though Python counts a bool as an int.
+    if not all(type(v) in (int, float) for v in values):
+        raise TypeError("not a JSON number")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise TypeError("too large for a float") from exc
+
+
 _CELL_KEYS = ("q00", "q01", "q10", "q11")
 
 
@@ -369,8 +380,8 @@ def _cells_from_obj(obj) -> CellProbs:
     if not isinstance(obj, dict) or not all(k in obj for k in _CELL_KEYS):
         raise InputError(f"bad --cells payload: need an object with keys {', '.join(_CELL_KEYS)}")
     try:
-        q = np.array([obj[k] for k in _CELL_KEYS], dtype=float)
-    except (TypeError, ValueError) as exc:
+        q = _json_floats([obj[k] for k in _CELL_KEYS])
+    except TypeError as exc:
         raise InputError(f"bad --cells payload: cell probabilities must be numbers ({exc})") from exc
     return validate_cells(*q)
 
@@ -491,11 +502,8 @@ def _cmd_infer(args, report):
 def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
     """JSON numbers of a design file as floats, each finite and in [lo, hi]; else `what` is wrong."""
     try:
-        # JSON true and false are no numbers here, though Python counts a bool as an int.
-        if not all(type(v) in (int, float) for v in values):
-            raise TypeError
-        x = np.array(values, dtype=float)
-    except (TypeError, OverflowError):
+        x = _json_floats(values)
+    except TypeError:
         x = np.array([np.nan])
     if not (np.isfinite(x) & (x >= lo) & (x <= hi)).all():
         raise InputError(f"bad design: {what}")

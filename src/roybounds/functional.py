@@ -205,19 +205,13 @@ class SubCdf:
     def inv_bar(self, d: int, u: float) -> float:
         return self._sub[d].inverse(u - self.p_d(1 - d))
 
-    def mass(self, iv, d=None) -> float:
-        """Weight of {y in iv, D=d} for an Interval; d=None pools sectors."""
-        if iv is None or iv.is_empty:
-            return 0.0
-        if d is None:
-            w = self._w_by_d[0] + self._w_by_d[1]
-        else:
-            w = self._w_by_d[d]
+    def mass(self, iv, d: int) -> float:
+        """Weight of {y in iv, D=d} for an Interval."""
         lo_side = "right" if iv.lo_open else "left"
         hi_side = "left" if iv.hi_open else "right"
         i0 = np.searchsorted(self.jumps, iv.lo, side=lo_side)
         i1 = np.searchsorted(self.jumps, iv.hi, side=hi_side)
-        return float(w[i0:i1].sum())
+        return float(self._w_by_d[d][i0:i1].sum())
 
 
 def build_subcdf(s: OutcomeSample) -> SubCdf:
@@ -247,44 +241,12 @@ class Interval:
             return self.lo_open or self.hi_open
         return False
 
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        return Interval(lo, hi, lo_open, hi_open)
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Disjoint sorted union of Intervals."""
-
-    parts: tuple[Interval, ...]
-
-    @classmethod
-    def of(cls, intervals) -> "IntervalUnion":
-        ivs = sorted((i for i in intervals if not i.is_empty), key=lambda i: (i.lo, i.hi))
-        merged: list[Interval] = []
-        for iv in ivs:
-            if merged:
-                last = merged[-1]
-                touching = iv.lo < last.hi or (
-                    iv.lo == last.hi and not (iv.lo_open and last.hi_open)
-                )
-                if touching:
-                    if (iv.hi, not iv.hi_open) > (last.hi, not last.hi_open):
-                        merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-                    continue
-            merged.append(iv)
-        return cls(parts=tuple(merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
+    def contains(self, y) -> np.ndarray:
+        """Mask of the points y that lie in the interval."""
+        y = np.asarray(y, dtype=float)
+        above = y > self.lo if self.lo_open else y >= self.lo
+        below = y < self.hi if self.hi_open else y <= self.hi
+        return above & below
 
 
 @dataclass(frozen=True)
@@ -314,44 +276,28 @@ class RectUnion:
         return cls.of([Rect(Interval(-np.inf, y0), Interval(-np.inf, y1))])
 
 
-def _rect_upper(i_own: Interval, i_other: Interval) -> Interval:
-    # Half-line through y in the own coordinate hits the rectangle iff
-    # y is in the own interval and some point <= y is in the other one.
-    reach = Interval(i_other.lo, np.inf, i_other.lo_open, True)
-    return i_own.intersect(reach)
+def upper_lower_sets(a: RectUnion, y):
+    """Upper/lower set calculus for a rectangle union, as masks over the points y.
 
-
-def _rect_lower(i_own: Interval, i_other: Interval) -> Interval:
-    # Half-line containment requires the other interval to reach -inf.
-    if np.isfinite(i_other.lo):
-        return Interval(0.0, -1.0)
-    cap = Interval(-np.inf, i_other.hi, True, i_other.hi_open)
-    return i_own.intersect(cap)
-
-
-def upper_lower_sets(a: RectUnion):
-    """Upper/lower set calculus for a rectangle union.
-
-    Returns (U0, U1, L0, L1): the sets of y whose sector-d half-line
-    ({y} paired with all values <= y in the other coordinate) meets the
-    set a, respectively lies inside one rectangle of a.
+    Returns (U0, U1, L0, L1): whether the sector-d half-line of each y ({y}
+    paired with all values <= y in the other coordinate) meets the set a,
+    respectively lies inside one rectangle of a.
     """
-    u0, u1, l0, l1 = [], [], [], []
+    y = np.asarray(y, dtype=float)
+    upper = [np.zeros(y.shape, dtype=bool) for _ in range(2)]
+    lower = [np.zeros(y.shape, dtype=bool) for _ in range(2)]
     for r in a.rects:
-        u1.append(_rect_upper(r.i1, r.i0))
-        u0.append(_rect_upper(r.i0, r.i1))
-        l1.append(_rect_lower(r.i1, r.i0))
-        l0.append(_rect_lower(r.i0, r.i1))
-    return (
-        IntervalUnion.of(u0),
-        IntervalUnion.of(u1),
-        IntervalUnion.of(l0),
-        IntervalUnion.of(l1),
-    )
-
-
-def _union_mass(c: SubCdf, u: IntervalUnion, d: int) -> float:
-    return sum(c.mass(iv, d) for iv in u.parts)
+        if r.is_empty:
+            continue
+        for d, (own, other) in enumerate(((r.i0, r.i1), (r.i1, r.i0))):
+            held = own.contains(y)
+            # The half-line meets the rectangle iff some point <= y is in the
+            # other interval, and lies inside it iff that interval holds all
+            # of (-inf, y].
+            upper[d] |= held & Interval(other.lo, np.inf, other.lo_open, True).contains(y)
+            if other.lo == -np.inf:
+                lower[d] |= held & other.contains(y)
+    return upper[0], upper[1], lower[0], lower[1]
 
 
 def peterson_bounds(c: SubCdf, d: int, y: float) -> IntervalBound:
@@ -373,9 +319,10 @@ def joint_set_bounds(c: SubCdf, a: RectUnion) -> IntervalBound:
     """Bounds on P((Y0, Y1) in a) for a rectangle union, sharp for one rectangle:
     the union of several rectangles' lower sets misses a half-line that they
     cover only together, so the lower end is then valid but not sharp."""
-    u0, u1, l0, l1 = upper_lower_sets(a)
-    lo = _union_mass(c, l0, 0) + _union_mass(c, l1, 1)
-    hi = _union_mass(c, u0, 0) + _union_mass(c, u1, 1)
+    u0, u1, l0, l1 = upper_lower_sets(a, c.jumps)
+    w0, w1 = c._w_by_d
+    lo = float(w0[l0].sum()) + float(w1[l1].sum())
+    hi = float(w0[u0].sum()) + float(w1[u1].sum())
     return IntervalBound(lo, hi, sharp=len(a.rects) <= 1, label="P((Y0,Y1) in A)")
 
 

@@ -73,6 +73,10 @@ SINGLE_Z_BAD_CELLS = [
     "{}",
     '{"q00":"a","q01":0,"q10":0,"q11":1}',
     '{"q00":NaN,"q01":0,"q10":0,"q11":1}',
+    # Only JSON numbers: no string, no boolean, no integer too large for a float.
+    '{"q00":"0.2","q01":0.1,"q10":0.3,"q11":0.4}',
+    '{"q00":true,"q01":0,"q10":0,"q11":0}',
+    '{"q00":1' + "0" * 400 + ',"q01":0,"q10":0,"q11":0}',
 ]
 MULTI_Z_BAD_CELLS = ['{"a":{"q00":1}}', '{"a":5}']
 
@@ -82,9 +86,7 @@ def test_bad_cells_payload(capsys):
     for c in SINGLE_Z_BAD_CELLS + MULTI_Z_BAD_CELLS:
         cases += [["generalized", "--cells", c], ["oracle", "--objective", "ey0", "--cells", c]]
     for argv in cases:
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1, argv
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+        assert_input_error(argv, capsys)
 
 
 def assert_input_error(argv, capsys):

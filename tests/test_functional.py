@@ -7,6 +7,7 @@ from roybounds import functional as fn
 from roybounds import oracle
 from roybounds.errors import (
     BadInterval,
+    DegenerateDenominator,
     EmptySample,
     EmptySector,
     QuantileOutOfRange,
@@ -226,54 +227,109 @@ def test_sample_holds_labels_sorted_from_either_instrument_form():
 
 def test_upper_lower_sets_quadrant():
     a = fn.RectUnion.lower_quadrant(1.0, 2.0)
-    u0, u1, l0, l1 = fn.upper_lower_sets(a)
-    assert u0.parts[0].hi == 1.0 and u0.parts[0].lo == -np.inf
-    assert u1.parts[0].hi == 2.0
-    assert l0.parts[0].hi == 1.0  # min(y0, y1)
-    assert l1.parts[0].hi == 1.0
+    y = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    u0, u1, l0, l1 = fn.upper_lower_sets(a, y)
+    assert u0.tolist() == [True, True, False, False, False]
+    assert u1.tolist() == [True, True, True, True, False]
+    assert l0.tolist() == l1.tolist() == u0.tolist()  # y <= min(y0, y1)
 
 
 def test_upper_lower_sets_whole_plane():
     a = fn.RectUnion.of([fn.Rect(fn.Interval(-np.inf, np.inf), fn.Interval(-np.inf, np.inf))])
-    u0, u1, l0, l1 = fn.upper_lower_sets(a)
-    for s in (u0, u1, l0, l1):
-        assert s.parts[0].lo == -np.inf and s.parts[0].hi == np.inf
+    for s in fn.upper_lower_sets(a, np.array([-1e300, -1.0, 0.0, 1e300])):
+        assert s.all()
 
 
 def test_upper_lower_sets_interior_rectangle():
     # y01 < y11 < y02 < y12
     y01, y11, y02, y12 = 0.0, 1.0, 2.0, 3.0
     a = fn.RectUnion.of([fn.Rect(fn.Interval(y01, y02), fn.Interval(y11, y12))])
-    u0, u1, l0, l1 = fn.upper_lower_sets(a)
-    assert (u1.parts[0].lo, u1.parts[0].hi) == (y11, y12)
-    assert (u0.parts[0].lo, u0.parts[0].hi) == (y11, y02)
-    assert l0.is_empty and l1.is_empty
+    y = np.arange(-0.5, 4.0, 0.5)
+    u0, u1, l0, l1 = fn.upper_lower_sets(a, y)
+    assert (u1 == ((y11 < y) & (y <= y12))).all()
+    assert (u0 == ((y11 < y) & (y <= y02))).all()
+    assert not l0.any() and not l1.any()
+
+
+def draw_interval(rng, ends):
+    """An interval on the grid `ends` with random open/closed flags, some ends at
+    +-inf, and sometimes degenerate: [a, a], or empty when a flag is open."""
+    lo, hi = sorted(rng.choice(ends, 2))
+    if rng.random() < 0.2:
+        lo = -np.inf
+    if rng.random() < 0.2:
+        hi = np.inf
+    if rng.random() < 0.15 and np.isfinite(lo):
+        hi = lo
+    return fn.Interval(float(lo), float(hi), bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+
+
+def halfline_sets(rects, y):
+    """(U0, U1, L0, L1) of the rectangles at each point y, point by point.
+
+    y is in U_d when some nonempty rectangle holds y in its own interval and
+    has a point at or below y in its other one, and in L_d when some rectangle
+    holds y and its other interval contains all of (-inf, y].
+    """
+    def inside(iv, x):
+        return (iv.lo < x if iv.lo_open else iv.lo <= x) and (x < iv.hi if iv.hi_open else x <= iv.hi)
+
+    def nonempty(iv):
+        return iv.lo < iv.hi or (iv.lo == iv.hi and not (iv.lo_open or iv.hi_open))
+
+    upper, lower = ([], []), ([], [])
+    for d in (0, 1):
+        pairs = [(r.i0, r.i1) if d == 0 else (r.i1, r.i0) for r in rects]
+        for x in y:
+            upper[d].append(any(
+                nonempty(own) and nonempty(other) and inside(own, x)
+                and (other.lo < x or (other.lo == x and not other.lo_open))
+                for own, other in pairs
+            ))
+            lower[d].append(any(
+                inside(own, x) and other.lo == -np.inf and inside(other, x) for own, other in pairs
+            ))
+    return tuple(np.array(m, dtype=bool) for m in (*upper, *lower))
 
 
 def test_upper_sets_vs_halfline_grid_oracle():
     rng = oracle.make_rng(17)
-    for _ in range(10):
-        lo0, lo1 = sorted(rng.uniform(-2, 2, 2))[0], rng.uniform(-2, 2)
-        hi0 = lo0 + rng.uniform(0.1, 2)
-        hi1 = lo1 + rng.uniform(0.1, 2)
-        a = fn.RectUnion.of([fn.Rect(fn.Interval(lo0, hi0), fn.Interval(lo1, hi1))])
-        u0, u1, _, _ = fn.upper_lower_sets(a)
-        for y in np.arange(-3, 3.05, 0.1):
-            # half-line {(y0, y) : y0 <= y} meets the rectangle?
-            meets1 = (lo1 < y <= hi1) and (y > lo0)
-            in_u1 = any(
-                (iv.lo < y if iv.lo_open else iv.lo <= y)
-                and (y < iv.hi if iv.hi_open else y <= iv.hi)
-                for iv in u1.parts
-            )
-            assert meets1 == in_u1, (y, a)
-            meets0 = (lo0 < y <= hi0) and (y > lo1)
-            in_u0 = any(
-                (iv.lo < y if iv.lo_open else iv.lo <= y)
-                and (y < iv.hi if iv.hi_open else y <= iv.hi)
-                for iv in u0.parts
-            )
-            assert meets0 == in_u0, (y, a)
+    ends = np.arange(-2.0, 2.5, 0.5)
+    grid = np.arange(-3.0, 3.05, 0.25)
+    degenerate = several = 0
+    for _ in range(400):
+        rects = [fn.Rect(draw_interval(rng, ends), draw_interval(rng, ends))
+                 for _ in range(int(rng.integers(1, 4)))]
+        degenerate += any(iv.lo == iv.hi for r in rects for iv in (r.i0, r.i1))
+        # Empty rectangles are kept here, so the masks must skip them.
+        got = fn.upper_lower_sets(fn.RectUnion(rects=tuple(rects)), grid)
+        want = halfline_sets(rects, grid)
+        for name, g, w in zip(("U0", "U1", "L0", "L1"), got, want):
+            assert g.dtype == bool and (g == w).all(), (name, grid[g != w], rects)
+        # A weighted sample on the grid: the bounds sum the weights over the sets.
+        n = int(rng.integers(1, 40))
+        y, d = rng.choice(grid, n), (rng.random(n) < 0.5).astype(int)
+        c = fn.build_subcdf(fn.OutcomeSample.from_arrays(y, d, rng.uniform(0.1, 3.0, n)))
+        a = fn.RectUnion.of(rects)
+        b = fn.joint_set_bounds(c, a)
+        u0, u1, l0, l1 = halfline_sets(a.rects, c.jumps)
+        w0, w1 = c._w_by_d
+        assert b.lo == pytest.approx(w0[l0].sum() + w1[l1].sum(), abs=1e-15, rel=0)
+        assert b.hi == pytest.approx(w0[u0].sum() + w1[u1].sum(), abs=1e-15, rel=0)
+        assert b.sharp == (len(a.rects) <= 1)
+        several += len(a.rects) > 1
+    assert degenerate >= 50 and several >= 50
+
+
+def test_upper_sets_keep_a_shared_closed_lower_end():
+    # [-1, inf) and (-1, 0] share the lower end -1, closed in one only: the
+    # sector-0 upper set holds -1, so its weight counts toward the upper end.
+    r_closed = fn.Rect(fn.Interval(-1.0, np.inf, False, False), fn.Interval(-3.0, np.inf))
+    r_open = fn.Rect(fn.Interval(-1.0, 0.0), fn.Interval(-3.0, np.inf, False, True))
+    c = fn.build_subcdf(fn.OutcomeSample.from_arrays([-1.0, 0.5], [0, 1]))
+    for a in (fn.RectUnion.of([r_closed, r_open]), fn.RectUnion.of([r_open, r_closed])):
+        assert fn.upper_lower_sets(a, c.jumps)[0].tolist() == [True, True]
+        assert fn.joint_set_bounds(c, a).hi == 1.0
 
 
 def test_joint_set_bounds_diagonal_identified():
@@ -310,9 +366,9 @@ def test_joint_set_bounds_is_sharp_for_one_rectangle_only():
     assert (b1.lo, b1.sharp) == (pytest.approx(0.845), True)
     assert (b2.lo, b2.sharp) == (pytest.approx(0.4875), False)
     assert b1.hi == b2.hi
-    # IntervalUnion.of merges the two touching sector-0 sets into one.
-    u0, _, l0, _ = fn.upper_lower_sets(two)
-    assert u0.parts == l0.parts == (fn.Interval(-np.inf, 5.0),)
+    # The two rectangles' sector-0 sets together cover (-inf, 5], as the one's do.
+    u0, _, l0, _ = fn.upper_lower_sets(two, c.jumps)
+    assert (u0 == (c.jumps <= 5.0)).all() and (l0 == u0).all()
 
 
 def test_joint_rect_upper_is_improved_formula():
@@ -340,6 +396,10 @@ def test_mobility_upper_edges():
         ((s.y <= y) & (s.d == 0)).mean() + (s.d == 1).mean()
     )
     assert fn.mobility_upper(c, y) == pytest.approx(min(1.0, direct))
+    # All in sector 0 and none at or below y: the envelope of P(Y0 <= y) is zero.
+    c = fn.build_subcdf(fn.OutcomeSample.from_arrays([1.0, 2.0, 3.0], [0, 0, 0]))
+    with pytest.raises(DegenerateDenominator):
+        fn.mobility_upper(c, 0.5)
 
 
 def test_iqr_point_identified_when_one_sector():
