@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateConditioning,
     MissingCell,
@@ -112,65 +114,38 @@ def sharp_bounds_with_instrument(
     )
 
 
-@dataclass(frozen=True)
-class CovariateGrid:
-    """Cell probabilities indexed by sector-specific covariate pairs (x0, x1).
-
-    Supp(X1|X0=x0) and Supp(X0|X1=x1) are the pairs present in the mapping.
-    """
-
-    cells: tuple[tuple[tuple[object, object], CellProbs], ...]
-
-    @classmethod
-    def from_dict(cls, mapping: dict):
-        return cls(cells=tuple(sorted(mapping.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))))
-
-    def cell(self, x0, x1) -> CellProbs:
-        for (a, b), q in self.cells:
-            if a == x0 and b == x1:
-                return q
-        raise MissingCell(f"no cells for (x0, x1) = ({x0!r}, {x1!r})")
-
-    def x1_support(self, x0) -> list:
-        vals = [b for (a, b), _ in self.cells if a == x0]
-        if not vals:
-            raise MissingCell(f"x0 = {x0!r} not in grid")
-        return vals
-
-    def x0_support(self, x1) -> list:
-        vals = [a for (a, b), _ in self.cells if b == x1]
-        if not vals:
-            raise MissingCell(f"x1 = {x1!r} not in grid")
-        return vals
+def covariate_cell(t: InstrumentTable, x0, x1) -> CellProbs:
+    """Cells of the covariate pair (x0, x1) in a table keyed by such pairs."""
+    try:
+        return t.cell((x0, x1))
+    except KeyError:
+        raise MissingCell(f"no cells for (x0, x1) = ({x0!r}, {x1!r})") from None
 
 
 def marginal_bounds_with_covariates(
-    g: CovariateGrid, x0, x1
+    t: InstrumentTable, x0, x1
 ) -> tuple[IntervalBound, IntervalBound, bool]:
     """Intersection bounds on (E(Y0|x0), E(Y1|x1)) over excluded covariates.
 
+    t is keyed by the pairs (x0, x1), and its weights are not used:
+    Supp(X1|X0=x0) and Supp(X0|X1=x1) are the pairs present in t.
     Crossing (empty interval) rejects the binary Roy model and is flagged,
     not raised.
     """
-    cells0 = [g.cell(x0, t1) for t1 in g.x1_support(x0)]
-    cells1 = [g.cell(t0, x1) for t0 in g.x0_support(x1)]
-    ey0 = IntervalBound(
-        max(q.q10 for q in cells0),
-        min(q.p_y1 for q in cells0),
-        sharp=True,
-        label=f"E(Y0|x0={x0!r})",
-    )
-    ey1 = IntervalBound(
-        max(q.q11 for q in cells1),
-        min(q.p_y1 for q in cells1),
-        sharp=True,
-        label=f"E(Y1|x1={x1!r})",
-    )
-    return ey0, ey1, ey0.crossed or ey1.crossed
+    _, _, q10, q11 = t.cells.T
+    ey = []
+    for i, x, q in ((0, x0, q10), (1, x1, q11)):
+        rows = np.array([pair[i] == x for pair in t.labels], dtype=bool)
+        if not rows.any():
+            raise MissingCell(f"x{i} = {x!r} not in grid")
+        ey.append(IntervalBound(
+            q[rows].max(), (q10 + q11)[rows].min(), sharp=True, label=f"E(Y{i}|x{i}={x!r})"
+        ))
+    return ey[0], ey[1], ey[0].crossed or ey[1].crossed
 
 
 def conditional_bounds(
-    g: CovariateGrid, x0, x1
+    t: InstrumentTable, x0, x1
 ) -> tuple[IntervalBound, IntervalBound]:
     """Sharp bounds on P(Y1=1|Y0=0,.) and P(Y0=1|Y1=0,.).
 
@@ -178,7 +153,7 @@ def conditional_bounds(
     range of the counterfactual mean a, then rescaled by 1-a; the bounds
     are the two extreme a values.
     """
-    c = g.cell(x0, x1).p_y1
+    c = covariate_cell(t, x0, x1).p_y1
 
     def interval(a_lo: float, a_hi: float, label: str) -> IntervalBound:
         if a_hi >= 1.0 - 1e-9:
@@ -187,5 +162,5 @@ def conditional_bounds(
             (c - a_hi) / (1.0 - a_hi), (c - a_lo) / (1.0 - a_lo), sharp=True, label=label
         ).clamp()
 
-    ey0, ey1, _ = marginal_bounds_with_covariates(g, x0, x1)
+    ey0, ey1, _ = marginal_bounds_with_covariates(t, x0, x1)
     return interval(ey0.lo, ey0.hi, "P(Y1=1|Y0=0)"), interval(ey1.lo, ey1.hi, "P(Y0=1|Y1=0)")

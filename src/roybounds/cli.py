@@ -551,6 +551,10 @@ def _cmd_simulate(args, report):
     labels, weights = spec.get("z_labels", []), spec.get("z_weights", [])
     if not isinstance(labels, list) or not all(type(z) in (str, int, float) for z in labels):
         raise InputError("bad design: z_labels must be a list of strings or numbers")
+    # The CSV holds str(z), and a sample's instrument values are that text.
+    text = [str(z) for z in labels]
+    if "" in text or len(set(text)) != len(text):
+        raise InputError("bad design: z_labels must be distinct and non-empty as CSV text")
     w = _design_floats(weights, "z_weights must be numbers >= 0", 0)
     if len(w) and (len(w) != len(labels) or not 0 < w.sum() < np.inf):
         raise InputError("bad design: need one z_weight per z_label, with a positive finite sum")

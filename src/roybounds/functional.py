@@ -165,13 +165,11 @@ class SubCdf:
     """Empirical cdf, sub-cdfs and envelopes of a weighted (Y, D) sample."""
 
     def __init__(self, sample: OutcomeSample):
-        order = np.argsort(sample.y, kind="stable")
-        ys = sample.y[order]
-        ws = sample.w[order]
-        ds = sample.d[order]
-        uniq, inv = np.unique(ys, return_inverse=True)
-        w0 = np.bincount(inv, weights=ws * (ds == 0), minlength=len(uniq))
-        w1 = np.bincount(inv, weights=ws * (ds == 1), minlength=len(uniq))
+        # return_index asks for a stable sort, so a jump at zero keeps the
+        # sign (0.0 or -0.0) of its first row; bincount adds in row order.
+        uniq, _, inv = np.unique(sample.y, return_index=True, return_inverse=True)
+        w0 = np.bincount(inv, weights=sample.w * (sample.d == 0), minlength=len(uniq))
+        w1 = np.bincount(inv, weights=sample.w * (sample.d == 1), minlength=len(uniq))
         self.jumps = uniq
         self.p_d0 = float(w0.sum())
         self.p_d1 = float(w1.sum())

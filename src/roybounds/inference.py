@@ -39,6 +39,9 @@ _DRAW_BYTES = 512 * 1024
 _STD_COLS = 16
 # Fewest bootstrap draws whose quantiles and spreads are worth reporting.
 _MIN_DRAWS = 100
+# Most points of the IQR upper-endpoint grid; a wider grid is thinned to
+# this many of its quantiles.
+_GRID_CAP = 512
 
 # Stream tags keep the independent bootstrap passes on disjoint
 # counter-based RNG streams for a single user seed.
@@ -424,7 +427,6 @@ def iqr_ci(
     level: float = 0.95,
     b: int = 999,
     seed: int = 0,
-    grid_cap: int = 512,
 ) -> IntervalBound:
     """Confidence interval for the sector-d interquantile-range bounds.
 
@@ -459,8 +461,8 @@ def iqr_ci(
         g_lo, g_hi = inv_bar_q1 - lln, inv_f_q1 + lln
         grid = xs[(xs >= g_lo) & (xs <= g_hi)]
         grid = np.concatenate([[g_lo], grid, [g_hi]])
-        if len(grid) > grid_cap:
-            grid = np.quantile(grid, np.linspace(0, 1, grid_cap), method="nearest")
+        if len(grid) > _GRID_CAP:
+            grid = np.quantile(grid, np.linspace(0, 1, _GRID_CAP), method="nearest")
         # Sorted distinct values as np.unique gives them, which would import numpy.ma.
         grid = np.sort(grid)
         grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]

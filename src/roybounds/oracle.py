@@ -167,17 +167,17 @@ class BinaryCouplingWitness:
         return y0, y1, y, d
 
 
-def coupling_witness_binary(g, x0, x1, a: float, b: float) -> BinaryCouplingWitness:
+def coupling_witness_binary(t: InstrumentTable, x0, x1, a: float, b: float) -> BinaryCouplingWitness:
     """Witness for the covariate marginal bounds at target means (a, b)."""
-    from .binary import marginal_bounds_with_covariates
+    from .binary import covariate_cell, marginal_bounds_with_covariates
 
-    ey0, ey1, _ = marginal_bounds_with_covariates(g, x0, x1)
+    ey0, ey1, _ = marginal_bounds_with_covariates(t, x0, x1)
     tol = 1e-9
     if not (ey0.lo - tol <= a <= ey0.hi + tol):
         raise OutOfRange(f"a={a} outside admissible range [{ey0.lo}, {ey0.hi}]")
     if not (ey1.lo - tol <= b <= ey1.hi + tol):
         raise OutOfRange(f"b={b} outside admissible range [{ey1.lo}, {ey1.hi}]")
-    q = g.cell(x0, x1)
+    q = covariate_cell(t, x0, x1)
     c = q.p_y1
     segs = [
         (q.q00, 0, 0, 0, 0),

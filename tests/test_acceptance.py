@@ -109,7 +109,7 @@ def test_criterion_04_coupling_witnesses_attain_endpoints():
     for s in range(10):
         rng = oracle.make_rng(6000 + s)
         q = random_cells(rng)
-        g = binary.CovariateGrid.from_dict({("x0", "x1"): q})
+        g = InstrumentTable.from_cells({("x0", "x1"): q})
         ey0, ey1, _ = binary.marginal_bounds_with_covariates(g, "x0", "x1")
         for a in (ey0.lo, ey0.hi):
             for b in (ey1.lo, ey1.hi):

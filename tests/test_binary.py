@@ -106,7 +106,7 @@ def test_instrument_dependence_rejected():
 
 
 def test_covariate_bounds_single_cell():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
+    g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     ey0, ey1, crossed = binary.marginal_bounds_with_covariates(g, "a", "b")
     assert (ey0.lo, ey0.hi) == (0.3, pytest.approx(0.7))
     assert (ey1.lo, ey1.hi) == (0.4, pytest.approx(0.7))
@@ -114,7 +114,7 @@ def test_covariate_bounds_single_cell():
 
 
 def test_covariate_bounds_crossing():
-    g = binary.CovariateGrid.from_dict(
+    g = InstrumentTable.from_cells(
         {
             ("x0a", "x1"): validate_cells(0.1, 0.1, 0.1, 0.7),
             ("x0b", "x1"): validate_cells(0.3, 0.3, 0.2, 0.2),
@@ -128,7 +128,7 @@ def test_covariate_bounds_crossing():
 
 def test_covariate_bounds_no_variation():
     q = validate_cells(0.2, 0.1, 0.3, 0.4)
-    g = binary.CovariateGrid.from_dict(
+    g = InstrumentTable.from_cells(
         {(a, b): q for a in ("a1", "a2") for b in ("b1", "b2")}
     )
     ey0, ey1, crossed = binary.marginal_bounds_with_covariates(g, "a1", "b1")
@@ -139,22 +139,32 @@ def test_covariate_bounds_no_variation():
 
 
 def test_missing_cell():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.25, 0.25, 0.25, 0.25)})
-    with pytest.raises(MissingCell):
-        g.cell("a", "zzz")
-    with pytest.raises(MissingCell):
-        g.x1_support("zzz")
+    g = InstrumentTable.from_cells(
+        {("a", "b"): validate_cells(0.25, 0.25, 0.25, 0.25), ("c", "d"): validate_cells(0.1, 0.2, 0.3, 0.4)}
+    )
+    with pytest.raises(MissingCell, match=r"^no cells for \(x0, x1\) = \('a', 'd'\)$"):
+        binary.covariate_cell(g, "a", "d")
+    # Each covariate is found, but not as a pair: the marginal bounds need no pair.
+    binary.marginal_bounds_with_covariates(g, "a", "d")
+    with pytest.raises(MissingCell, match=r"^no cells for \(x0, x1\) = \('a', 'd'\)$"):
+        binary.conditional_bounds(g, "a", "d")
+    with pytest.raises(MissingCell, match=r"^x0 = 'zzz' not in grid$"):
+        binary.marginal_bounds_with_covariates(g, "zzz", "zzz")  # x0 is checked first
+    with pytest.raises(MissingCell, match=r"^x1 = 'zzz' not in grid$"):
+        binary.marginal_bounds_with_covariates(g, "a", "zzz")
+    with pytest.raises(MissingCell, match=r"^x1 = 'zzz' not in grid$"):
+        oracle.coupling_witness_binary(g, "c", "zzz", 0.3, 0.4)  # bounds first, then the pair
 
 
 def test_conditional_bounds_example():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
+    g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     p10_cond, p01_cond = binary.conditional_bounds(g, "a", "b")
     assert p10_cond.lo == pytest.approx(0.0)
     assert p10_cond.hi == pytest.approx(4.0 / 7.0)
 
 
 def test_conditional_bounds_degenerate():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.0, 0.0, 0.5, 0.5)})
+    g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.0, 0.0, 0.5, 0.5)})
     with pytest.raises(DegenerateConditioning):
         binary.conditional_bounds(g, "a", "b")
 
@@ -166,7 +176,7 @@ def test_conditional_bounds_match_coupling_monte_carlo():
         for b in ("b1", "b2"):
             v = rng.dirichlet([3, 3, 3, 3])
             cells[(a, b)] = validate_cells(*v)
-    g = binary.CovariateGrid.from_dict(cells)
+    g = InstrumentTable.from_cells(cells)
     ey0, ey1, crossed = binary.marginal_bounds_with_covariates(g, "a1", "b1")
     if crossed:
         pytest.skip("random grid rejected the model")

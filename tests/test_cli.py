@@ -1035,6 +1035,10 @@ BAD_DESIGNS = {
     "overflowing-draw": ({**GAUSSIAN, "mu0": 1e308, "sd0": 1e308}, []),
     "pi-not-a-number": ({**GAUSSIAN, "pi": "x"}, []),
     "z-labels-string": ({**GAUSSIAN, "z_labels": "ab"}, []),
+    # Instrument labels that would merge or vanish once written to the CSV.
+    "z-labels-repeat": ({**GAUSSIAN, "z_labels": ["a", "a"]}, []),
+    "z-labels-same-text": ({**GAUSSIAN, "z_labels": [1, "1"]}, []),
+    "z-label-empty": ({**GAUSSIAN, "z_labels": ["", "b"]}, []),
     "z-weight-bool": ({**GAUSSIAN, "z_labels": ["a"], "z_weights": [True]}, []),
     "not-utf8": (b'{"type": "gaussian", "mu0": \xe9}', []),
     "unknown-joint-type": ({"type": "weird"}, []),

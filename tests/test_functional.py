@@ -108,6 +108,39 @@ def seeded_subcdf(seed):
     return fn.build_subcdf(fn.OutcomeSample.from_arrays(y, d, w)), rng
 
 
+def two_sort_subcdf(s):
+    """Jumps and per-jump sector weights as SubCdf once built them: a stable
+    argsort, three gathers, then np.unique on the sorted copy."""
+    order = np.argsort(s.y, kind="stable")
+    ys, ws, ds = s.y[order], s.w[order], s.d[order]
+    uniq, inv = np.unique(ys, return_inverse=True)
+    w0 = np.bincount(inv, weights=ws * (ds == 0), minlength=len(uniq))
+    w1 = np.bincount(inv, weights=ws * (ds == 1), minlength=len(uniq))
+    return uniq, w0, w1
+
+
+def test_subcdf_equals_two_sort_reference_bitwise():
+    signs = set()
+    for seed in range(400):
+        rng = oracle.make_rng(seed, 31)
+        n = int(rng.integers(1, 300))
+        y = np.round(rng.normal(0, 1, n), int(rng.integers(0, 2)))
+        # 0.0 and -0.0 ties in random row order; the jump keeps the first one's sign.
+        zeros = rng.random(n) < 0.3
+        y[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        d = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+        w = np.round(rng.uniform(0.1, 3.0, n), 2) if seed % 2 else None
+        s = fn.OutcomeSample.from_arrays(y, d, w)
+        c = fn.build_subcdf(s)
+        uniq, w0, w1 = two_sort_subcdf(s)
+        assert c.jumps.tobytes() == uniq.tobytes(), seed
+        assert c._w_by_d[0].tobytes() == w0.tobytes(), seed
+        assert c._w_by_d[1].tobytes() == w1.tobytes(), seed
+        assert repr((c.p_d0, c.p_d1)) == repr((float(w0.sum()), float(w1.sum()))), seed
+        signs.update(np.signbit(c.jumps[c.jumps == 0.0]))
+    assert signs == {False, True}
+
+
 def test_stepfn_inverse_equals_scalar_reference_bitwise():
     past_end = 0
     for seed in range(200):
@@ -223,6 +256,17 @@ def test_sample_holds_labels_sorted_from_either_instrument_form():
     for s in (by_row, coded):
         assert s.labels == tuple(sorted(set(z)))
         assert s.z.tolist() == z
+
+
+def test_interval_is_empty():
+    assert fn.Interval(1.0, 0.0, False, False).is_empty  # lo > hi, closed ends or not
+    assert fn.Interval(1.0, 1.0).is_empty  # (1, 1]
+    assert not fn.Interval(1.0, 1.0, False, False).is_empty  # [1, 1]
+    assert not fn.Interval(0.0, 1.0).is_empty
+    whole = fn.Interval(-np.inf, np.inf)
+    assert fn.RectUnion.of([fn.Rect(whole, fn.Interval(1.0, 0.0)), fn.Rect(whole, whole)]).rects == (
+        fn.Rect(whole, whole),
+    )
 
 
 def test_upper_lower_sets_quadrant():

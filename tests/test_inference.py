@@ -535,7 +535,8 @@ def test_iqr_ci_row_inverse_calls_independent_of_grid(monkeypatch):
     for cap in (4, 512):
         calls.append(0)
         widest.append(0)
-        inference.iqr_ci(data, 1, 0.6, 0.9, b=150, seed=7, grid_cap=cap)
+        monkeypatch.setattr(inference, "_GRID_CAP", cap)
+        inference.iqr_ci(data, 1, 0.6, 0.9, b=150, seed=7)
     assert calls[0] == calls[1]
     assert widest[0] < widest[1]  # the grids differ in size
 
@@ -617,9 +618,10 @@ def test_iqr_ci_equals_dense_reference(monkeypatch):
         w = rng.uniform(0.2, 4.0, n) if seed % 2 else None
         data = OutcomeSample.from_arrays(y, dd, w)
         q1, q2 = sorted(rng.uniform(0.02, 0.98, 2))
-        kw = dict(d=seed // 2 % 2, q1=q1, q2=q2,
-                  b=int(rng.choice([100, 200, 300])), seed=seed, grid_cap=4 if seed % 5 < 2 else 512)
-        ref = repr(dense_iqr_ci(data, **kw))
+        cap = 4 if seed % 5 < 2 else 512
+        monkeypatch.setattr(inference, "_GRID_CAP", cap)
+        kw = dict(d=seed // 2 % 2, q1=q1, q2=q2, b=int(rng.choice([100, 200, 300])), seed=seed)
+        ref = repr(dense_iqr_ci(data, **kw, grid_cap=cap))
         for threads in ("1", "2"):
             monkeypatch.setenv("ROY_THREADS", threads)
             assert repr(inference.iqr_ci(data, **kw)) == ref, (seed, threads)
@@ -650,8 +652,9 @@ def test_iqr_ci_compact_batches_equal_dense_reference(monkeypatch):
     bounded = 0
     for data, d, q1, q2 in cases:
         for cap in (4, 512):
-            kw = dict(d=d, q1=q1, q2=q2, b=150, seed=3, grid_cap=cap)
-            ref = repr(dense_iqr_ci(data, **kw))
+            monkeypatch.setattr(inference, "_GRID_CAP", cap)
+            kw = dict(d=d, q1=q1, q2=q2, b=150, seed=3)
+            ref = repr(dense_iqr_ci(data, **kw, grid_cap=cap))
             for threads in ("1", "2"):
                 monkeypatch.setenv("ROY_THREADS", threads)
                 assert repr(inference.iqr_ci(data, **kw)) == ref, (d, q1, q2, cap, threads)
@@ -687,12 +690,13 @@ def test_iqr_ci_memory_independent_of_sample_size(monkeypatch):
     import tracemalloc
 
     monkeypatch.setenv("ROY_THREADS", "1")
+    monkeypatch.setattr(inference, "_GRID_CAP", 4)
     peaks = []
     for n in (5000, 20000):
         data = iqr_sample(31, n=n)
         tracemalloc.start()
         try:
-            inference.iqr_ci(data, 1, 0.25, 0.75, b=999, seed=0, grid_cap=4)
+            inference.iqr_ci(data, 1, 0.25, 0.75, b=999, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -99,7 +99,7 @@ def test_roy_cells_identity():
 
 
 def test_binary_coupling_hits_targets_and_obeys_selection():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
+    g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     ey0, ey1, _ = binary.marginal_bounds_with_covariates(g, "a", "b")
     a, b = ey0.hi, ey1.lo
     w = oracle.coupling_witness_binary(g, "a", "b", a, b)
@@ -111,15 +111,18 @@ def test_binary_coupling_hits_targets_and_obeys_selection():
     assert np.all(d[y1 < y0] == 0)
     assert np.array_equal(y, np.where(d == 1, y1, y0))
     # observed cells match the target cells
-    q = g.cell("a", "b")
+    q = g.cell(("a", "b"))
     for (yy, dd), prob in (((0, 0), q.q00), ((0, 1), q.q01), ((1, 0), q.q10), ((1, 1), q.q11)):
         assert abs(((y == yy) & (d == dd)).mean() - prob) < 3e-3
 
 
 def test_binary_coupling_rejects_out_of_bounds_target():
-    g = binary.CovariateGrid.from_dict({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
+    g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     with pytest.raises(OutOfRange):
         oracle.coupling_witness_binary(g, "a", "b", 0.95, 0.5)
+    # E(Y0) = 0.5 is admissible, E(Y1) = 0.95 is not: [0.4, 0.7].
+    with pytest.raises(OutOfRange, match="b=0.95 outside"):
+        oracle.coupling_witness_binary(g, "a", "b", 0.5, 0.95)
 
 
 def continuous_fixture(seed=12, n=40):
@@ -154,6 +157,16 @@ def test_continuous_coupling_rejects_escaping_marginal():
         oracle.coupling_witness_continuous(c, bad, bad)
 
 
+def test_continuous_coupling_rejects_marginal_that_does_not_end_at_one():
+    c = continuous_fixture()
+    # Inside the envelopes at every jump, then moved past the last one.
+    xs = np.append(c.jumps, c.jumps[-1] + 1.0)
+    for last in (0.5, 1.5):
+        f = StepFn(xs, np.append(np.asarray(c.cdf(c.jumps)), last))
+        with pytest.raises(BoundsViolated, match="does not reach 1"):
+            oracle.coupling_witness_continuous(c, f, f)
+
+
 def test_discrete_joint_cdf_and_draw():
     j = oracle.DiscreteJoint(support=((0.0, 1.0), (2.0, 0.5)), probs=(0.25, 0.75))
     assert j.cdf(0, 1.0) == 0.25
@@ -182,6 +195,13 @@ def test_simulate_roy_selection():
     # same seed, same draw
     sample2, _ = oracle.simulate(design)
     assert np.array_equal(sample.y, sample2.y)
+
+
+def test_simulate_rejects_tie_break_outside_unit_interval():
+    for pi in (-0.1, 1.5):
+        design = oracle.SimDesign(joint=oracle.GaussianCopulaJoint(), n=10, seed=0, pi=pi)
+        with pytest.raises(OutOfRange, match="tie-break probability"):
+            oracle.simulate(design)
 
 
 def test_simulate_with_instrument_and_rule():

@@ -197,6 +197,15 @@ def test_interval_bound_utilities():
     assert d["lo"] == "+inf" and d["hi"] == "-inf"
 
 
+def test_potential_joint_rejects_negative_or_unnormalized_mass():
+    assert PotentialJoint(0.1, 0.2, 0.3, 0.4).ey1 == pytest.approx(0.6)
+    with pytest.raises(NegativeMass):
+        PotentialJoint(-0.1, 0.5, 0.3, 0.3)
+    for masses in ((0.3, 0.3, 0.3, 0.3), (np.nan, 0.5, 0.25, 0.25)):  # a nan sum fails too
+        with pytest.raises(NotNormalized):
+            PotentialJoint(*masses)
+
+
 def test_simplex_grid_counts():
     g = simplex_grid(0.1)
     assert len(g) == 286  # C(13, 3)
