@@ -1,7 +1,7 @@
 """Sharp partial-identification bounds for Roy selection models.
 
 Submodules:
-  probability  - cell records, interval bounds, simplex polytopes
+  probability  - cell records, interval bounds, oracle simplex geometry
   binary       - closed-form binary-model bounds
   generalized  - generalized binary model with an instrument
   functional   - continuous-outcome functional bounds and IQR bounds

@@ -2,8 +2,9 @@
 
 Covers the no-instrument case, instrument-sharpened bounds, marginal
 bounds with sector-specific covariates, and conditional-distribution
-bounds.  All outputs carry the polytope over (p00, p01, p10, p11) so
-results can be cross-checked against enumeration oracles.
+bounds.  Every bound is a closed form in the observed cells.  The
+identified set of (p00, p01, p10, p11) fixes p00 and caps p10 and p01,
+so the reported p00 value and caps determine it.
 """
 
 from __future__ import annotations
@@ -14,19 +15,11 @@ import numpy as np
 
 from .errors import (
     DegenerateConditioning,
+    InfeasibleModel,
     MissingCell,
     OutcomeInstrumentDependence,
 )
-from .probability import (
-    P00,
-    P01,
-    P10,
-    CellProbs,
-    InstrumentTable,
-    IntervalBound,
-    SimplexPolytope,
-    unit,
-)
+from .probability import CellProbs, InstrumentTable, IntervalBound
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,6 @@ class BinaryRoyBounds:
     ey0_bound: IntervalBound
     ey1_bound: IntervalBound
     ate_bound: IntervalBound
-    polytope: SimplexPolytope
 
     def to_dict(self) -> dict:
         return {
@@ -50,17 +42,6 @@ class BinaryRoyBounds:
             "ey1": self.ey1_bound.to_dict(),
             "ate": self.ate_bound.to_dict(),
         }
-
-
-def _roy_polytope(p00: float, p10_cap: float, p01_cap: float) -> SimplexPolytope:
-    # p00 is identified: encode the equality as paired inequalities.
-    rows = [
-        (tuple(unit(P10)), p10_cap),
-        (tuple(unit(P01)), p01_cap),
-        (tuple(unit(P00)), p00),
-        (tuple(-unit(P00)), -p00),
-    ]
-    return SimplexPolytope.from_rows(rows)
 
 
 def manski_bounds(q: CellProbs) -> tuple[IntervalBound, IntervalBound, IntervalBound]:
@@ -81,7 +62,6 @@ def sharp_bounds(q: CellProbs) -> BinaryRoyBounds:
         ey0_bound=ey0,
         ey1_bound=ey1,
         ate_bound=ate,
-        polytope=_roy_polytope(q.p_y0, q.q10, q.q11),
     )
 
 
@@ -110,7 +90,6 @@ def sharp_bounds_with_instrument(
         ey0_bound=IntervalBound(hi10, p_y1, sharp=True, label="EY0 (instrument)"),
         ey1_bound=IntervalBound(hi11, p_y1, sharp=True, label="EY1 (instrument)"),
         ate_bound=IntervalBound(-lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
-        polytope=_roy_polytope(pooled.p_y0, lo10, lo11),
     )
 
 
@@ -151,7 +130,9 @@ def conditional_bounds(
 
     The success probability c=P(Y=1|x0,x1) is reduced by the admissible
     range of the counterfactual mean a, then rescaled by 1-a; the bounds
-    are the two extreme a values.
+    are the two extreme a values.  Marginal bounds that cross, which
+    `marginal_bounds_with_covariates` flags, leave no admissible a and
+    raise InfeasibleModel.
     """
     c = covariate_cell(t, x0, x1).p_y1
 
@@ -162,5 +143,7 @@ def conditional_bounds(
             (c - a_hi) / (1.0 - a_hi), (c - a_lo) / (1.0 - a_lo), sharp=True, label=label
         ).clamp()
 
-    ey0, ey1, _ = marginal_bounds_with_covariates(t, x0, x1)
+    ey0, ey1, crossed = marginal_bounds_with_covariates(t, x0, x1)
+    if crossed:
+        raise InfeasibleModel(f"covariate table at ({x0!r}, {x1!r}) inconsistent with the binary Roy model")
     return interval(ey0.lo, ey0.hi, "P(Y1=1|Y0=0)"), interval(ey1.lo, ey1.hi, "P(Y0=1|Y1=0)")

@@ -19,7 +19,7 @@ class NotNormalized(RoyBoundsError):
 
 
 class Infeasible(RoyBoundsError):
-    """A polytope has no feasible point."""
+    """An identified set is empty."""
 
 
 class InfeasibleModel(Infeasible):

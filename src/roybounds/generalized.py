@@ -20,17 +20,7 @@ from .errors import (
     ZeroConditioningCell,
     ZeroSectorProbability,
 )
-from .probability import (
-    P00,
-    P01,
-    P10,
-    P11,
-    InstrumentTable,
-    IntervalBound,
-    SimplexPolytope,
-    left_sum,
-    unit,
-)
+from .probability import InstrumentTable, IntervalBound, left_sum
 
 # Cell combinations (rows) of the cells (q00, q01, q10, q11), in envelope
 # column order: the first four enter as infima over z, the last four as
@@ -64,32 +54,6 @@ def envelope_array(theta: np.ndarray, slack=0.0) -> np.ndarray:
 def envelopes(t: InstrumentTable) -> np.ndarray:
     """The (8,) envelope array: componentwise min/max of the cell combinations over z."""
     return envelope_array(t.cells @ _COMBO.T)
-
-
-def joint_polytope(t: InstrumentTable) -> SimplexPolytope:
-    """Identified set for (p00, p01, p10, p11): eight envelope conditions.
-
-    Each instrument point gives one row per normal below; only the
-    tightest right-hand side over z binds, so the set has eight rows for
-    any support size.  It is empty exactly when the EY0 or EY1 bounds cross.
-    """
-    i1, i0, i1001, i0011, s10, s00, s11, s01 = envelopes(t)
-    ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
-    poly = SimplexPolytope.from_rows(
-        [
-            (unit(P11), i1),
-            (unit(P00), i0),
-            (unit(P10), i1001),
-            (unit(P01), i0011),
-            (ey0, 1.0 - s00),
-            (-ey0, -s10),
-            (ey1, 1.0 - s01),
-            (-ey1, -s11),
-        ]
-    )
-    if not poly.is_feasible():
-        raise InfeasibleModel("instrument table inconsistent with the generalized model")
-    return poly
 
 
 def bounds_from_envelopes(env) -> dict:
@@ -260,7 +224,7 @@ class GeneralizedBounds(EnvelopeReport):
 def compute_all(t: InstrumentTable) -> GeneralizedBounds:
     """Every generalized-model bound for one table; att1 and att0 are None
     when some z has no mass in one sector.  Crossed EY0 or EY1 bounds
-    (an empty `joint_polytope(t)`) raise InfeasibleModel."""
+    (an empty identified set) raise InfeasibleModel."""
     e = envelopes(t)
     p = point_bounds(e)
     if p["ey0"].crossed or p["ey1"].crossed:

@@ -1,12 +1,14 @@
-"""Probability records and simplex polytope geometry.
+"""Probability records, and the simplex geometry of the oracle and tests.
 
 All identified sets for binary-outcome models live on the 3-simplex of
-joint masses (p00, p01, p10, p11), with p_ij = P(Y0=i, Y1=j).  Identified
-sets are intersections of the simplex with halfspaces a.p <= b, whose
-vertices are enumerated exactly, which is cheap in this fixed, tiny
-dimension.  An instrument table holds one row of cells per instrument
-value, as arrays.  `make_rng` is the one seeded random generator behind
-every simulation and bootstrap draw.
+joint masses (p00, p01, p10, p11), with p_ij = P(Y0=i, Y1=j).  The
+bounds are closed forms in the observed cells; `SimplexPolytope` cuts
+an identified set out of the simplex by halfspaces a.p <= b and
+enumerates its vertices exactly, which is cheap in this fixed, tiny
+dimension.  That enumeration serves only the oracle and the tests.  An
+instrument table holds one row of cells per instrument value, as
+arrays.  `make_rng` is the one seeded random generator behind every
+simulation and bootstrap draw.
 """
 
 from __future__ import annotations

@@ -1,14 +1,61 @@
 """Brute-force simplex geometry for the tests.
 
-A grid of the 3-simplex, membership of points, extrema of a linear
-functional by vertex enumeration, and interval containment: independent
-routes to what the closed forms compute, so no bound depends on them.
+The closed-form identified sets as polytopes, a grid of the 3-simplex,
+membership of points, extrema of a linear functional by vertex
+enumeration, and interval containment: independent routes to what the
+closed forms compute, so no bound depends on them.
 """
 
 import numpy as np
 
-from roybounds.errors import Infeasible
-from roybounds.probability import FEAS_TOL, IntervalBound, PotentialJoint, SimplexPolytope
+from roybounds.errors import Infeasible, InfeasibleModel
+from roybounds.probability import (
+    FEAS_TOL,
+    P00,
+    P01,
+    P10,
+    P11,
+    IntervalBound,
+    PotentialJoint,
+    SimplexPolytope,
+    unit,
+)
+
+
+def roy_polytope(b) -> SimplexPolytope:
+    """Binary Roy identified set of the bounds b (a `BinaryRoyBounds`): p00
+    at its identified value, p10 and p01 under their reported caps."""
+    rows = [
+        (unit(P10), b.p10_bound.hi),
+        (unit(P01), b.p01_bound.hi),
+        # p00 is identified: the equality as paired inequalities.
+        (unit(P00), b.p00_value),
+        (-unit(P00), -b.p00_value),
+    ]
+    return SimplexPolytope.from_rows(rows)
+
+
+def envelope_polytope(e) -> SimplexPolytope:
+    """Generalized-model identified set of the envelopes e (8,), as
+    `generalized.envelopes` returns them: eight rows for any support size.
+    InfeasibleModel when the set is empty."""
+    i1, i0, i1001, i0011, s10, s00, s11, s01 = e
+    ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
+    poly = SimplexPolytope.from_rows(
+        [
+            (unit(P11), i1),
+            (unit(P00), i0),
+            (unit(P10), i1001),
+            (unit(P01), i0011),
+            (ey0, 1.0 - s00),
+            (-ey0, -s10),
+            (ey1, 1.0 - s01),
+            (-ey1, -s11),
+        ]
+    )
+    if not poly.is_feasible():
+        raise InfeasibleModel("instrument table inconsistent with the generalized model")
+    return poly
 
 
 def contains_points(polytope: SimplexPolytope, pts: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:

@@ -26,7 +26,7 @@ from roybounds.functional import (
 )
 from roybounds.probability import InstrumentTable, validate_cells
 
-from geometry import contains_points, simplex_grid
+from geometry import contains_points, envelope_polytope, roy_polytope, simplex_grid
 
 
 def random_cells(rng):
@@ -47,7 +47,7 @@ def _grid_agreement(variant, closed_fn, n_designs, seed):
 def test_criterion_01_binary_closed_form_equals_enumeration():
     t0 = time.time()
     bad, npts = _grid_agreement(
-        oracle.ROY, lambda q: binary.sharp_bounds(q).polytope, 100, 1000
+        oracle.ROY, lambda q: roy_polytope(binary.sharp_bounds(q)), 100, 1000
     )
     elapsed = time.time() - t0
     assert bad == 0, f"{bad} membership disagreements"
@@ -62,7 +62,7 @@ def test_criterion_02_generalized_closed_form_equals_enumeration():
     t0 = time.time()
     bad, npts = _grid_agreement(
         oracle.GENERALIZED,
-        lambda q: generalized.joint_polytope(InstrumentTable.from_cells({"z": q})),
+        lambda q: envelope_polytope(generalized.envelopes(InstrumentTable.from_cells({"z": q}))),
         100,
         2000,
     )

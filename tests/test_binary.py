@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from roybounds import binary, oracle
 from roybounds.errors import (
     DegenerateConditioning,
+    InfeasibleModel,
     MissingCell,
     OutcomeInstrumentDependence,
 )
@@ -15,7 +18,7 @@ from roybounds.probability import (
     validate_cells,
 )
 
-from geometry import contains_points, membership, polytope_extrema, simplex_grid
+from geometry import contains_points, membership, polytope_extrema, roy_polytope, simplex_grid
 
 
 def cells_strategy():
@@ -41,7 +44,7 @@ def test_sharp_bounds_example():
 def test_polytope_matches_artstein_oracle():
     q = validate_cells(0.1, 0.2, 0.3, 0.4)
     grid = simplex_grid(0.01)
-    closed = contains_points(binary.sharp_bounds(q).polytope, grid)
+    closed = contains_points(roy_polytope(binary.sharp_bounds(q)), grid)
     enumerated = contains_points(oracle.artstein_set(q, oracle.ROY), grid)
     assert np.array_equal(closed, enumerated)
 
@@ -88,7 +91,7 @@ def test_instrument_two_point_example():
     inter = np.ones(len(grid), dtype=bool)
     for z in t.labels:
         inter &= contains_points(oracle.artstein_set(t.cell(z), oracle.ROY), grid)
-    assert np.array_equal(inter, contains_points(b.polytope, grid))
+    assert np.array_equal(inter, contains_points(roy_polytope(b), grid))
 
 
 def test_instrument_dependence_rejected():
@@ -169,6 +172,46 @@ def test_conditional_bounds_degenerate():
         binary.conditional_bounds(g, "a", "b")
 
 
+def conditional_outcome(g, x0, x1) -> str:
+    """What conditional_bounds(g, x0, x1) gives, with numpy warnings as errors:
+    the name of the error it raises, or "bounds"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            binary.conditional_bounds(g, x0, x1)
+        except (InfeasibleModel, DegenerateConditioning) as exc:
+            return type(exc).__name__
+    return "bounds"
+
+
+def test_conditional_bounds_reject_crossed_marginals():
+    # E(Y0|x0="a") is [1.0, 0.4], which crosses: no counterfactual mean is
+    # admissible, and the rescaling must not divide by 1 - 1.0.
+    g = InstrumentTable.from_cells(
+        {("a", "b"): validate_cells(0, 0, 1, 0), ("a", "c"): validate_cells(0.3, 0.3, 0.2, 0.2)}
+    )
+    ey0, _, crossed = binary.marginal_bounds_with_covariates(g, "a", "c")
+    assert (ey0.lo, ey0.hi, crossed) == (1.0, pytest.approx(0.4), True)
+    assert conditional_outcome(g, "a", "c") == "InfeasibleModel"
+    with pytest.raises(InfeasibleModel, match=r"^covariate table at \('a', 'c'\) inconsistent"):
+        binary.conditional_bounds(g, "a", "c")
+
+
+def test_conditional_bounds_raise_exactly_when_marginals_cross():
+    rng = oracle.make_rng(71)
+    seen = {True: 0, False: 0}
+    for i in range(300):
+        n0, n1 = 1 + i % 3, 1 + (i // 3) % 3
+        pairs = [(f"a{j}", f"b{k}") for j in range(n0) for k in range(n1) if rng.random() < 0.8]
+        pairs = pairs or [("a0", "b0")]
+        g = InstrumentTable.from_cells({p: validate_cells(*rng.dirichlet(np.full(4, 0.7))) for p in pairs})
+        for x0, x1 in pairs:
+            crossed = binary.marginal_bounds_with_covariates(g, x0, x1)[2]
+            assert (conditional_outcome(g, x0, x1) == "InfeasibleModel") == crossed, (x0, x1, g.cells.tolist())
+            seen[crossed] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_conditional_bounds_match_coupling_monte_carlo():
     rng = oracle.make_rng(21)
     cells = {}
@@ -203,7 +246,7 @@ def test_interior_joint_is_member(q):
     p = PotentialJoint(
         q.p_y0, 0.5 * q.q11, 0.5 * q.q10, 1.0 - q.p_y0 - 0.5 * q.q11 - 0.5 * q.q10
     )
-    assert membership(b.polytope, p)
+    assert membership(roy_polytope(b), p)
 
 
 def test_adding_instrument_points_never_widens():
@@ -221,6 +264,6 @@ def test_adding_instrument_points_never_widens():
 def test_ate_agrees_with_polytope_extrema():
     q = validate_cells(0.15, 0.25, 0.35, 0.25)
     b = binary.sharp_bounds(q)
-    direct = polytope_extrema(b.polytope, (0, 1, -1, 0))
+    direct = polytope_extrema(roy_polytope(b), (0, 1, -1, 0))
     assert b.ate_bound.lo == pytest.approx(direct.lo, abs=1e-9)
     assert b.ate_bound.hi == pytest.approx(direct.hi, abs=1e-9)

@@ -464,6 +464,42 @@ def test_generalized_enumerates_no_vertices(tmp_path, capsys, monkeypatch):
             assert "ey0" in rep["bounds"] and not rep["bounds"]["crossed"]
 
 
+def test_no_bounds_command_builds_a_polytope(tmp_path, capsys, monkeypatch):
+    # Polytopes serve only the oracle and the tests: with building or
+    # enumerating one made to raise, every bounds command gives the same
+    # exit code and report bytes.
+    monkeypatch.chdir(tmp_path)
+    write_binary_csv(tmp_path / "s.csv")
+    rng = oracle.make_rng(6)
+    rows = "".join(f"{rng.normal():.3f},{int(rng.random() < 0.6)}\n" for _ in range(200))
+    (tmp_path / "c.csv").write_text("y,d\n" + rows)
+    two_z = {
+        "z1": {"q00": 0.1, "q01": 0.3, "q10": 0.2, "q11": 0.4},
+        "z2": {"q00": 0.3, "q01": 0.1, "q10": 0.1, "q11": 0.5},
+    }
+    commands = [
+        ["binary", "--cells", CELLS],
+        ["binary", "--data", "s.csv"],
+        ["binary", "--data", "s.csv", "--instrument", "z", "--tau-y", "1"],
+        ["generalized", "--cells", json.dumps(two_z)],
+        ["generalized", "--cells", json.dumps(REJECTED_CELLS)],
+        ["generalized", "--data", "s.csv", "--instrument", "z", "--bootstrap", "200"],
+        ["infer", "--data", "s.csv", "--instrument", "z", "--bootstrap", "200"],
+        ["iqr", "--data", "c.csv", "--bootstrap", "200"],
+        ["functional", "--data", "c.csv"],
+    ]
+    unpatched = [run_cli(argv, capsys) for argv in commands]
+    assert [code for code, _, _ in unpatched] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bounds command built or enumerated a polytope")
+
+    monkeypatch.setattr(probability.SimplexPolytope, "from_rows", refuse)
+    monkeypatch.setattr(probability.SimplexPolytope, "vertices", refuse)
+    for argv, before in zip(commands, unpatched):
+        assert run_cli(argv, capsys) == before, argv
+
+
 def test_generalized_reports_bounds_without_att_when_a_z_lacks_a_sector(tmp_path, capsys):
     path = write_sector_less_csv(tmp_path / "s.csv")
     cells = json.dumps(

@@ -32,7 +32,7 @@ from roybounds.probability import (
     validate_cells,
 )
 
-from geometry import contains_points, polytope_extrema, simplex_grid
+from geometry import contains_points, envelope_polytope, polytope_extrema, roy_polytope, simplex_grid
 
 
 TWO_Z = InstrumentTable.from_cells(
@@ -80,10 +80,10 @@ def test_joint_polytope_uniform_cells():
     t1 = InstrumentTable.from_cells({"z": q})
     t3 = InstrumentTable.from_cells({"a": q, "b": q, "c": q})
     grid = simplex_grid(0.02)
-    m1 = contains_points(generalized.joint_polytope(t1), grid)
-    m3 = contains_points(generalized.joint_polytope(t3), grid)
+    m1 = contains_points(envelope_polytope(generalized.envelopes(t1)), grid)
+    m3 = contains_points(envelope_polytope(generalized.envelopes(t3)), grid)
     assert np.array_equal(m1, m3)
-    b = polytope_extrema(generalized.joint_polytope(t1), (0, 0, 0, 1))
+    b = polytope_extrema(envelope_polytope(generalized.envelopes(t1)), (0, 0, 0, 1))
     assert (b.lo, b.hi) == (pytest.approx(0.0), pytest.approx(0.5))
 
 
@@ -124,10 +124,10 @@ def test_joint_polytope_equals_per_z_reference():
         ref = per_z_polytope(t)
         if not ref.is_feasible():
             with pytest.raises(InfeasibleModel):
-                generalized.joint_polytope(t)
+                envelope_polytope(generalized.envelopes(t))
             infeasible += 1
             continue
-        poly = generalized.joint_polytope(t)
+        poly = envelope_polytope(generalized.envelopes(t))
         assert poly.is_feasible()
         assert np.array_equal(contains_points(poly, grid), contains_points(ref, grid))
         assert np.array_equal(poly.vertices(), ref.vertices())
@@ -201,7 +201,8 @@ def test_compute_all_rejects_exactly_the_empty_identified_sets():
     seen = np.zeros((4, 2), dtype=int)
     below_tolerance = 0
     for kind, t in model_check_tables():
-        empty, rejected = rejects(generalized.joint_polytope, t), rejects(generalized.compute_all, t)
+        empty = rejects(lambda u: envelope_polytope(generalized.envelopes(u)), t)
+        rejected = rejects(generalized.compute_all, t)
         if rejected and not empty:
             assert 0 < crossing(t.cells) <= probability.FEAS_TOL, (kind, t.cells.tolist())
             below_tolerance += 1
@@ -219,7 +220,7 @@ def test_compute_all_rejects_a_crossing_below_the_vertex_tolerance():
     t = InstrumentTable.from_cells(
         {"z1": validate_cells(0.3, 0.05, 0.6, 0.05), "z2": validate_cells(0.1, 0.1, 0.7 + 1e-10, 0.1 - 1e-10)}
     )
-    assert generalized.joint_polytope(t).is_feasible()
+    assert envelope_polytope(generalized.envelopes(t)).is_feasible()
     with pytest.raises(InfeasibleModel, match="inconsistent with the generalized model"):
         generalized.compute_all(t)
 
@@ -401,7 +402,6 @@ def tuple_sharp_bounds_with_instrument(tt, tau_y=0.0):
         ey0_bound=IntervalBound(hi10, p_y1, sharp=True, label="EY0 (instrument)"),
         ey1_bound=IntervalBound(hi11, p_y1, sharp=True, label="EY1 (instrument)"),
         ate_bound=IntervalBound(-lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
-        polytope=binary._roy_polytope(pooled.p_y0, lo10, lo11),
     )
 
 
@@ -492,8 +492,6 @@ def test_array_table_equals_tuple_reference_bitwise():
         for tau_y in (0.0, 0.05, 1.0):
             new = _outcome(lambda u: binary.sharp_bounds_with_instrument(u, tau_y).to_dict(), t)
             assert new == _outcome(lambda u: tuple_sharp_bounds_with_instrument(u, tau_y).to_dict(), tt)
-        new, ref = binary.sharp_bounds_with_instrument(t, 1.0), tuple_sharp_bounds_with_instrument(tt, 1.0)
-        assert new.polytope.halfspaces == ref.polytope.halfspaces
     assert feasible >= 100
 
 
@@ -535,11 +533,14 @@ def test_joint_polytope_rows_independent_of_support_size():
     t = InstrumentTable.from_cells(
         {f"z{j}": oracle.roy_cells(p, pi) for j, pi in enumerate(np.linspace(0.1, 0.9, 12))}
     )
-    assert len(generalized.joint_polytope(t).halfspaces) == 8
+    poly = envelope_polytope(generalized.envelopes(t))
+    # Eight rows cut out the same set as the eight rows at each of the 12 points.
+    assert len(poly.halfspaces) == 8
+    assert np.array_equal(poly.vertices(), per_z_polytope(t).vertices())
 
 
 def test_joint_polytope_matches_lp_oracle_on_grid():
-    poly = generalized.joint_polytope(TWO_Z)
+    poly = envelope_polytope(generalized.envelopes(TWO_Z))
     grid = simplex_grid(0.02)
     member = contains_points(poly, grid)
     # spot-check against the response-type LP on a subsample
@@ -582,7 +583,7 @@ def test_bp_marginal_bounds_two_z_vs_lp():
 
 
 def test_bp_endpoints_equal_polytope_extrema():
-    poly = generalized.joint_polytope(TWO_Z)
+    poly = envelope_polytope(generalized.envelopes(TWO_Z))
     p = generalized.point_bounds(generalized.envelopes(TWO_Z))
     ey0, ey1 = p["ey0"], p["ey1"]
     d0 = polytope_extrema(poly, (0, 0, 1, 1))
@@ -610,7 +611,7 @@ def test_benefit_bounds_degenerate():
     # closed form must agree with the identified-set extrema.
     t = InstrumentTable.from_cells({"z": validate_cells(1.0, 0.0, 0.0, 0.0)})
     strict = generalized.point_bounds(generalized.envelopes(t))["benefit_strict"]
-    direct = polytope_extrema(generalized.joint_polytope(t), (0, 1, 0, 0))
+    direct = polytope_extrema(envelope_polytope(generalized.envelopes(t)), (0, 1, 0, 0))
     assert (strict.lo, strict.hi) == (pytest.approx(direct.lo), pytest.approx(direct.hi))
     assert (strict.lo, strict.hi) == (0.0, 1.0)
 
@@ -621,7 +622,7 @@ def test_benefit_equals_p01_extrema():
         cells = {f"z{i}": validate_cells(*rng.dirichlet([2, 2, 2, 2])) for i in range(3)}
         t = InstrumentTable.from_cells(cells)
         try:
-            poly = generalized.joint_polytope(t)
+            poly = envelope_polytope(generalized.envelopes(t))
         except Exception:
             continue
         strict = generalized.point_bounds(generalized.envelopes(t))["benefit_strict"]
@@ -740,8 +741,8 @@ def test_single_z_polytope_contains_roy_polytope():
     q = validate_cells(0.2, 0.1, 0.3, 0.4)
     t = InstrumentTable.from_cells({"z": q})
     grid = simplex_grid(0.02)
-    roy = contains_points(binary.sharp_bounds(q).polytope, grid)
-    gen = contains_points(generalized.joint_polytope(t), grid)
+    roy = contains_points(roy_polytope(binary.sharp_bounds(q)), grid)
+    gen = contains_points(envelope_polytope(generalized.envelopes(t)), grid)
     assert np.all(gen[roy])
 
 
@@ -816,25 +817,6 @@ def ref_envelopes(t):
     return InstrumentEnvelopes(*map(float, generalized.envelope_array(cells @ generalized._COMBO.T)))
 
 
-def ref_joint_polytope(e):
-    ey0, ey1 = unit(P10) + unit(P11), unit(P01) + unit(P11)
-    poly = SimplexPolytope.from_rows(
-        [
-            (unit(P11), e.inf_y1),
-            (unit(P00), e.inf_y0),
-            (unit(P10), e.inf_10_01),
-            (unit(P01), e.inf_00_11),
-            (ey0, 1.0 - e.sup_q00),
-            (-ey0, -e.sup_q10),
-            (ey1, 1.0 - e.sup_q01),
-            (-ey1, -e.sup_q11),
-        ]
-    )
-    if not poly.is_feasible():
-        raise InfeasibleModel("instrument table inconsistent with the generalized model")
-    return poly
-
-
 def ref_bp_marginal_bounds(e):
     r = generalized.bounds_from_envelopes(e.as_array())
     ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0")
@@ -878,7 +860,7 @@ def ref_compute_all(t):
     """Reference: compute_all assembled from the named envelopes and three wrappers,
     rejecting the model by vertex enumeration."""
     e = ref_envelopes(t)
-    ref_joint_polytope(e)
+    envelope_polytope(e.as_array())
     ey0, ey1, ate = ref_bp_marginal_bounds(e)
     strict, weak = ref_benefit_bounds(e)
     regrets = tuple(

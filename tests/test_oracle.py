@@ -10,7 +10,7 @@ from roybounds.probability import (
     validate_cells,
 )
 
-from geometry import contains_points, simplex_grid
+from geometry import contains_points, roy_polytope, simplex_grid
 
 
 def test_make_rng_reproducible_streams():
@@ -33,7 +33,7 @@ def test_artstein_variants_differ():
 def test_artstein_roy_matches_closed_form():
     q = validate_cells(0.15, 0.2, 0.3, 0.35)
     grid = simplex_grid(0.02)
-    closed = contains_points(binary.sharp_bounds(q).polytope, grid)
+    closed = contains_points(roy_polytope(binary.sharp_bounds(q)), grid)
     enum = contains_points(oracle.artstein_set(q, oracle.ROY), grid)
     assert np.array_equal(closed, enum)
 
