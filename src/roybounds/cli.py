@@ -30,37 +30,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _level(text: str) -> float:
-    """--level: a confidence level strictly between 0 and 1."""
-    try:
-        level = float(text)
-    except ValueError:
-        level = np.nan
-    if not 0.0 < level < 1.0:
-        raise argparse.ArgumentTypeError(f"need 0 < level < 1, got {text!r}")
-    return level
+def _checked(convert, ok, need: str):
+    """An argparse type: the number convert reads from the text, if ok holds for it."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+
+    return check
 
 
-def _nonnegative(text: str) -> int:
-    """--bootstrap (draws, 0 for none), --seed and --n: a nonnegative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
-    return n
-
-
-def _tolerance(text: str) -> float:
-    """--tau-y: a finite nonnegative tolerance."""
-    try:
-        tau = float(text)
-    except ValueError:
-        tau = np.nan
-    if not 0.0 <= tau < np.inf:
-        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
-    return tau
+_LEVEL = _checked(float, lambda x: 0.0 < x < 1.0, "0 < level < 1")
+_COUNT = _checked(int, lambda n: n >= 0, "a nonnegative integer")  # --bootstrap (0 for none), --seed
+_POSITIVE = _checked(int, lambda n: n > 0, "a positive integer")
+_TOLERANCE = _checked(float, lambda x: 0.0 <= x < np.inf, "a finite tolerance >= 0")
 
 
 # Every option once, by flag: the keywords of its add_argument call.
@@ -73,31 +61,21 @@ _OPTIONS = {
     "--weight": dict(help="weight column"),
     "--filter": dict(action="append", default=[], metavar="COL=VALUE", help="keep rows where COL is VALUE"),
     "--out": dict(help="file for the report, in place of stdout"),
-    "--seed": dict(type=_nonnegative, default=0, help="seed of every random draw"),
-    "--level": dict(type=_level, default=0.95, help="confidence level"),
-    "--bootstrap": dict(type=_nonnegative, default=0, help="bootstrap draws, 0 for none"),
+    "--seed": dict(type=_COUNT, default=0, help="seed of every random draw"),
+    "--level": dict(type=_LEVEL, default=0.95, help="confidence level"),
+    "--bootstrap": dict(type=_COUNT, default=0, help="bootstrap draws, 0 for none"),
     "--quantiles": dict(default="0.25,0.75", metavar="Q1,Q2"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--tau-y": dict(type=_tolerance, default=0.0, help="allowed outcome-instrument dependence"),
+    "--tau-y": dict(type=_TOLERANCE, default=0.0, help="allowed outcome-instrument dependence"),
     "--d": dict(type=int, default=1, choices=(0, 1), help="sector of the bounded IQR"),
     "--design": dict(required=True, help="JSON design file"),
-    "--n": dict(type=_nonnegative, default=1000, help="rows to draw"),
+    "--n": dict(type=_POSITIVE, default=1000, help="rows to draw"),
     "--variant": dict(choices=("roy", "generalized")),  # oracle.ROY (the default), oracle.GENERALIZED
     "--objective": dict(choices=("ey0", "ey1", "p00", "p01", "p10", "p11")),
 }
 # The options of every command that reads a sample, and of every bootstrap.
 _SAMPLE = ("--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed", "--format")
 _DRAWS = ("--level", "--bootstrap")
-# Each subcommand: its help and the options it reads.
-_COMMANDS = {
-    "binary": ("binary Roy model bounds", (*_SAMPLE, "--instrument", "--cells", "--tau-y")),
-    "generalized": ("generalized binary model bounds", (*_SAMPLE, "--instrument", "--cells", *_DRAWS)),
-    "functional": ("continuous-outcome envelope report", _SAMPLE),
-    "iqr": ("interquantile-range bounds", (*_SAMPLE, "--d", "--quantiles", *_DRAWS)),
-    "infer": ("intersection-bounds confidence intervals", (*_SAMPLE, "--instrument", *_DRAWS)),
-    "simulate": ("draw a seeded sample from a design", ("--design", "--n", "--out", "--seed")),
-    "oracle": ("brute-force oracles", (*_SAMPLE, "--instrument", "--cells", "--variant", "--objective")),
-}
 _OVERRIDES = {("infer", "--bootstrap"): dict(default=999, help="bootstrap draws, at least 100"),
               ("simulate", "--out"): dict(required=True, help="file for the CSV sample")}
 # Option pairs a subcommand takes, but not together: given the first, it would ignore the second.
@@ -122,7 +100,7 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="roybounds", description=__doc__, allow_abbrev=False)
     parser.set_defaults(instrument=None, format="json")  # for the commands without them
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, (text, flags) in _COMMANDS.items():
+    for cmd, (text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=text, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **{**_OPTIONS[flag], **_OVERRIDES.get((cmd, flag), {})})
@@ -369,11 +347,19 @@ def _json_floats(values) -> np.ndarray:
 _CELL_KEYS = ("q00", "q01", "q10", "q11")
 
 
-def _cells_payload(text: str):
+def _read_json(what: str, text: str | None = None, path: str | None = None):
+    """The JSON value of text, or of the UTF-8 file at path.
+
+    A file that cannot be read, text that is not JSON, and JSON nested
+    past the recursion limit all raise InputError `bad <what>: ...`.
+    """
     try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad --cells payload: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
 def _cells_from_obj(obj) -> CellProbs:
@@ -388,12 +374,12 @@ def _cells_from_obj(obj) -> CellProbs:
 
 def _cells_from_json(text: str) -> CellProbs:
     """One set of cell probabilities {"q00": .., "q01": .., "q10": .., "q11": ..}."""
-    return _cells_from_obj(_cells_payload(text))
+    return _cells_from_obj(_read_json("--cells payload", text))
 
 
 def _table_from_json(text: str) -> InstrumentTable:
     """Instrument table from one set of cells or an object of them keyed by z."""
-    obj = _cells_payload(text)
+    obj = _read_json("--cells payload", text)
     if isinstance(obj, dict) and "q00" in obj:
         return InstrumentTable.from_cells({"z0": _cells_from_obj(obj)})
     if not isinstance(obj, dict) or not obj:
@@ -434,7 +420,6 @@ def _cmd_binary(args, report):
             # No instrument column: one pooled row of cell sums.
             res = binary.sharp_bounds(validate_cells(*inference.tabulate(sample)[1][0]))
     report["bounds"] = res.to_dict()
-    return EXIT_OK
 
 
 def _cmd_generalized(args, report):
@@ -450,7 +435,6 @@ def _cmd_generalized(args, report):
             ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
             report["confidence"] = ci.to_dict()
     report["bounds"] = generalized.compute_all(table).to_dict()
-    return EXIT_OK
 
 
 def _cmd_functional(args, report):
@@ -470,7 +454,6 @@ def _cmd_functional(args, report):
             }
         )
     report["bounds"] = out
-    return EXIT_OK
 
 
 def _cmd_iqr(args, report):
@@ -485,7 +468,6 @@ def _cmd_iqr(args, report):
             sample, args.d, q1, q2, level=args.level, b=args.bootstrap, seed=args.seed
         )
         report["confidence"] = {"iqr": ci.to_dict()}
-    return EXIT_OK
 
 
 def _cmd_infer(args, report):
@@ -495,8 +477,6 @@ def _cmd_infer(args, report):
     report["bounds"] = ci.to_dict()
     if ci.crossed:
         report["findings"] = {"model_rejected": True, "reasons": ["empty confidence interval"]}
-        return EXIT_REJECTED
-    return EXIT_OK
 
 
 def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
@@ -541,11 +521,7 @@ def _joint_from_spec(spec):
 def _cmd_simulate(args, report):
     from . import oracle
 
-    try:
-        with open(args.design, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad design file: {exc}") from exc
+    spec = _read_json("design file", path=args.design)
     if not isinstance(spec, dict):
         raise InputError("bad design file: need a JSON object")
     labels, weights = spec.get("z_labels", []), spec.get("z_weights", [])
@@ -590,7 +566,6 @@ def _cmd_simulate(args, report):
         fh.write("\n")
     report["bounds"] = {"written": args.out, "rows": args.n}
     report["digest"] = {"rows": args.n, "weight_total": 1.0}
-    return EXIT_OK
 
 
 _OBJECTIVES = {
@@ -620,7 +595,7 @@ def _cmd_oracle(args, report):
                 raise
             raise InputError("oracle --objective needs scipy: pip install 'roybounds[oracle]'") from exc
         report["bounds"] = {args.objective: res.to_dict()}
-        return EXIT_OK
+        return
     if not args.cells:
         raise InputError("oracle needs --cells or --objective with a data source")
     q = _cells_from_json(args.cells)
@@ -631,17 +606,23 @@ def _cmd_oracle(args, report):
         "halfspaces": [{"a": list(a), "b": b} for a, b in poly.halfspaces],
         "feasible": poly.is_feasible(),
     }
-    return EXIT_OK
 
 
-_DISPATCH = {
-    "binary": _cmd_binary,
-    "generalized": _cmd_generalized,
-    "functional": _cmd_functional,
-    "iqr": _cmd_iqr,
-    "infer": _cmd_infer,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
+# Each subcommand: its help, the options it reads and its handler.  A handler
+# fills the report; it rejects the model by setting the report's findings or
+# by raising Infeasible or OutcomeInstrumentDependence (exit 2).
+_COMMANDS = {
+    "binary": ("binary Roy model bounds", (*_SAMPLE, "--instrument", "--cells", "--tau-y"), _cmd_binary),
+    "generalized": (
+        "generalized binary model bounds", (*_SAMPLE, "--instrument", "--cells", *_DRAWS), _cmd_generalized
+    ),
+    "functional": ("continuous-outcome envelope report", _SAMPLE, _cmd_functional),
+    "iqr": ("interquantile-range bounds", (*_SAMPLE, "--d", "--quantiles", *_DRAWS), _cmd_iqr),
+    "infer": ("intersection-bounds confidence intervals", (*_SAMPLE, "--instrument", *_DRAWS), _cmd_infer),
+    "simulate": ("draw a seeded sample from a design", ("--design", "--n", "--out", "--seed"), _cmd_simulate),
+    "oracle": (
+        "brute-force oracles", (*_SAMPLE, "--instrument", "--cells", "--variant", "--objective"), _cmd_oracle
+    ),
 }
 
 
@@ -680,36 +661,26 @@ def run(argv) -> int:
         for first, second in _REQUIRES.get(args.cmd, ()):
             if first in given and not getattr(args, second[2:]):
                 raise InputError(f"argument {first}: not allowed without argument {second}")
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    report = {
-        "command": list(argv),
-        "digest": {"rows": 0, "weight_total": 1.0},
-        "seed": args.seed,
-        "bounds": {},
-        "findings": {"model_rejected": False, "reasons": []},
-    }
-    try:
+        report = {
+            "command": list(argv),
+            "digest": {"rows": 0, "weight_total": 1.0},
+            "seed": args.seed,
+            "bounds": {},
+            "findings": {"model_rejected": False, "reasons": []},
+        }
         # ROY_THREADS is checked for every command, not only when a bootstrap draws.
         inference._n_threads()
-        code = _DISPATCH[args.cmd](args, report)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except (Infeasible, OutcomeInstrumentDependence) as exc:
-        report["findings"] = {"model_rejected": True, "reasons": [str(exc)]}
+        try:
+            _COMMANDS[args.cmd][2](args, report)
+        except (Infeasible, OutcomeInstrumentDependence) as exc:
+            report["findings"] = {"model_rejected": True, "reasons": [str(exc)]}
         _emit(report, args)
-        return EXIT_REJECTED
-    except RoyBoundsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except MemoryError as exc:
-        # numpy's message names the allocation that failed; a bare MemoryError has none.
+        return EXIT_REJECTED if report["findings"]["model_rejected"] else EXIT_OK
+    except (RoyBoundsError, OSError, MemoryError) as exc:
+        # Malformed input, an --out that cannot be written, or a draw too large for
+        # memory.  numpy's message names the allocation that failed; a bare MemoryError has none.
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_INPUT
-    _emit(report, args)
-    return code
 
 
 def main() -> None:

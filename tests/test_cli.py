@@ -40,6 +40,12 @@ def write_binary_csv(path, seed=0, n=400, with_z=True):
     return path
 
 
+def write_design(tmp_path, design):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    return path
+
+
 def test_binary_from_cells(capsys):
     cells = json.dumps({"q00": 0.2, "q01": 0.1, "q10": 0.3, "q11": 0.4})
     code, out, _ = run_cli(["binary", "--cells", cells], capsys)
@@ -149,6 +155,38 @@ def test_generalized_data_needs_instrument(tmp_path, capsys):
 def test_negative_seed_rejected(tmp_path, capsys):
     path = write_binary_csv(tmp_path / "s.csv")
     assert_input_error(["infer", "--data", str(path), "--instrument", "z", "--seed", "-1"], capsys)
+
+
+# A numeric flag, a value it rejects, and the one line that value gives.
+FLAG_MESSAGES = [
+    ("--level", "0", "error: argument --level: need 0 < level < 1, got '0'"),
+    ("--level", "1", "error: argument --level: need 0 < level < 1, got '1'"),
+    ("--level", "nan", "error: argument --level: need 0 < level < 1, got 'nan'"),
+    ("--level", "inf", "error: argument --level: need 0 < level < 1, got 'inf'"),
+    ("--level", "abc", "error: argument --level: need 0 < level < 1, got 'abc'"),
+    ("--bootstrap", "-1", "error: argument --bootstrap: need a nonnegative integer, got '-1'"),
+    ("--bootstrap", "1.5", "error: argument --bootstrap: need a nonnegative integer, got '1.5'"),
+    ("--seed", "-1", "error: argument --seed: need a nonnegative integer, got '-1'"),
+    ("--n", "0", "error: argument --n: need a positive integer, got '0'"),
+    ("--n", "-3", "error: argument --n: need a positive integer, got '-3'"),
+    ("--tau-y", "-0.1", "error: argument --tau-y: need a finite tolerance >= 0, got '-0.1'"),
+    ("--tau-y", "nan", "error: argument --tau-y: need a finite tolerance >= 0, got 'nan'"),
+    ("--tau-y", "inf", "error: argument --tau-y: need a finite tolerance >= 0, got 'inf'"),
+    ("--tau-y", "x", "error: argument --tau-y: need a finite tolerance >= 0, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("flag, value, line", FLAG_MESSAGES, ids=[f"{f}={v}" for f, v, _ in FLAG_MESSAGES])
+def test_numeric_flag_messages(tmp_path, capsys, flag, value, line):
+    data = str(write_binary_csv(tmp_path / "s.csv"))
+    # --n with the design of BAD_DESIGNS' zero-n case, which is valid but for its --n.
+    design = write_design(tmp_path, BAD_DESIGNS["zero-n"][0])
+    command = {
+        "--n": ["simulate", "--design", str(design), "--out", str(tmp_path / "sample.csv")],
+        "--tau-y": ["binary", "--data", data, "--instrument", "z"],
+    }.get(flag, ["infer", "--data", data, "--instrument", "z"])
+    assert assert_input_error([*command, flag, value], capsys) == line + "\n"
+    assert not (tmp_path / "sample.csv").exists()
 
 
 def test_unreadable_csv_rejected(tmp_path, capsys):
@@ -1157,6 +1195,51 @@ def test_csv_format_and_out_file(tmp_path, capsys):
     text = out_path.read_text()
     assert text.splitlines()[0] == "name,lo,hi"
     assert any(line.startswith("p10,") for line in text.splitlines())
+
+
+# Command lines whose report or sample cannot be written: --out joins them.
+# The rejected table reaches the exit-2 path before it writes its report.
+UNWRITABLE_OUT = {
+    "binary-cells": lambda tmp_path: ["binary", "--cells", CELLS],
+    "generalized-rejected": lambda tmp_path: ["generalized", "--cells", json.dumps(REJECTED_CELLS)],
+    "infer-data": lambda tmp_path: [
+        "infer", "--data", str(write_binary_csv(tmp_path / "s.csv")), "--instrument", "z", "--bootstrap", "100",
+    ],
+    "simulate": lambda tmp_path: ["simulate", "--design", str(write_design(tmp_path, GAUSSIAN))],
+}
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "a-directory"])
+@pytest.mark.parametrize("command", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT)
+def test_unwritable_out_gives_one_error_line(tmp_path, capsys, command, target):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    err = assert_input_error([*command(tmp_path), "--out", str(out)], capsys)
+    assert str(out) in err
+    # No sample and no truth file were written.
+    assert {p.name for p in tmp_path.iterdir()} <= {"a-directory", "design.json", "s.csv"}
+
+
+# Nested far past the interpreter's recursion limit.
+DEEP_JSON = "[" * 50000 + "]" * 50000
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["binary", "--cells", DEEP_JSON], "bad --cells payload"),
+        (["generalized", "--cells", DEEP_JSON], "bad --cells payload"),
+        (["oracle", "--objective", "ey0", "--cells", DEEP_JSON], "bad --cells payload"),
+        (["simulate", "--design", "deep.json", "--out", "sample.csv"], "bad design file"),
+    ],
+    ids=["binary", "generalized", "oracle", "simulate"],
+)
+def test_deeply_nested_json_gives_one_error_line(tmp_path, capsys, monkeypatch, command, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    err = assert_input_error(command, capsys)
+    assert err.startswith(f"error: {message}: maximum recursion depth exceeded")
+    assert not (tmp_path / "sample.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["generalized", "--instrument", "z"], ["iqr", "--d", "1"]])
