@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -546,24 +547,22 @@ def _cmd_simulate(args, report):
     # A draw that overflows fails below as a non-finite outcome.
     with np.errstate(over="ignore"):
         sample, _truth = oracle.simulate(design)
+    columns = [map(repr, sample.y.tolist()), sample.d.tolist()]
+    if sample.labels is not None:
+        columns.append(sample.z.tolist())
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         # "\n" line ends keep the file plain, for the loader's fast path.
         writer = csv.writer(fh, lineterminator="\n")
-        z = sample.z
-        writer.writerow(["y", "d"] + (["z"] if z is not None else []))
-        for i in range(sample.n):
-            row = [repr(float(sample.y[i])), int(sample.d[i])]
-            if z is not None:
-                row.append(z[i])
-            writer.writerow(row)
-    with open(args.out + ".truth.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"design": spec, "n": args.n, "seed": args.seed},
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+        writer.writerow(["y", "d", "z"][: len(columns)])
+        writer.writerows(zip(*columns))
+    try:
+        with open(args.out + ".truth.json", "w", encoding="utf-8") as fh:
+            json.dump({"design": spec, "n": args.n, "seed": args.seed}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError:
+        # A sample without its truth record is a failed run: leave no sample.
+        os.remove(args.out)
+        raise
     report["bounds"] = {"written": args.out, "rows": args.n}
     report["digest"] = {"rows": args.n, "weight_total": 1.0}
 

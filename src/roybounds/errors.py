@@ -46,10 +46,6 @@ class DegenerateDenominator(RoyBoundsError):
     """A ratio bound's denominator is (near) zero."""
 
 
-class ZeroConditioningCell(DegenerateConditioning):
-    """The conditioning cell P(Y=0,D=0|z) is zero."""
-
-
 class ZeroSectorProbability(RoyBoundsError):
     """P(D=d|z) is zero where a sector-conditional quantity is required."""
 

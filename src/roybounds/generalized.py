@@ -14,12 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InfeasibleModel,
-    ZeroConditioningCell,
-    ZeroSectorProbability,
-)
+from .errors import DegenerateDenominator, InfeasibleModel, ZeroSectorProbability
 from .probability import InstrumentTable, IntervalBound, left_sum
 
 # Cell combinations (rows) of the cells (q00, q01, q10, q11), in envelope
@@ -111,18 +106,11 @@ def point_bounds(e: np.ndarray) -> dict[str, IntervalBound]:
 
 
 def _regrets(t: InstrumentTable, e: np.ndarray) -> np.ndarray:
-    """Regret bound (K,) per z; nan where P(Y=0,D=0|z) is zero."""
+    """Upper bounds (K,) on P(Y1=1 | Y0=0, D=0, Z=z), clamped to [0, 1];
+    nan where P(Y=0,D=0|z) is zero."""
     q00 = t.cells[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(q00 > 1e-12, np.minimum(1.0, e[3] / q00), np.nan)
-
-
-def regret_bound(t: InstrumentTable, z) -> float:
-    """Upper bound on P(Y1=1 | Y0=0, D=0, Z=z), clamped to [0, 1]."""
-    r = _regrets(t, envelopes(t))[t.index(z)]
-    if np.isnan(r):
-        raise ZeroConditioningCell(f"P(Y=0,D=0|z={z!r}) is zero")
-    return float(r)
 
 
 def empty_sector(p_d1: np.ndarray, p_d0: np.ndarray) -> int | None:

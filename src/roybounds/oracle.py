@@ -5,7 +5,7 @@ to the same objects, used to verify the closed forms: exhaustive
 subset-inequality enumeration for the binary identified sets, a linear
 program over response types for the instrument case, explicit coupling
 constructions that attain bound endpoints, and seeded data generators.
-Only the LP and the Gaussian truth cdf import scipy, when they run.
+Only the response-type LP imports scipy, when it runs.
 """
 
 from __future__ import annotations
@@ -77,12 +77,22 @@ def artstein_set(q: CellProbs, variant: str = ROY) -> SimplexPolytope:
     return SimplexPolytope.from_rows(rows)
 
 
-def enumerate_response_types(k: int):
-    """All (y0, y1, selection map) triples over a size-k instrument support."""
+def response_types(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4 * 2^k response types over a size-k instrument support: a
+    potential-outcome pair and a selection map, pair-major, the maps in
+    itertools.product((0, 1), repeat=k) order.
+
+    Returns (pair, cell): pair (types,) indexes (p00, p01, p10, p11), and
+    cell (k, types) is the observed cell each type yields at each z,
+    q00, q01, q10, q11 = 0..3.
+    """
     if k > 6:
         raise OutOfRange(f"instrument support {k} exceeds the cap of 6")
-    sels = list(itertools.product((0, 1), repeat=k))
-    return [(y0, y1, sel) for y0, y1 in _PAIRS for sel in sels]
+    types = np.arange(4 << k)
+    pair = types >> k
+    d = (types >> (k - 1 - np.arange(k))[:, None]) & 1  # the sector each type takes at z
+    y0, y1 = pair >> 1, pair & 1
+    return pair, 2 * np.where(d == 1, y1, y0) + d
 
 
 def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:
@@ -94,15 +104,11 @@ def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:
     """
     from scipy.optimize import linprog
 
-    types = enumerate_response_types(len(t.labels))
-    c = np.asarray(objective, dtype=float)
-    obj = np.array([c[_PAIR_INDEX[(y0, y1)]] for y0, y1, _ in types])
-    y0, y1 = np.array([(a, b) for a, b, _ in types]).T
-    d = np.array([sel for _, _, sel in types]).T  # (k, types): the sector each type takes at z
-    cell = 2 * np.where(d == 1, y1, y0) + d  # its observed cell, q00, q01, q10, q11 = 0..3
+    pair, cell = response_types(len(t.labels))
+    obj = np.asarray(objective, dtype=float)[pair]
     # One row per (z, cell), in the order of t.cells.ravel(), and one for the total mass.
-    rows = (cell[:, None, :] == np.arange(4)[:, None]).reshape(-1, len(types))
-    a_eq = np.vstack([rows, np.ones(len(types))])
+    rows = (cell[:, None, :] == np.arange(4)[:, None]).reshape(-1, len(pair))
+    a_eq = np.vstack([rows, np.ones(len(pair))])
     b_eq = np.append(t.cells.ravel(), 1.0)
     out = []
     for sign in (1.0, -1.0):
@@ -119,21 +125,11 @@ def random_type_table(k: int, rng: np.random.Generator):
     Returns (table, truth joint): by construction the table is exactly
     consistent with the generalized model, so LP oracles never reject it.
     """
-    types = enumerate_response_types(k)
-    weights = rng.dirichlet(np.ones(len(types)))
-    cells = {}
-    for zi in range(k):
-        q = np.zeros(4)
-        for w, (y0, y1, sel) in zip(weights, types):
-            d = sel[zi]
-            y = y1 if d else y0
-            q[2 * y + d] += w
-        cells[f"z{zi}"] = CellProbs(q00=q[0], q01=q[1], q10=q[2], q11=q[3])
-    p = np.zeros(4)
-    for w, (y0, y1, _) in zip(weights, types):
-        p[_PAIR_INDEX[(y0, y1)]] += w
-    table = InstrumentTable.from_cells(cells)
-    return table, PotentialJoint(*p)
+    pair, cell = response_types(k)
+    weights = rng.dirichlet(np.ones(len(pair)))
+    # bincount adds the weights one by one in type order.
+    cells = {f"z{zi}": CellProbs(*np.bincount(c, weights, minlength=4)) for zi, c in enumerate(cell)}
+    return InstrumentTable.from_cells(cells), PotentialJoint(*np.bincount(pair, weights, minlength=4))
 
 
 def roy_cells(p: PotentialJoint, pi: float = 0.5) -> CellProbs:
@@ -262,11 +258,6 @@ class DiscreteJoint:
         pts = np.asarray(self.support, dtype=float)
         return pts[idx, 0], pts[idx, 1]
 
-    def cdf(self, d: int, y: float) -> float:
-        pts = np.asarray(self.support, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        return float(p[pts[:, d] <= y].sum() / p.sum())
-
 
 @dataclass(frozen=True)
 class GaussianCopulaJoint:
@@ -284,22 +275,11 @@ class GaussianCopulaJoint:
         z1 = self.rho * z0 + np.sqrt(1.0 - self.rho**2) * e
         return self.mu0 + self.sd0 * z0, self.mu1 + self.sd1 * z1
 
-    def cdf(self, d: int, y: float) -> float:
-        from scipy.stats import norm
-
-        mu = self.mu1 if d else self.mu0
-        sd = self.sd1 if d else self.sd0
-        return float(norm.cdf((y - mu) / sd))
-
 
 @dataclass(frozen=True)
 class SimDesign:
-    """Seeded data-generating design.
-
-    selection_rule, when given, receives (y0, y1, z_index, noise) arrays
-    and returns the sector array; the default is Roy selection with
-    tie-break probability pi.
-    """
+    """Seeded data-generating design: Roy selection with tie-break
+    probability pi."""
 
     joint: object
     n: int
@@ -307,7 +287,6 @@ class SimDesign:
     pi: float = 0.5
     z_labels: tuple = ()
     z_weights: tuple = ()
-    selection_rule: object = None
 
 
 def simulate(design: SimDesign):
@@ -327,10 +306,7 @@ def simulate(design: SimDesign):
         zi = np.zeros(design.n, dtype=int)
         z = None
     noise = rng.random(design.n)
-    if design.selection_rule is not None:
-        d = np.asarray(design.selection_rule(y0, y1, zi, noise), dtype=int)
-    else:
-        d = np.where(y1 > y0, 1, np.where(y1 < y0, 0, (noise < design.pi).astype(int)))
+    d = np.where(y1 > y0, 1, np.where(y1 < y0, 0, (noise < design.pi).astype(int)))
     y = np.where(d == 1, y1, y0)
     sample = OutcomeSample.from_arrays(y, d, z=z)
     truth = {

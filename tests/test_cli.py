@@ -197,8 +197,8 @@ def test_unreadable_csv_rejected(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_unloaded(cli_env):
-    # Only the response-type LP and the Gaussian truth cdf need scipy, and
-    # they import it when they run: no module loads it on import.
+    # Only the response-type LP needs scipy, and it imports it when it runs:
+    # no module loads it on import.
     code = (
         "import sys; import roybounds; a = 'scipy' in sys.modules; "
         "import roybounds.cli; b = 'scipy' in sys.modules; "
@@ -1090,6 +1090,17 @@ def test_simulate_writes_a_plain_file(tmp_path, capsys):
     assert loads[0] == loads[1] and loads[0][3][2] == ("a", "b", "c")
 
 
+def test_simulate_leaves_no_sample_when_the_truth_file_fails(tmp_path, capsys):
+    # The sample is written first; a truth record that cannot be written
+    # fails the run, and the sample goes with it.
+    design, out = tmp_path / "design.json", tmp_path / "s.csv"
+    design.write_text(json.dumps({"type": "gaussian"}))
+    (tmp_path / "s.csv.truth.json").mkdir()
+    err = assert_input_error(["simulate", "--design", str(design), "--n", "10", "--out", str(out)], capsys)
+    assert "s.csv.truth.json" in err
+    assert not out.exists()
+
+
 GAUSSIAN = {"type": "gaussian"}
 PAIRS = [[0, 1], [1, 0]]
 # Design files, as JSON values or raw bytes, and the options that go with them.
@@ -1169,6 +1180,13 @@ def test_oracle_lp_objective(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["bounds"]["ey0"]["lo"] <= rep["bounds"]["ey0"]["hi"]
+
+
+def test_oracle_lp_caps_the_instrument_support(capsys):
+    q = {"q00": 0.2, "q01": 0.1, "q10": 0.3, "q11": 0.4}
+    cells = json.dumps({f"z{j}": q for j in range(7)})
+    err = assert_input_error(["oracle", "--objective", "ey0", "--cells", cells], capsys)
+    assert err == "error: instrument support 7 exceeds the cap of 6\n"
 
 
 def test_oracle_lp_on_a_sample_equals_the_closed_form(tmp_path, capsys):

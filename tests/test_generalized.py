@@ -14,7 +14,6 @@ from roybounds.errors import (
     NotNormalized,
     OutcomeInstrumentDependence,
     RoyBoundsError,
-    ZeroConditioningCell,
     ZeroSectorProbability,
 )
 from roybounds.functional import OutcomeSample
@@ -158,13 +157,9 @@ def model_check_tables(n=2400, seed=83):
         elif kind == 1:
             cells = rng.multinomial(100, rng.dirichlet(np.full(4, 0.3)), size=k) / 100
         else:
-            y0, y1, sel = zip(*oracle.enumerate_response_types(k))
-            d = np.array(sel).T  # (k, types): the sector each type takes at z
-            cell = 2 * np.where(d == 1, np.array(y1), np.array(y0)) + d
-            mass = rng.dirichlet(np.full(len(y0), 0.05))
-            cells = np.zeros((k, 4))
-            for z in range(k):
-                np.add.at(cells[z], cell[z], mass)
+            pair, cell = oracle.response_types(k)
+            mass = rng.dirichlet(np.full(len(pair), 0.05))
+            cells = np.array([np.bincount(c, mass, minlength=4) for c in cell])
         if kind == 3:
             for _ in range(100):
                 bad = rng.dirichlet(np.ones(4), size=k)
@@ -655,10 +650,14 @@ def test_roy_selection_test_violation():
         assert rep["n_violations"] >= 1
 
 
+def regrets(t):
+    return dict(generalized.compute_all(t).regret_by_z)
+
+
 def test_regret_bound():
-    assert generalized.regret_bound(TWO_Z, "z2") == 1.0
+    assert regrets(TWO_Z)["z2"] == 1.0
     t = InstrumentTable.from_cells({"z": validate_cells(0.2, 0.1, 0.3, 0.4)})
-    assert generalized.regret_bound(t, "z") == 1.0
+    assert regrets(t)["z"] == 1.0
     t2 = InstrumentTable.from_cells(
         {
             "a": validate_cells(0.5, 0.2, 0.25, 0.05),
@@ -666,13 +665,22 @@ def test_regret_bound():
         }
     )
     e = generalized.envelopes(t2)
-    assert generalized.regret_bound(t2, "a") == pytest.approx(e[3] / 0.5)
+    assert regrets(t2)["a"] == pytest.approx(e[3] / 0.5)
 
 
 def test_regret_zero_cell():
-    t = InstrumentTable.from_cells({"z": validate_cells(0.0, 0.3, 0.3, 0.4)})
-    with pytest.raises(ZeroConditioningCell):
-        generalized.regret_bound(t, "z")
+    # P(Y=0,D=0|a) is zero, so the regret bound at a is undefined (null in a
+    # report).  On one z, q00 = 0 leaves P(Y0=0) an upper bound of zero,
+    # which compute_all rejects, so the table has two z.
+    t = InstrumentTable.from_cells(
+        {
+            "a": validate_cells(0.0, 0.3, 0.3, 0.4),
+            "b": validate_cells(0.1, 0.3, 0.2, 0.4),
+        }
+    )
+    r = regrets(t)
+    assert np.isnan(r["a"]) and 0.0 <= r["b"] <= 1.0
+    assert generalized.compute_all(t).to_dict()["regret_by_z"]["a"] is None
 
 
 def test_mobility_two_z():
@@ -759,7 +767,8 @@ def test_compute_all_computes_envelopes_once(monkeypatch):
     res = generalized.compute_all(TWO_Z)
     # One closed form for the point intervals, one more inside att_bounds.
     assert sorted(calls) == ["att_bounds", "bounds_from_envelopes", "bounds_from_envelopes", "envelopes"]
-    assert dict(res.regret_by_z) == {z: generalized.regret_bound(TWO_Z, z) for z in TWO_Z.labels}
+    e = generalized.envelopes(TWO_Z)
+    assert dict(res.regret_by_z) == {z: min(1.0, e[3] / q[0]) for z, q in zip(TWO_Z.labels, TWO_Z.cells)}
 
 
 def test_point_path_crosses_and_raises_on_vanished_denominator():

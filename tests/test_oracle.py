@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,16 @@ from roybounds import binary, generalized, oracle
 from roybounds.errors import BoundsViolated, InfeasibleLP, OutOfRange
 from roybounds.functional import OutcomeSample, StepFn, build_subcdf
 from roybounds.probability import (
+    CellProbs,
     InstrumentTable,
     PotentialJoint,
     validate_cells,
 )
 
 from geometry import contains_points, roy_polytope, simplex_grid
+
+# Potential-outcome pairs (y0, y1) in coordinate order (p00, p01, p10, p11).
+PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_make_rng_reproducible_streams():
@@ -39,10 +46,78 @@ def test_artstein_roy_matches_closed_form():
 
 
 def test_enumerate_response_types():
-    assert len(oracle.enumerate_response_types(1)) == 8
-    assert len(oracle.enumerate_response_types(3)) == 32
-    with pytest.raises(OutOfRange):
-        oracle.enumerate_response_types(7)
+    for k in (1, 3, 6):
+        pair, cell = oracle.response_types(k)
+        assert pair.shape == (4 * 2**k,) and cell.shape == (k, 4 * 2**k)
+        assert set(pair.tolist()) == {0, 1, 2, 3} and set(cell.ravel().tolist()) == {0, 1, 2, 3}
+    with pytest.raises(OutOfRange, match="instrument support 7 exceeds the cap of 6"):
+        oracle.response_types(7)
+
+
+def tuple_response_types(k):
+    """The (y0, y1, selection map) triples that `response_types` replaced, kept as their reference."""
+    sels = list(itertools.product((0, 1), repeat=k))
+    return [(y0, y1, sel) for y0, y1 in PAIRS for sel in sels]
+
+
+def loop_random_type_table(k, rng):
+    """`random_type_table` as a Python loop over the tuple types, kept as its reference."""
+    types = tuple_response_types(k)
+    weights = rng.dirichlet(np.ones(len(types)))
+    cells = {}
+    for zi in range(k):
+        q = np.zeros(4)
+        for w, (y0, y1, sel) in zip(weights, types):
+            d = sel[zi]
+            y = y1 if d else y0
+            q[2 * y + d] += w
+        cells[f"z{zi}"] = CellProbs(q00=q[0], q01=q[1], q10=q[2], q11=q[3])
+    p = np.zeros(4)
+    for w, (y0, y1, _) in zip(weights, types):
+        p[PAIRS.index((y0, y1))] += w
+    return InstrumentTable.from_cells(cells), PotentialJoint(*p)
+
+
+def test_random_type_table_equals_loop_reference_bitwise():
+    for k in range(1, 7):
+        for seed in range(50):
+            t, truth = oracle.random_type_table(k, oracle.make_rng(900 + seed))
+            ref_t, ref_truth = loop_random_type_table(k, oracle.make_rng(900 + seed))
+            assert t.labels == ref_t.labels
+            assert np.array_equal(t.cells, ref_t.cells) and np.array_equal(t.weights, ref_t.weights)
+            assert np.array_equal(truth.as_array(), ref_truth.as_array())
+
+
+def test_response_type_lp_rows_equal_tuple_reference(monkeypatch):
+    # The objective and equality rows the LP is given, captured in place of
+    # the solve, against the construction from the tuple types.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    seen = []
+
+    def capture(c, A_eq, b_eq, **kwargs):
+        seen.append((c, A_eq, b_eq))
+        return SimpleNamespace(status=0, fun=0.0)
+
+    monkeypatch.setattr(scipy_optimize, "linprog", capture)
+    rng = oracle.make_rng(5)
+    for k in range(1, 5):
+        t = InstrumentTable.from_cells({f"z{j}": validate_cells(*rng.dirichlet(np.ones(4))) for j in range(k)})
+        types = tuple_response_types(k)
+        for objective in ((0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 0)):
+            seen.clear()
+            oracle.response_type_lp(t, objective)
+            obj = np.array([float(objective[PAIRS.index((y0, y1))]) for y0, y1, _ in types])
+            rows = [
+                [float(2 * (y1 if sel[z] else y0) + sel[z] == c) for y0, y1, sel in types]
+                for z in range(k)
+                for c in range(4)
+            ]
+            a_eq = np.array(rows + [[1.0] * len(types)])
+            for sign, (c, A_eq, b_eq) in zip((1.0, -1.0), seen):
+                assert np.array_equal(c, sign * obj)
+                assert np.array_equal(A_eq, a_eq)
+                assert np.array_equal(b_eq, np.append(t.cells.ravel(), 1.0))
+            assert len(seen) == 2
 
 
 def test_response_type_lp_matches_envelope_formula():
@@ -169,8 +244,6 @@ def test_continuous_coupling_rejects_marginal_that_does_not_end_at_one():
 
 def test_discrete_joint_cdf_and_draw():
     j = oracle.DiscreteJoint(support=((0.0, 1.0), (2.0, 0.5)), probs=(0.25, 0.75))
-    assert j.cdf(0, 1.0) == 0.25
-    assert j.cdf(1, 0.75) == 0.75
     y0, y1 = j.draw(50_000, oracle.make_rng(3))
     assert abs((y0 == 0.0).mean() - 0.25) < 0.01
 
@@ -211,9 +284,10 @@ def test_simulate_with_instrument_and_rule():
         seed=5,
         z_labels=("lo", "hi"),
         z_weights=(0.3, 0.7),
-        selection_rule=lambda y0, y1, zi, noise: (noise < 0.5).astype(int),
     )
     sample, truth = oracle.simulate(design)
     assert set(np.unique(sample.z)) == {"lo", "hi"}
     assert abs((sample.z == "hi").mean() - 0.7) < 0.02
-    assert abs(sample.d.mean() - 0.5) < 0.02
+    # Roy selection: each draw takes its larger potential outcome.
+    assert np.array_equal(sample.d, (truth["y1"] > truth["y0"]).astype(int))
+    assert np.array_equal(sample.y, np.maximum(truth["y0"], truth["y1"]))
