@@ -1,7 +1,7 @@
 """Sharp partial-identification bounds for Roy selection models.
 
 Submodules:
-  probability  - cell records, interval bounds, oracle simplex geometry
+  probability  - cell records, interval bounds, the oracle's polytope class
   binary       - closed-form binary-model bounds
   generalized  - generalized binary model with an instrument
   functional   - continuous-outcome functional bounds and IQR bounds
@@ -19,7 +19,6 @@ from .probability import (
     InstrumentTable,
     IntervalBound,
     PotentialJoint,
-    SimplexPolytope,
     validate_cells,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "OutcomeSample",
     "PotentialJoint",
     "RoyBoundsError",
-    "SimplexPolytope",
     "binary",
     "build_subcdf",
     "functional",

@@ -72,10 +72,12 @@ _OPTIONS = {
     "--design": dict(required=True, help="JSON design file"),
     "--n": dict(type=_POSITIVE, default=1000, help="rows to draw"),
     "--variant": dict(choices=("roy", "generalized")),  # oracle.ROY (the default), oracle.GENERALIZED
-    "--objective": dict(choices=("ey0", "ey1", "p00", "p01", "p10", "p11")),
+    "--objective": dict(choices=("ey0", "ey1", "p00", "p01", "p10", "p11")),  # the keys of oracle.OBJECTIVES
 }
-# The options of every command that reads a sample, and of every bootstrap.
-_SAMPLE = ("--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed", "--format")
+# The options of every command that reads a sample, of every one whose bounds are
+# intervals (--format csv writes them as rows), and of every bootstrap.
+_SAMPLE = ("--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed")
+_INTERVALS = (*_SAMPLE, "--format")
 _DRAWS = ("--level", "--bootstrap")
 _OVERRIDES = {("infer", "--bootstrap"): dict(default=999, help="bootstrap draws, at least 100"),
               ("simulate", "--out"): dict(required=True, help="file for the CSV sample")}
@@ -567,16 +569,6 @@ def _cmd_simulate(args, report):
     report["digest"] = {"rows": args.n, "weight_total": 1.0}
 
 
-_OBJECTIVES = {
-    "p00": (1, 0, 0, 0),
-    "p01": (0, 1, 0, 0),
-    "p10": (0, 0, 1, 0),
-    "p11": (0, 0, 0, 1),
-    "ey0": (0, 0, 1, 1),
-    "ey1": (0, 1, 0, 1),
-}
-
-
 def _cmd_oracle(args, report):
     from . import oracle
 
@@ -588,7 +580,7 @@ def _cmd_oracle(args, report):
             report["digest"] = _digest(sample)
             table = _table_from_sample(sample)[0]
         try:
-            res = oracle.response_type_lp(table, _OBJECTIVES[args.objective])
+            res = oracle.response_type_lp(table, oracle.OBJECTIVES[args.objective])
         except ModuleNotFoundError as exc:
             if (exc.name or "").split(".")[0] != "scipy":
                 raise
@@ -611,13 +603,13 @@ def _cmd_oracle(args, report):
 # fills the report; it rejects the model by setting the report's findings or
 # by raising Infeasible or OutcomeInstrumentDependence (exit 2).
 _COMMANDS = {
-    "binary": ("binary Roy model bounds", (*_SAMPLE, "--instrument", "--cells", "--tau-y"), _cmd_binary),
+    "binary": ("binary Roy model bounds", (*_INTERVALS, "--instrument", "--cells", "--tau-y"), _cmd_binary),
     "generalized": (
-        "generalized binary model bounds", (*_SAMPLE, "--instrument", "--cells", *_DRAWS), _cmd_generalized
+        "generalized binary model bounds", (*_INTERVALS, "--instrument", "--cells", *_DRAWS), _cmd_generalized
     ),
     "functional": ("continuous-outcome envelope report", _SAMPLE, _cmd_functional),
-    "iqr": ("interquantile-range bounds", (*_SAMPLE, "--d", "--quantiles", *_DRAWS), _cmd_iqr),
-    "infer": ("intersection-bounds confidence intervals", (*_SAMPLE, "--instrument", *_DRAWS), _cmd_infer),
+    "iqr": ("interquantile-range bounds", (*_INTERVALS, "--d", "--quantiles", *_DRAWS), _cmd_iqr),
+    "infer": ("intersection-bounds confidence intervals", (*_INTERVALS, "--instrument", *_DRAWS), _cmd_infer),
     "simulate": ("draw a seeded sample from a design", ("--design", "--n", "--out", "--seed"), _cmd_simulate),
     "oracle": (
         "brute-force oracles", (*_SAMPLE, "--instrument", "--cells", "--variant", "--objective"), _cmd_oracle

@@ -5,13 +5,17 @@ to the same objects, used to verify the closed forms: exhaustive
 subset-inequality enumeration for the binary identified sets, a linear
 program over response types for the instrument case, explicit coupling
 constructions that attain bound endpoints, and seeded data generators.
-Only the response-type LP imports scipy, when it runs.
+One pair map, `_potential`, gives the potential outcome of each pair
+(y0, y1) in each sector; the selection correspondence of `artstein_set`,
+the observed cells of `response_types` and the `OBJECTIVES` of the LP
+are all derived from it.  Only the response-type LP imports scipy, when
+it runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +33,25 @@ from .probability import (
 ROY = "roy"
 GENERALIZED = "generalized"
 
-# Potential-outcome pairs in coordinate order (p00, p01, p10, p11).
-_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
 
-# Admissible (y0, y1) pairs for each observed (y, d) cell.
-_G = {
-    ROY: {
-        (1, 1): {(1, 1), (0, 1)},
-        (1, 0): {(1, 1), (1, 0)},
-        (0, 1): {(0, 0)},
-        (0, 0): {(0, 0)},
-    },
-    GENERALIZED: {
-        (1, 1): {(1, 1), (0, 1)},
-        (1, 0): {(1, 1), (1, 0)},
-        (0, 1): {(1, 0), (0, 0)},
-        (0, 0): {(0, 1), (0, 0)},
-    },
+def _potential(pair, d):
+    """The potential outcome y_d of a pair index, the pairs (y0, y1) in
+    coordinate order p00, p01, p10, p11 = 0..3."""
+    return (pair >> (1 - d)) & 1
+
+
+# The pair indices that can show each observed cell (y, d), cells in q00, q01,
+# q10, q11 order: y_d = y, and under Roy selection also y_d >= y_(1-d).
+_CELLS = [(y, d) for y in (0, 1) for d in (0, 1)]
+_ADMISSIBLE = {
+    ROY: [{p for p in range(4) if _potential(p, d) == y >= _potential(p, 1 - d)} for y, d in _CELLS],
+    GENERALIZED: [{p for p in range(4) if _potential(p, d) == y} for y, d in _CELLS],
 }
+
+# The linear functionals of (p00, p01, p10, p11) that `oracle --objective`
+# bounds: the mass of each pair, and the mean of each potential outcome.
+OBJECTIVES = {f"p{i:02b}": tuple(int(pair == i) for pair in range(4)) for i in range(4)}
+OBJECTIVES.update({f"ey{d}": tuple(_potential(pair, d) for pair in range(4)) for d in (0, 1)})
 
 
 def artstein_set(q: CellProbs, variant: str = ROY) -> SimplexPolytope:
@@ -57,23 +61,13 @@ def artstein_set(q: CellProbs, variant: str = ROY) -> SimplexPolytope:
     pairs, the mass of A is at most the probability that the observed
     cell's admissible set meets A.
     """
-    g = _G[variant]
-    cell_probs = {
-        (0, 0): q.q00,
-        (0, 1): q.q01,
-        (1, 0): q.q10,
-        (1, 1): q.q11,
-    }
+    admissible = _ADMISSIBLE[variant]
+    cells = (q.q00, q.q01, q.q10, q.q11)
     rows = []
     for r in range(1, 4):
-        for subset in itertools.combinations(_PAIRS, r):
-            a = np.zeros(4)
-            for pair in subset:
-                a[_PAIR_INDEX[pair]] = 1.0
-            rhs = sum(
-                p for cell, p in cell_probs.items() if g[cell] & set(subset)
-            )
-            rows.append((tuple(a), rhs))
+        for subset in itertools.combinations(range(4), r):
+            rhs = sum(mass for mass, pairs in zip(cells, admissible) if not pairs.isdisjoint(subset))
+            rows.append(([float(pair in subset) for pair in range(4)], rhs))
     return SimplexPolytope.from_rows(rows)
 
 
@@ -91,8 +85,7 @@ def response_types(k: int) -> tuple[np.ndarray, np.ndarray]:
     types = np.arange(4 << k)
     pair = types >> k
     d = (types >> (k - 1 - np.arange(k))[:, None]) & 1  # the sector each type takes at z
-    y0, y1 = pair >> 1, pair & 1
-    return pair, 2 * np.where(d == 1, y1, y0) + d
+    return pair, 2 * _potential(pair, d) + d
 
 
 def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:

@@ -1,11 +1,12 @@
-"""Probability records, and the simplex geometry of the oracle and tests.
+"""Probability records, and the polytope class of the oracle and tests.
 
 All identified sets for binary-outcome models live on the 3-simplex of
 joint masses (p00, p01, p10, p11), with p_ij = P(Y0=i, Y1=j).  The
 bounds are closed forms in the observed cells; `SimplexPolytope` cuts
 an identified set out of the simplex by halfspaces a.p <= b and
 enumerates its vertices exactly, which is cheap in this fixed, tiny
-dimension.  That enumeration serves only the oracle and the tests.  An
+dimension.  That enumeration serves only `oracle.artstein_set` and the
+tests, which keep the rest of the simplex geometry to themselves.  An
 instrument table holds one row of cells per instrument value, as
 arrays.  `make_rng` is the one seeded random generator behind every
 simulation and bootstrap draw.
@@ -227,16 +228,6 @@ class IntervalBound:
         return {"lo": enc(self.lo), "hi": enc(self.hi), "sharp": self.sharp, "label": self.label}
 
 
-# Coordinate order used throughout: p = (p00, p01, p10, p11).
-P00, P01, P10, P11 = 0, 1, 2, 3
-
-
-def unit(i: int) -> np.ndarray:
-    e = np.zeros(4)
-    e[i] = 1.0
-    return e
-
-
 @dataclass(frozen=True)
 class SimplexPolytope:
     """Intersection of the 3-simplex with halfspaces a.p <= b.
@@ -253,19 +244,13 @@ class SimplexPolytope:
         hs = tuple((tuple(float(x) for x in a), float(b)) for a, b in rows)
         return cls(halfspaces=hs)
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """All facet rows a.p <= b, including the nonnegativity facets."""
-        rows = [(-unit(i), 0.0) for i in range(4)]
-        rows += [(np.asarray(a, dtype=float), b) for a, b in self.halfspaces]
-        A = np.array([r[0] for r in rows])
-        b = np.array([r[1] for r in rows])
-        return A, b
-
     def vertices(self) -> np.ndarray:
         """Enumerate all vertices by intersecting facet triples with sum(p)=1."""
         if "vertices" in self._cache:
             return self._cache["vertices"]
-        A, b = self.matrix()
+        # Every facet row a.p <= b, the four nonnegativity rows -p_i <= 0 first.
+        A = np.vstack([-np.eye(4), np.reshape([a for a, _ in self.halfspaces], (-1, 4))])
+        b = np.concatenate([np.zeros(4), [rhs for _, rhs in self.halfspaces]])
         m = len(b)
         combos = np.array(list(itertools.combinations(range(m), 3)))
         mats = np.empty((len(combos), 4, 4))

@@ -1,25 +1,25 @@
 """Brute-force simplex geometry for the tests.
 
-The closed-form identified sets as polytopes, a grid of the 3-simplex,
-membership of points, extrema of a linear functional by vertex
-enumeration, and interval containment: independent routes to what the
-closed forms compute, so no bound depends on them.
+The coordinate vectors, the closed-form identified sets as polytopes, a
+grid of the 3-simplex, membership of points, extrema of a linear
+functional by vertex enumeration, and interval containment: independent
+routes to what the closed forms compute, so no bound depends on them.
 """
 
 import numpy as np
 
 from roybounds.errors import Infeasible, InfeasibleModel
-from roybounds.probability import (
-    FEAS_TOL,
-    P00,
-    P01,
-    P10,
-    P11,
-    IntervalBound,
-    PotentialJoint,
-    SimplexPolytope,
-    unit,
-)
+from roybounds.probability import FEAS_TOL, IntervalBound, PotentialJoint, SimplexPolytope
+
+# Coordinate order of the simplex: p = (p00, p01, p10, p11).
+P00, P01, P10, P11 = 0, 1, 2, 3
+
+
+def unit(i: int) -> np.ndarray:
+    """The i-th coordinate vector of the simplex's space."""
+    e = np.zeros(4)
+    e[i] = 1.0
+    return e
 
 
 def roy_polytope(b) -> SimplexPolytope:

@@ -18,20 +18,26 @@ from roybounds.errors import (
 )
 from roybounds.functional import OutcomeSample
 from roybounds.probability import (
-    P00,
-    P01,
-    P10,
-    P11,
     CellProbs,
     InstrumentTable,
     IntervalBound,
     PotentialJoint,
     SimplexPolytope,
-    unit,
     validate_cells,
 )
 
-from geometry import contains_points, envelope_polytope, polytope_extrema, roy_polytope, simplex_grid
+from geometry import (
+    P00,
+    P01,
+    P10,
+    P11,
+    contains_points,
+    envelope_polytope,
+    polytope_extrema,
+    roy_polytope,
+    simplex_grid,
+    unit,
+)
 
 
 TWO_Z = InstrumentTable.from_cells(

@@ -1,10 +1,11 @@
+import argparse
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from roybounds import binary, generalized, oracle
+from roybounds import binary, cli, generalized, oracle
 from roybounds.errors import BoundsViolated, InfeasibleLP, OutOfRange
 from roybounds.functional import OutcomeSample, StepFn, build_subcdf
 from roybounds.probability import (
@@ -35,6 +36,66 @@ def test_artstein_variants_differ():
     gen = contains_points(oracle.artstein_set(q, oracle.GENERALIZED), grid)
     assert roy.sum() < gen.sum()  # Roy selection is the tighter model
     assert np.all(~roy | gen)
+
+
+# Admissible (y0, y1) pairs for each observed (y, d) cell, as tables.
+SET_TABLES = {
+    oracle.ROY: {
+        (1, 1): {(1, 1), (0, 1)},
+        (1, 0): {(1, 1), (1, 0)},
+        (0, 1): {(0, 0)},
+        (0, 0): {(0, 0)},
+    },
+    oracle.GENERALIZED: {
+        (1, 1): {(1, 1), (0, 1)},
+        (1, 0): {(1, 1), (1, 0)},
+        (0, 1): {(1, 0), (0, 0)},
+        (0, 0): {(0, 1), (0, 0)},
+    },
+}
+
+
+def table_artstein_rows(q, variant):
+    """`artstein_set`'s rows from the set tables above, before the pair map, kept as its reference."""
+    g = SET_TABLES[variant]
+    cell_probs = {(0, 0): q.q00, (0, 1): q.q01, (1, 0): q.q10, (1, 1): q.q11}
+    rows = []
+    for r in range(1, 4):
+        for subset in itertools.combinations(PAIRS, r):
+            a = np.zeros(4)
+            for pair in subset:
+                a[PAIRS.index(pair)] = 1.0
+            rhs = sum(p for cell, p in cell_probs.items() if g[cell] & set(subset))
+            rows.append((tuple(a), rhs))
+    return oracle.SimplexPolytope.from_rows(rows).halfspaces
+
+
+def test_artstein_set_equals_set_table_reference_bitwise():
+    rng = oracle.make_rng(29)
+    tables = [validate_cells(*np.eye(4)[i]) for i in range(4)]
+    tables += [validate_cells(*rng.dirichlet(np.ones(4))) for _ in range(1000)]
+    for q in tables:
+        for variant in (oracle.ROY, oracle.GENERALIZED):
+            hs = oracle.artstein_set(q, variant).halfspaces
+            ref = table_artstein_rows(q, variant)
+            # Compared as bits, so that a 0.0 for a -0.0 shows too.
+            bits, ref_bits = (np.array([[*a, b] for a, b in rows]).view(np.uint64) for rows in (hs, ref))
+            assert bits.shape == (14, 5) and np.array_equal(bits, ref_bits)
+
+
+def test_objectives_equal_the_cli_vectors_and_choices():
+    # The vectors `oracle --objective` once kept in the CLI, and its choices.
+    assert oracle.OBJECTIVES == {
+        "p00": (1, 0, 0, 0),
+        "p01": (0, 1, 0, 0),
+        "p10": (0, 0, 1, 0),
+        "p11": (0, 0, 0, 1),
+        "ey0": (0, 0, 1, 1),
+        "ey1": (0, 1, 0, 1),
+    }
+    (sub,) = [a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (objective,) = [a for a in sub.choices["oracle"]._actions if a.dest == "objective"]
+    assert set(objective.choices) == set(oracle.OBJECTIVES)
 
 
 def test_artstein_roy_matches_closed_form():

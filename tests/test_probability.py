@@ -10,11 +10,10 @@ from roybounds.probability import (
     IntervalBound,
     PotentialJoint,
     SimplexPolytope,
-    unit,
     validate_cells,
 )
 
-from geometry import contains, contains_interval, contains_points, membership, polytope_extrema, simplex_grid
+from geometry import contains, contains_interval, contains_points, membership, polytope_extrema, simplex_grid, unit
 
 
 def cells_strategy():
