@@ -96,6 +96,8 @@ _REQUIRES = {
     "binary": (("--tau-y", "--instrument"),),
     "generalized": (("--level", "--bootstrap"),),
     "iqr": (("--level", "--bootstrap"),),
+    # only the objective's bounds are an interval; the halfspace report is not
+    "oracle": (("--format", "--objective"),),
 }
 
 
@@ -612,7 +614,7 @@ _COMMANDS = {
     "infer": ("intersection-bounds confidence intervals", (*_INTERVALS, "--instrument", *_DRAWS), _cmd_infer),
     "simulate": ("draw a seeded sample from a design", ("--design", "--n", "--out", "--seed"), _cmd_simulate),
     "oracle": (
-        "brute-force oracles", (*_SAMPLE, "--instrument", "--cells", "--variant", "--objective"), _cmd_oracle
+        "brute-force oracles", (*_INTERVALS, "--instrument", "--cells", "--variant", "--objective"), _cmd_oracle
     ),
 }
 

@@ -263,8 +263,6 @@ def test_unknown_subcommand(capsys):
 SAMPLE_OPTIONS = {
     "--data", "--outcome", "--sector", "--weight", "--filter", "--out", "--seed",
 }
-# --format csv writes intervals as rows: functional and oracle report none.
-NO_INTERVALS = {"functional", "oracle"}
 DECLARED = {
     "binary": SAMPLE_OPTIONS | {"--format", "--instrument", "--cells", "--tau-y"},
     "generalized": SAMPLE_OPTIONS | {"--format", "--instrument", "--cells", "--level", "--bootstrap"},
@@ -272,13 +270,13 @@ DECLARED = {
     "iqr": SAMPLE_OPTIONS | {"--format", "--d", "--quantiles", "--level", "--bootstrap"},
     "infer": SAMPLE_OPTIONS | {"--format", "--instrument", "--level", "--bootstrap"},
     "simulate": {"--design", "--n", "--out", "--seed"},
-    "oracle": SAMPLE_OPTIONS | {"--instrument", "--cells", "--variant", "--objective"},
+    "oracle": SAMPLE_OPTIONS | {"--format", "--instrument", "--cells", "--variant", "--objective"},
 }
 
 
 def test_each_subcommand_declares_only_the_options_it_reads(declared_options):
     assert declared_options == DECLARED
-    assert sum(map(len, DECLARED.values())) == 68
+    assert sum(map(len, DECLARED.values())) == 69
 
 
 def test_readme_flag_table_matches_parser(declared_options):
@@ -334,7 +332,7 @@ def test_valid_commands_run(valid_commands, capsys):
         (cmd, [flag, REMOVED_VALUES[flag]], f"unrecognized arguments: {flag}")
         for cmd in DECLARED
         for flag in sorted(REMOVED_VALUES.keys() - DECLARED[cmd])
-        if not (flag == "--format" and cmd in NO_INTERVALS)
+        if (cmd, flag) != ("functional", "--format")  # listed last, below
     ]
     + [
         # abbreviations bind to no option
@@ -344,8 +342,9 @@ def test_valid_commands_run(valid_commands, capsys):
         # infer draws 999 by default, and an explicit 0 is too few
         ("infer", ["--bootstrap", "0"], "at least 100"),
     ]
-    # listed last, so that the generated cases above keep their ids
-    + [(cmd, ["--format", "json"], "unrecognized arguments: --format") for cmd in sorted(NO_INTERVALS)],
+    # functional's report holds no interval for --format csv to write. Listed
+    # last, so that the cases above keep the positional ids they had before.
+    + [("functional", ["--format", "json"], "unrecognized arguments: --format")],
 )
 def test_options_a_subcommand_does_not_read_are_rejected(valid_commands, capsys, cmd, extra, message):
     assert message in assert_input_error(valid_commands[cmd] + extra, capsys)
@@ -397,6 +396,9 @@ SAMPLE_VALUES = {"--outcome": "y", "--sector": "d", "--instrument": "z", "--weig
         (["iqr", "--data", "s.csv", "--d", "1", "--level", "0.9"], "--level: not allowed without argument --bootstrap"),
         (["iqr", "--data", "s.csv", "--level", "0.9", "--bootstrap", "0"],
          "--level: not allowed without argument --bootstrap"),
+        # of the oracle's reports, only the objective's bounds are an interval
+        (["oracle", "--cells", CELLS, "--format", "csv"], "--format: not allowed without argument --objective"),
+        (["oracle", "--cells", CELLS, "--format=json"], "--format: not allowed without argument --objective"),
     ],
 )
 def test_options_a_command_would_ignore_are_rejected(valid_commands, capsys, argv, message):
@@ -1185,6 +1187,17 @@ def test_oracle_lp_objective(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["bounds"]["ey0"]["lo"] <= rep["bounds"]["ey0"]["hi"]
+
+
+def test_oracle_lp_objective_as_csv(capsys):
+    cells = '{"q00":0.2,"q01":0.1,"q10":0.3,"q11":0.4}'
+    code, out, _ = run_cli(["oracle", "--cells", cells, "--objective", "p01", "--format", "csv"], capsys)
+    assert code == 0
+    code, js, _ = run_cli(["oracle", "--cells", cells, "--objective", "p01"], capsys)
+    assert code == 0
+    b = json.loads(js)["bounds"]["p01"]
+    assert out == f"name,lo,hi\np01,{b['lo']!r},{b['hi']!r}\n"
+    assert (b["lo"], b["hi"]) == pytest.approx((0.0, 0.6), abs=1e-9)
 
 
 def test_oracle_lp_caps_the_instrument_support(capsys):
