@@ -48,7 +48,8 @@ def manski_bounds(q: CellProbs) -> tuple[IntervalBound, IntervalBound, IntervalB
     """Worst-case bounds on (EY0, EY1) and the average sector difference."""
     ey0 = IntervalBound(q.q10, q.p_y1, sharp=True, label="EY0 (no instrument)")
     ey1 = IntervalBound(q.q11, q.p_y1, sharp=True, label="EY1 (no instrument)")
-    ate = IntervalBound(-q.q10, q.q11, sharp=True, label="E(Y1-Y0)")
+    # 0.0 - q10, not -q10: a zero q10 gives 0.0, where -q10 would report -0.0.
+    ate = IntervalBound(0.0 - q.q10, q.q11, sharp=True, label="E(Y1-Y0)")
     return ey0, ey1, ate
 
 
@@ -89,7 +90,7 @@ def sharp_bounds_with_instrument(
         p01_bound=IntervalBound(0.0, lo11, sharp=True, label="p01 (instrument)"),
         ey0_bound=IntervalBound(hi10, p_y1, sharp=True, label="EY0 (instrument)"),
         ey1_bound=IntervalBound(hi11, p_y1, sharp=True, label="EY1 (instrument)"),
-        ate_bound=IntervalBound(-lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
+        ate_bound=IntervalBound(0.0 - lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
     )
 
 

@@ -51,16 +51,6 @@ class OutcomeSample:
     codes: np.ndarray | None = None
 
     @classmethod
-    def from_records(cls, records) -> "OutcomeSample":
-        records = list(records)
-        if not records:
-            raise EmptySample("outcome sample is empty")
-        y = np.array([r[0] for r in records], dtype=float)
-        d = np.array([r[1] for r in records], dtype=int)
-        w = np.array([r[2] if len(r) > 2 else 1.0 for r in records], dtype=float)
-        return cls.from_arrays(y, d, w)
-
-    @classmethod
     def from_arrays(cls, y, d, w=None, z=None, labels=None, codes=None) -> "OutcomeSample":
         """Sample from per-row arrays.  An instrument is given either as z,
         each row's label, or as distinct `labels`, each used by some row,
@@ -269,10 +259,6 @@ class RectUnion:
     def of(cls, rects) -> "RectUnion":
         return cls(rects=tuple(r for r in rects if not r.is_empty))
 
-    @classmethod
-    def lower_quadrant(cls, y0: float, y1: float) -> "RectUnion":
-        return cls.of([Rect(Interval(-np.inf, y0), Interval(-np.inf, y1))])
-
 
 def upper_lower_sets(a: RectUnion, y):
     """Upper/lower set calculus for a rectangle union, as masks over the points y.
@@ -333,6 +319,13 @@ def mobility_upper(c: SubCdf, y: float) -> float:
     return min(1.0, max(0.0, num / denom))
 
 
+def check_quantiles(q1: float, q2: float) -> None:
+    """Require _TOL < q1 < q2 < 1: `_row_inverse` takes a level at or below
+    _TOL for 0, whose inverse is -inf."""
+    if not (_TOL < q1 < q2 < 1.0):
+        raise QuantileOutOfRange(f"need {_TOL:g} < q1 < q2 < 1, got ({q1}, {q2})")
+
+
 def iqr_bounds(c: SubCdf, d: int, q1: float, q2: float) -> IntervalBound:
     """Sharp bounds on the (q1, q2) interquantile range of Y_d.
 
@@ -340,8 +333,7 @@ def iqr_bounds(c: SubCdf, d: int, q1: float, q2: float) -> IntervalBound:
     distributions with unboundedly spread quantiles (in particular when
     q1 does not exceed P(D=1-d)); this is reported, not raised.
     """
-    if not (0.0 < q1 < q2 < 1.0):
-        raise QuantileOutOfRange(f"need 0 < q1 < q2 < 1, got ({q1}, {q2})")
+    check_quantiles(q1, q2)
     cd, f, xs = c._sub[d].vals[None], c._cdf.vals[None], c.jumps
     lower = max(0.0, float(_iqr_lower(cd, xs, f, xs, c.p_d(1 - d), q1, q2)[0]))
     y_lo = c.inv_bar(d, q1)

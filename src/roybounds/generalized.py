@@ -54,11 +54,11 @@ def envelopes(t: InstrumentTable) -> np.ndarray:
 def bounds_from_envelopes(env) -> dict:
     """Closed-form bounds from envelope vectors env (..., 8), as (lo, hi) arrays.
 
-    Keys: "ey0", "ey1", "benefit" (P(Y1>Y0)), "weak_benefit" (P(Y1>=Y0))
-    and "mobility" (P(Y1=1|Y0=0)).  Marginal and benefit endpoints are
-    unclamped.  Mobility divides by P(Y0=0) bounds taken from the clamped
-    EY0 interval; a lower endpoint over a vanished denominator is 1.0, an
-    upper one is nan, and each caller decides what nan means.
+    Keys as in the report: "ey0", "ey1", "benefit_strict" (P(Y1>Y0)),
+    "benefit_weak" (P(Y1>=Y0)) and "mobility" (P(Y1=1|Y0=0)).  Marginal and
+    benefit endpoints are unclamped.  Mobility divides by P(Y0=0) bounds from
+    the clamped EY0 interval; a lower endpoint over a vanished denominator is
+    1.0, an upper one is nan, and each caller decides what nan means.
     """
     i1, i0, i1001, i0011, s10, s00, s11, s01 = np.moveaxis(np.asarray(env, dtype=float), -1, 0)
     ey0 = (np.maximum(s10, 1.0 - i0 - i0011), np.minimum(1.0 - s00, i1 + i1001))
@@ -75,34 +75,35 @@ def bounds_from_envelopes(env) -> dict:
     return {
         "ey0": ey0,
         "ey1": ey1,
-        "benefit": (strict_lo, i0011),
-        "weak_benefit": (1.0 - i1001, 1.0 - p10_lo),
+        "benefit_strict": (strict_lo, i0011),
+        "benefit_weak": (1.0 - i1001, 1.0 - p10_lo),
         "mobility": mobility,
     }
 
 
-def point_bounds(e: np.ndarray) -> dict[str, IntervalBound]:
-    """Labelled, clamped point intervals from one envelope array e (8,).
+# The point label of each interval of the report, by its key.
+LABELS = {
+    "ey0": "EY0", "ey1": "EY1", "ate": "E(Y1-Y0)", "benefit_strict": "P(Y1>Y0)", "benefit_weak": "P(Y1>=Y0)",
+    "mobility": "P(Y1=1|Y0=0)", "att1": "E(Y1-Y0|D=1)", "att0": "E(Y0-Y1|D=0)",
+}
 
-    Keys: "ey0", "ey1", "ate", "benefit_strict" (P(Y1>Y0)),
-    "benefit_weak" (P(Y1>=Y0)) and "mobility" (P(Y1=1|Y0=0)).  The
-    marginals specialize to the classic two-point-instrument
-    treatment-effect bounds when z takes two values; crossing rejects the
-    model.  The weak benefit bound comes from the mirror-image bound on
-    P(Y0>Y1).  The mobility upper end is nan when P(Y0=0) may vanish.
+
+def point_bounds(e: np.ndarray, labels: dict = LABELS) -> dict[str, IntervalBound]:
+    """The intervals of LABELS but the ATTs, from one envelope array e (8,), under labels.
+
+    Every `bounds_from_envelopes` interval is clamped to [0, 1], and the ATE
+    spans the clamped marginals, clamped to [-1, 1].  On the envelopes of a
+    table these are the point bounds, where crossed marginals reject the
+    model; `assemble_cis` builds the confidence intervals from the k-inflated
+    envelopes.  The mobility upper end is nan when P(Y0=0) may vanish.
     """
-    r = bounds_from_envelopes(e)
-    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0")
-    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1")
-    ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label="E(Y1-Y0)")
-    return {
-        "ey0": ey0.clamp(),
-        "ey1": ey1.clamp(),
-        "ate": ate.clamp(-1.0, 1.0),
-        "benefit_strict": IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0)").clamp(),
-        "benefit_weak": IntervalBound(*map(float, r["weak_benefit"]), label="P(Y1>=Y0)").clamp(),
-        "mobility": IntervalBound(*map(float, r["mobility"]), label="P(Y1=1|Y0=0)").clamp(),
+    p = {
+        key: IntervalBound(float(lo), float(hi), label=labels[key]).clamp()
+        for key, (lo, hi) in bounds_from_envelopes(e).items()
     }
+    ey0, ey1 = p["ey0"], p["ey1"]
+    p["ate"] = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label=labels["ate"]).clamp(-1.0, 1.0)
+    return p
 
 
 def _regrets(t: InstrumentTable, e: np.ndarray) -> np.ndarray:
@@ -141,8 +142,8 @@ def att_bounds(
         lo, hi = left_sum(t.weights[:, None] * gaps / p_d[:, None]).tolist()
         return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
-    att1 = averaged(p["ey0"], p_d1, "E(Y1-Y0|D=1)")
-    att0 = averaged(p["ey1"], p_d0, "E(Y0-Y1|D=0)")
+    att1 = averaged(p["ey0"], p_d1, LABELS["att1"])
+    att0 = averaged(p["ey1"], p_d0, LABELS["att0"])
     return att1, att0
 
 

@@ -15,12 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, QuantileOutOfRange, ZeroSectorProbability
-from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse, build_subcdf
-from .generalized import _COMBO, EnvelopeReport, bounds_from_envelopes, empty_sector, envelope_array
+from .errors import InputError, ZeroSectorProbability
+from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse, build_subcdf, check_quantiles
+from .generalized import (
+    _COMBO, LABELS, EnvelopeReport, bounds_from_envelopes, empty_sector, envelope_array, point_bounds
+)
 from .probability import IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
+_CI_LABELS = {**{key: f"{label} CI" for key, label in LABELS.items()}, "ate": "ATE CI"}
 _CHUNK = 128
 # Batch budget of one bootstrap, shared by all its workers: each of w
 # workers draws `multinomial` batches of at most _DRAW_BYTES / w of counts
@@ -310,29 +313,17 @@ class CiReport(EnvelopeReport):
 def assemble_cis(
     theta: ThetaVector, k: float, level: float = 0.95, b: int = 0, seed: int = 0
 ) -> CiReport:
-    """Closed-form bounds re-applied to the k-inflated envelopes."""
-    r = bounds_from_envelopes(envelope_array(theta.est, k * theta.se))
-    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0 CI").clamp()
-    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1 CI").clamp()
-    ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label="ATE CI").clamp(-1.0, 1.0)
-    benefit = IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0) CI").clamp()
-    mob_lo, mob_hi = map(float, r["mobility"])
-    # A vanished P(Y0=0) upper bound leaves the mobility ratio unbounded.
-    mob_hi = 1.0 if np.isnan(mob_hi) else mob_hi
-    mobility = IntervalBound(mob_lo, mob_hi, label="P(Y1=1|Y0=0) CI").clamp()
-    att1, att0 = _att_plugin(theta, ey0, ey1)
-    return CiReport(
-        ey0=ey0,
-        ey1=ey1,
-        ate=ate,
-        benefit_strict=benefit,
-        mobility=mobility,
-        att1=att1,
-        att0=att0,
-        level=level,
-        b=b,
-        seed=seed,
-    )
+    """`point_bounds` of the k-inflated envelopes, under the CI labels.
+
+    The weak benefit is left out.  A vanished P(Y0=0) upper bound leaves the
+    mobility ratio unbounded, so its nan upper end becomes 1.0.
+    """
+    p = point_bounds(envelope_array(theta.est, k * theta.se), _CI_LABELS)
+    del p["benefit_weak"]
+    if np.isnan(p["mobility"].hi):
+        p["mobility"] = replace(p["mobility"], hi=1.0)
+    att1, att0 = _att_plugin(theta, p["ey0"], p["ey1"])
+    return CiReport(**p, att1=att1, att0=att0, level=level, b=b, seed=seed)
 
 
 def _sector_shares(theta: ThetaVector):
@@ -351,12 +342,12 @@ def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
     att1 = IntervalBound(
         float((w * (p_y1 - ey0.hi) / p_d1).sum()),
         float((w * (p_y1 - ey0.lo) / p_d1).sum()),
-        label="E(Y1-Y0|D=1) CI",
+        label=_CI_LABELS["att1"],
     ).clamp(-1.0, 1.0)
     att0 = IntervalBound(
         float((w * ((1.0 - p_y1) - (1.0 - ey1.lo)) / p_d0).sum()),
         float((w * ((1.0 - p_y1) - (1.0 - ey1.hi)) / p_d0).sum()),
-        label="E(Y0-Y1|D=0) CI",
+        label=_CI_LABELS["att0"],
     ).clamp(-1.0, 1.0)
     return att1, att0
 
@@ -416,7 +407,7 @@ def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, Interv
         hi = float(np.quantile(high_star, 1.0 - alpha / 2, method="higher"))
         return IntervalBound(lo, hi, sharp=False, label=label).clamp(-1.0, 1.0)
 
-    return interval(low1, high1, "E(Y1-Y0|D=1) CI"), interval(low0, high0, "E(Y0-Y1|D=0) CI")
+    return interval(low1, high1, _CI_LABELS["att1"]), interval(low0, high0, _CI_LABELS["att0"])
 
 
 def iqr_ci(
@@ -436,8 +427,7 @@ def iqr_ci(
     sqrt(lnln n / n) margin, inflated by a critical value taken from the
     bootstrap law of the studentized objective.
     """
-    if not (0.0 < q1 < q2 < 1.0):
-        raise QuantileOutOfRange(f"need 0 < q1 < q2 < 1, got ({q1}, {q2})")
+    check_quantiles(q1, q2)
     _check_draws(b)
     n = data.n
     c = build_subcdf(data)

@@ -208,7 +208,7 @@ def test_criterion_05_functional_bounds_valid_on_population_designs():
             support, probs = _discretized_copula_joint(rng)
         pi = float(rng.random())
         recs = _observed_from_discrete(support, probs, pi)
-        c = build_subcdf(OutcomeSample.from_records(recs))
+        c = build_subcdf(OutcomeSample.from_arrays(*zip(*recs)))
         vals = np.unique(np.asarray(support, dtype=float))
         pick = np.linspace(0, len(vals) - 1, min(49, len(vals))).astype(int)
         grid = np.concatenate([[-np.inf], vals[pick]])  # 50 interval endpoints

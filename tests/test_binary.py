@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -60,6 +61,14 @@ def test_manski_bounds_examples():
     ey0, ey1, _ = binary.manski_bounds(validate_cells(0.25, 0.25, 0.25, 0.25))
     assert (ey0.lo, ey0.hi) == (0.25, 0.5)
     assert (ey1.lo, ey1.hi) == (0.25, 0.5)
+
+
+def test_ate_lower_end_is_positive_zero_when_q10_is_zero():
+    # -q10 would give -0.0, which the JSON report prints as such.
+    q = validate_cells(0.5, 0.2, 0.0, 0.3)
+    assert math.copysign(1.0, binary.manski_bounds(q)[2].lo) == 1.0
+    t = InstrumentTable.from_cells({"a": q, "b": validate_cells(0.4, 0.3, 0.1, 0.2)})
+    assert math.copysign(1.0, binary.sharp_bounds_with_instrument(t).ate_bound.lo) == 1.0
 
 
 def test_instrument_constant_reduces_to_sharp_bounds():

@@ -1001,6 +1001,26 @@ def test_iqr_bad_quantiles(tmp_path, capsys):
     assert code == 1
 
 
+def test_iqr_rejects_a_first_quantile_at_or_below_1e_12(tmp_path, capsys):
+    # A level at or below 1e-12 is read as 0: the bounds would be [+inf, +inf],
+    # or a numpy warning would reach stderr.
+    path = tmp_path / "four.csv"
+    path.write_text("y,d\n1,1\n0,0\n1,0\n0,1\n")
+    for q in ("1e-13,0.5", "1e-12,0.5"):
+        for extra in ([], ["--bootstrap", "200"]):
+            err = assert_input_error(["iqr", "--data", str(path), "--quantiles", q, *extra], capsys)
+            assert "1e-12 < q1 < q2 < 1" in err
+    code, out, err = run_cli(["iqr", "--data", str(path), "--quantiles", "2e-12,0.5"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bounds"]["iqr"] == {"hi": "+inf", "label": "IQR_1(2e-12,0.5)", "lo": 0.0, "sharp": True}
+
+
+def test_binary_prints_no_negative_zero(capsys):
+    code, out, _ = run_cli(["binary", "--cells", '{"q00":0.5,"q01":0.2,"q10":0,"q11":0.3}'], capsys)
+    assert code == 0
+    assert json.loads(out)["bounds"]["ate"]["lo"] == 0.0 and "-0.0" not in out
+
+
 def test_infer_command(tmp_path, capsys):
     path = write_binary_csv(tmp_path / "s.csv", seed=8, n=1000)
     code, out, _ = run_cli(

@@ -25,11 +25,11 @@ def small_sample(seed=0, n=10):
 
 def test_empty_sample():
     with pytest.raises(EmptySample):
-        fn.OutcomeSample.from_records([])
+        fn.OutcomeSample.from_arrays([], [])
 
 
 def test_single_record_subcdf():
-    s = fn.OutcomeSample.from_records([(1.0, 1, 1.0)])
+    s = fn.OutcomeSample.from_arrays([1.0], [1], [1.0])
     c = fn.build_subcdf(s)
     assert c.sub(1, 0.5) == 0.0
     assert c.sub(1, 1.0) == 1.0
@@ -38,7 +38,7 @@ def test_single_record_subcdf():
 
 
 def test_two_record_subcdf():
-    s = fn.OutcomeSample.from_records([(1.0, 0, 0.5), (2.0, 1, 0.5)])
+    s = fn.OutcomeSample.from_arrays([1.0, 2.0], [0, 1], [0.5, 0.5])
     c = fn.build_subcdf(s)
     assert c.cdf(1.5) == 0.5
     assert c.sub(1, 1.5) == 0.0
@@ -53,7 +53,7 @@ def test_cdf_is_sum_of_subcdfs():
 
 
 def test_generalized_inverse_convention():
-    s = fn.OutcomeSample.from_records([(0.0, 0, 0.25), (1.0, 1, 0.5), (2.0, 0, 0.25)])
+    s = fn.OutcomeSample.from_arrays([0.0, 1.0, 2.0], [0, 1, 0], [0.25, 0.5, 0.25])
     c = fn.build_subcdf(s)
     assert c.inv_cdf(0.25) == 0.0   # weak inequality picks the atom itself
     assert c.inv_cdf(0.26) == 1.0
@@ -270,7 +270,7 @@ def test_interval_is_empty():
 
 
 def test_upper_lower_sets_quadrant():
-    a = fn.RectUnion.lower_quadrant(1.0, 2.0)
+    a = fn.RectUnion.of([fn.Rect(fn.Interval(-np.inf, 1.0), fn.Interval(-np.inf, 2.0))])
     y = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     u0, u1, l0, l1 = fn.upper_lower_sets(a, y)
     assert u0.tolist() == [True, True, False, False, False]
@@ -380,7 +380,7 @@ def test_joint_set_bounds_diagonal_identified():
     s = small_sample(5, 20)
     c = fn.build_subcdf(s)
     y = float(np.median(s.y))
-    b = fn.joint_set_bounds(c, fn.RectUnion.lower_quadrant(y, y))
+    b = fn.joint_set_bounds(c, fn.RectUnion.of([fn.Rect(fn.Interval(-np.inf, y), fn.Interval(-np.inf, y))]))
     assert b.lo == pytest.approx(c.cdf(y))
     assert b.hi == pytest.approx(c.cdf(y))
 
@@ -470,6 +470,17 @@ def test_iqr_quantile_validation():
         fn.iqr_bounds(c, 1, 0.75, 0.25)
     with pytest.raises(QuantileOutOfRange):
         fn.iqr_bounds(c, 1, 0.0, 0.5)
+
+
+def test_iqr_first_quantile_at_or_below_tol_rejected():
+    # _row_inverse reads a level at or below 1e-12 as 0: F^-1(q1) would be
+    # -inf and the lower bound +inf.
+    c = fn.build_subcdf(small_sample(9, 10))
+    for q1 in (1e-13, 1e-12):
+        with pytest.raises(QuantileOutOfRange, match="1e-12 < q1"):
+            fn.iqr_bounds(c, 1, q1, 0.5)
+    b = fn.iqr_bounds(c, 1, 2e-12, 0.5)
+    assert np.isfinite(b.lo) and b.lo <= b.hi
 
 
 def test_iqr_unbounded_reported():

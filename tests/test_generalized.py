@@ -402,7 +402,7 @@ def tuple_sharp_bounds_with_instrument(tt, tau_y=0.0):
         p01_bound=IntervalBound(0.0, lo11, sharp=True, label="p01 (instrument)"),
         ey0_bound=IntervalBound(hi10, p_y1, sharp=True, label="EY0 (instrument)"),
         ey1_bound=IntervalBound(hi11, p_y1, sharp=True, label="EY1 (instrument)"),
-        ate_bound=IntervalBound(-lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
+        ate_bound=IntervalBound(0.0 - lo10, lo11, sharp=True, label="E(Y1-Y0) (instrument)"),
     )
 
 
@@ -843,8 +843,8 @@ def ref_bp_marginal_bounds(e):
 def ref_benefit_bounds(e):
     r = generalized.bounds_from_envelopes(e.as_array())
     return (
-        IntervalBound(*map(float, r["benefit"]), label="P(Y1>Y0)").clamp(),
-        IntervalBound(*map(float, r["weak_benefit"]), label="P(Y1>=Y0)").clamp(),
+        IntervalBound(*map(float, r["benefit_strict"]), label="P(Y1>Y0)").clamp(),
+        IntervalBound(*map(float, r["benefit_weak"]), label="P(Y1>=Y0)").clamp(),
     )
 
 

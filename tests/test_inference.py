@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import threading
@@ -326,6 +327,74 @@ def test_assemble_cis_caps_mobility_when_denominator_vanishes():
     assert rep.mobility.hi == 1.0
 
 
+def reference_assemble_cis(theta, k, level=0.95, b=0, seed=0):
+    """The hand-built `assemble_cis`, with its ATT plug-in, kept as its reference."""
+    r = generalized.bounds_from_envelopes(generalized.envelope_array(theta.est, k * theta.se))
+    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0 CI").clamp()
+    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1 CI").clamp()
+    ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label="ATE CI").clamp(-1.0, 1.0)
+    benefit = IntervalBound(*map(float, r["benefit_strict"]), label="P(Y1>Y0) CI").clamp()
+    mob_lo, mob_hi = map(float, r["mobility"])
+    mob_hi = 1.0 if np.isnan(mob_hi) else mob_hi
+    mobility = IntervalBound(mob_lo, mob_hi, label="P(Y1=1|Y0=0) CI").clamp()
+    w = theta.z_weights()
+    p_y1 = theta.est[:, 0]
+    p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
+    p_d0 = 1.0 - p_d1
+    att1 = att0 = None
+    if not (np.any(p_d1 <= 1e-12) or np.any(p_d0 <= 1e-12)):
+        att1 = IntervalBound(
+            float((w * (p_y1 - ey0.hi) / p_d1).sum()),
+            float((w * (p_y1 - ey0.lo) / p_d1).sum()),
+            label="E(Y1-Y0|D=1) CI",
+        ).clamp(-1.0, 1.0)
+        att0 = IntervalBound(
+            float((w * ((1.0 - p_y1) - (1.0 - ey1.lo)) / p_d0).sum()),
+            float((w * ((1.0 - p_y1) - (1.0 - ey1.hi)) / p_d0).sum()),
+            label="E(Y0-Y1|D=0) CI",
+        ).clamp(-1.0, 1.0)
+    return inference.CiReport(
+        ey0=ey0, ey1=ey1, ate=ate, benefit_strict=benefit, mobility=mobility,
+        att1=att1, att0=att0, level=level, b=b, seed=seed,
+    )
+
+
+def _theta_of_counts(counts):
+    """A ThetaVector of (K, 4) cell counts, every standard error at the floor."""
+    counts = np.asarray(counts, dtype=float)
+    est = counts / counts.sum(axis=1, keepdims=True) @ generalized._COMBO.T
+    return inference.ThetaVector(
+        labels=tuple(f"z{i}" for i in range(len(counts))), est=est,
+        se=np.full_like(est, inference._SE_FLOOR), cell_counts=counts, n=int(counts.sum()),
+    )
+
+
+def test_assemble_cis_equals_hand_built_reference_bitwise():
+    thetas = [
+        inference.estimate_theta(binary_sample(seed, n=n, k=k))
+        for seed in range(12)
+        for n, k in ((150, 3), (4000, 2), (800, 5))
+    ]
+    # Y=1 at every row: the EY0 interval reaches 1, so the mobility upper end is nan.
+    vanish = _theta_of_counts([[0, 0, 60, 40], [0, 0, 30, 70]])
+    # The EY0 and EY1 intervals cross by 2e-12.
+    crossed = _theta_of_counts(np.array([[0.0, 0.25, 0.5, 0.25], [0.5 + 2e-12, 0.25, 0.0, 0.25 - 2e-12]]) * 1000)
+    # z0 has no D=1 rows, so neither ATT exists.
+    no_d1 = _theta_of_counts([[30, 0, 20, 0], [10, 25, 15, 30]])
+    for theta in thetas + [vanish, crossed, no_d1]:
+        for k in (0.0, 1.5, 3.0):
+            new = inference.assemble_cis(theta, k, level=0.9, b=200, seed=3)
+            ref = reference_assemble_cis(theta, k, level=0.9, b=200, seed=3)
+            assert json.dumps(new.to_dict()) == json.dumps(ref.to_dict()), (theta.labels, k)
+            assert repr(new) == repr(ref)
+    env = generalized.envelope_array(vanish.est, 0.0)
+    assert np.isnan(generalized.bounds_from_envelopes(env)["mobility"][1])
+    assert inference.assemble_cis(vanish, 0.0).mobility.hi == 1.0
+    assert inference.assemble_cis(crossed, 0.0).crossed
+    assert inference.assemble_cis(no_d1, 0.0).att1 is None
+    assert inference.assemble_cis(vanish, 0.0).att1 is not None
+
+
 def test_ci_report_crossed_beyond_1e_12_only():
     # At z2 P(Y=0,D=0) is 0.5 + gap, so the EY0 upper end 1 - 0.5 - gap falls
     # below the lower end, z1's P(Y=1,D=0) = 0.5, by gap (and EY1's likewise).
@@ -422,6 +491,15 @@ def test_iqr_ci_validation_and_unbounded():
     ci = inference.iqr_ci(wide, 1, 0.25, 0.75, b=150, seed=0)
     assert ci.hi == np.inf
     assert ci.lo >= 0.0
+
+
+def test_iqr_ci_rejects_a_first_quantile_at_or_below_1e_12():
+    # Such a level would be read as 0, whose inverse is -inf.
+    data = iqr_sample(10)
+    for q1 in (1e-13, 1e-12):
+        with pytest.raises(QuantileOutOfRange, match="1e-12 < q1"):
+            inference.iqr_ci(data, 1, q1, 0.5)
+    assert np.isfinite(inference.iqr_ci(data, 1, 2e-12, 0.5, b=150).lo)
 
 
 def test_iqr_ci_brackets_point_bounds():
