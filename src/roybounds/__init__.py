@@ -5,7 +5,8 @@ Submodules:
   binary       - closed-form binary-model bounds
   generalized  - generalized binary model with an instrument
   functional   - continuous-outcome functional bounds and IQR bounds
-  oracle       - brute-force verification oracles and simulators
+  oracle       - brute-force oracles and seeded simulators, for the
+                 oracle and simulate commands
   inference    - estimation and intersection-bounds confidence intervals
   cli          - batch command-line interface
 """
@@ -14,13 +15,7 @@ Submodules:
 from . import binary, functional, generalized, inference, probability
 from .errors import RoyBoundsError
 from .functional import OutcomeSample, build_subcdf
-from .probability import (
-    CellProbs,
-    InstrumentTable,
-    IntervalBound,
-    PotentialJoint,
-    validate_cells,
-)
+from .probability import CellProbs, InstrumentTable, IntervalBound, validate_cells
 
 __version__ = "0.1.0"
 
@@ -29,7 +24,6 @@ __all__ = [
     "InstrumentTable",
     "IntervalBound",
     "OutcomeSample",
-    "PotentialJoint",
     "RoyBoundsError",
     "binary",
     "build_subcdf",

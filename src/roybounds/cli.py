@@ -495,12 +495,31 @@ def _design_floats(values, what: str, lo: float = -np.inf, hi: float = np.inf) -
     return x
 
 
-def _joint_from_spec(spec):
+# The keys of a design file: its own, and those of each joint type.  The
+# design's keys sit beside an inline joint, never inside a nested "joint".
+_DESIGN_KEYS = ("joint", "pi", "z_labels", "z_weights")
+_JOINT_KEYS = {
+    "discrete": ("type", "support", "probs"),
+    "gaussian": ("type", "mu0", "sd0", "mu1", "sd1", "rho"),
+}
+
+
+def _check_keys(spec: dict, allowed) -> None:
+    """Reject the first key of spec outside allowed: a misspelled key would be ignored."""
+    for key in spec:
+        if key not in allowed:
+            raise InputError(f"bad design: unknown key {key!r}")
+
+
+def _joint_from_spec(spec, design_keys=()):
     from . import oracle
 
     if not isinstance(spec, dict):
         raise InputError("bad design: the joint law must be a JSON object")
     kind = spec.get("type", "discrete")
+    if kind not in ("discrete", "gaussian"):
+        raise InputError(f"unknown joint type {kind!r}")
+    _check_keys(spec, (*_JOINT_KEYS[kind], *design_keys))
     if kind == "discrete":
         probs = _design_floats(spec.get("probs"), "probs must be a list of numbers >= 0", 0)
         support = spec.get("support")
@@ -511,16 +530,14 @@ def _joint_from_spec(spec):
         if not 0 < probs.sum() < np.inf:
             raise InputError("bad design: probs must have a positive finite sum")
         return oracle.DiscreteJoint(support=tuple(tuple(p) for p in support), probs=tuple(spec["probs"]))
-    if kind == "gaussian":
-        mu0, sd0, mu1, sd1, rho = _design_floats(
-            [spec.get("mu0", 0.0), spec.get("sd0", 1.0), spec.get("mu1", 0.0),
-             spec.get("sd1", 1.0), spec.get("rho", 0.0)],
-            "mu0, sd0, mu1, sd1 and rho must be finite numbers",
-        ).tolist()
-        if min(sd0, sd1) < 0 or not -1 <= rho <= 1:
-            raise InputError("bad design: need sd0 and sd1 >= 0 and rho in [-1, 1]")
-        return oracle.GaussianCopulaJoint(mu0=mu0, sd0=sd0, mu1=mu1, sd1=sd1, rho=rho)
-    raise InputError(f"unknown joint type {kind!r}")
+    mu0, sd0, mu1, sd1, rho = _design_floats(
+        [spec.get("mu0", 0.0), spec.get("sd0", 1.0), spec.get("mu1", 0.0),
+         spec.get("sd1", 1.0), spec.get("rho", 0.0)],
+        "mu0, sd0, mu1, sd1 and rho must be finite numbers",
+    ).tolist()
+    if min(sd0, sd1) < 0 or not -1 <= rho <= 1:
+        raise InputError("bad design: need sd0 and sd1 >= 0 and rho in [-1, 1]")
+    return oracle.GaussianCopulaJoint(mu0=mu0, sd0=sd0, mu1=mu1, sd1=sd1, rho=rho)
 
 
 def _cmd_simulate(args, report):
@@ -540,8 +557,13 @@ def _cmd_simulate(args, report):
     if len(w) and (len(w) != len(labels) or not 0 < w.sum() < np.inf):
         raise InputError("bad design: need one z_weight per z_label, with a positive finite sum")
     _design_floats([spec.get("pi", 0.5)], "pi must be in [0, 1]", 0, 1)
+    if "joint" in spec:
+        _check_keys(spec, _DESIGN_KEYS)
+        joint = _joint_from_spec(spec["joint"])
+    else:
+        joint = _joint_from_spec(spec, _DESIGN_KEYS)
     design = oracle.SimDesign(
-        joint=_joint_from_spec(spec.get("joint", spec)),
+        joint=joint,
         n=args.n,
         seed=args.seed,
         pi=spec.get("pi", 0.5),

@@ -67,11 +67,8 @@ class QuantileOutOfRange(RoyBoundsError):
 
 
 class OutOfRange(RoyBoundsError):
-    """A witness parameter lies outside its admissible range."""
-
-
-class BoundsViolated(RoyBoundsError):
-    """Candidate marginal distributions violate the functional bounds."""
+    """A parameter lies outside its admissible range: an instrument support
+    past the response-type cap, or a design's tie-break probability pi."""
 
 
 class InputError(RoyBoundsError):

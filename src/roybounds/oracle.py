@@ -1,10 +1,13 @@
-"""Brute-force oracles and simulators.
+"""Brute-force oracles and simulators, as the `oracle` and `simulate`
+commands run them.
 
 Nothing here is needed to compute bounds; these are independent routes
 to the same objects, used to verify the closed forms: exhaustive
 subset-inequality enumeration for the binary identified sets, a linear
-program over response types for the instrument case, explicit coupling
-constructions that attain bound endpoints, and seeded data generators.
+program over response types for the instrument case, and seeded data
+generators under Roy selection.  The sharpness witnesses that no command
+runs (couplings that attain bound endpoints, tables generated forward
+from a random type law) are test code, in `tests/witnesses.py`.
 One pair map, `_potential`, gives the potential outcome of each pair
 (y0, y1) in each sector; the selection correspondence of `artstein_set`,
 the observed cells of `response_types` and the `OBJECTIVES` of the LP
@@ -19,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsViolated, InfeasibleLP, OutOfRange
-from .functional import OutcomeSample, StepFn, SubCdf
-from .probability import (
-    CellProbs,
-    InstrumentTable,
-    IntervalBound,
-    PotentialJoint,
-    SimplexPolytope,
-    make_rng,
-)
+from .errors import InfeasibleLP, OutOfRange
+from .functional import OutcomeSample
+from .probability import CellProbs, InstrumentTable, IntervalBound, SimplexPolytope, make_rng
 
 ROY = "roy"
 GENERALIZED = "generalized"
@@ -110,132 +106,6 @@ def response_type_lp(t: InstrumentTable, objective) -> IntervalBound:
             raise InfeasibleLP("no response-type distribution matches the tables")
         out.append(sign * res.fun)
     return IntervalBound(out[0], out[1], sharp=True, label="response-type LP")
-
-
-def random_type_table(k: int, rng: np.random.Generator):
-    """Feasible instrument table generated forward from a random type law.
-
-    Returns (table, truth joint): by construction the table is exactly
-    consistent with the generalized model, so LP oracles never reject it.
-    """
-    pair, cell = response_types(k)
-    weights = rng.dirichlet(np.ones(len(pair)))
-    # bincount adds the weights one by one in type order.
-    cells = {f"z{zi}": CellProbs(*np.bincount(c, weights, minlength=4)) for zi, c in enumerate(cell)}
-    return InstrumentTable.from_cells(cells), PotentialJoint(*np.bincount(pair, weights, minlength=4))
-
-
-def roy_cells(p: PotentialJoint, pi: float = 0.5) -> CellProbs:
-    """Exact observed cells induced by Roy selection with tie-break pi."""
-    if not 0.0 <= pi <= 1.0:
-        raise OutOfRange(f"tie-break probability {pi} outside [0, 1]")
-    return CellProbs(
-        q00=p.p00 * (1.0 - pi),
-        q01=p.p00 * pi,
-        q10=p.p10 + p.p11 * (1.0 - pi),
-        q11=p.p01 + p.p11 * pi,
-    )
-
-
-@dataclass(frozen=True)
-class BinaryCouplingWitness:
-    """Explicit (Y0, Y1, Y, D) law hitting chosen marginal-mean targets.
-
-    Segments of a uniform variable are mapped simultaneously to the
-    potential pair and the observed cell, so Roy selection holds draw by
-    draw while E(Y0) = a and E(Y1) = b.
-    """
-
-    segments: tuple[tuple[float, int, int, int, int], ...]  # (prob, y0, y1, y, d)
-
-    def sample(self, n: int, rng: np.random.Generator):
-        probs = np.array([s[0] for s in self.segments])
-        idx = rng.choice(len(self.segments), size=n, p=probs / probs.sum())
-        cols = np.array([s[1:] for s in self.segments])
-        y0, y1, y, d = cols[idx].T
-        return y0, y1, y, d
-
-
-def coupling_witness_binary(t: InstrumentTable, x0, x1, a: float, b: float) -> BinaryCouplingWitness:
-    """Witness for the covariate marginal bounds at target means (a, b)."""
-    from .binary import covariate_cell, marginal_bounds_with_covariates
-
-    ey0, ey1, _ = marginal_bounds_with_covariates(t, x0, x1)
-    tol = 1e-9
-    if not (ey0.lo - tol <= a <= ey0.hi + tol):
-        raise OutOfRange(f"a={a} outside admissible range [{ey0.lo}, {ey0.hi}]")
-    if not (ey1.lo - tol <= b <= ey1.hi + tol):
-        raise OutOfRange(f"b={b} outside admissible range [{ey1.lo}, {ey1.hi}]")
-    q = covariate_cell(t, x0, x1)
-    c = q.p_y1
-    segs = [
-        (q.q00, 0, 0, 0, 0),
-        (q.q01, 0, 0, 0, 1),
-        (c - a, 0, 1, 1, 1),       # strict benefit, chooses 1
-        (c - b, 1, 0, 1, 0),       # strict loss from 1, chooses 0
-        (b - q.q11, 1, 1, 1, 0),   # ties split to match the observed cells
-        (a - q.q10, 1, 1, 1, 1),
-    ]
-    segs = [(max(p, 0.0), *rest) for p, *rest in segs]
-    return BinaryCouplingWitness(segments=tuple(segs))
-
-
-def _difference_stepfn(f_cand: StepFn, f_sub: StepFn) -> StepFn:
-    grid = np.unique(np.concatenate([f_cand.xs, f_sub.xs]))
-    vals = np.maximum.accumulate(f_cand(grid) - f_sub(grid))
-    return StepFn(grid, vals, base=f_cand.base - f_sub.base)
-
-
-@dataclass(frozen=True)
-class ContinuousCouplingWitness:
-    """Quantile coupling realizing candidate marginals (F0, F1).
-
-    A single uniform drives sector choice and both potential outcomes;
-    values in the censored region come out as -inf sentinels, which is
-    consistent with the envelope case where a counterfactual outcome is
-    only known to lie below the whole sample.
-    """
-
-    p_d1: float
-    sub0: StepFn
-    sub1: StepFn
-    rest0: StepFn
-    rest1: StepFn
-
-    def sample(self, n: int, rng: np.random.Generator):
-        u = rng.random(n)
-        d = (u < self.p_d1).astype(int)
-        y0 = np.empty(n)
-        y1 = np.empty(n)
-        sel = d == 1
-        y1[sel] = self.sub1.inverse(u[sel])
-        y0[sel] = self.rest0.inverse(u[sel])
-        y0[~sel] = self.sub0.inverse(u[~sel] - self.p_d1)
-        y1[~sel] = self.rest1.inverse(u[~sel] - self.p_d1)
-        y = np.where(sel, y1, y0)
-        return y0, y1, y, d
-
-
-def coupling_witness_continuous(c: SubCdf, f0: StepFn, f1: StepFn) -> ContinuousCouplingWitness:
-    """Witness coupling for candidate marginal cdfs inside the envelopes."""
-    grid = c.jumps
-    for d, f in ((0, f0), (1, f1)):
-        lo = np.asarray(c.cdf(grid))
-        hi = np.asarray(c.bar(d, grid))
-        vals = np.asarray(f(grid))
-        if np.any(vals < lo - 1e-9) or np.any(vals > hi + 1e-9):
-            raise BoundsViolated(f"candidate marginal {d} escapes the envelopes")
-        if abs(f.terminal - 1.0) > 1e-9:
-            raise BoundsViolated(f"candidate marginal {d} does not reach 1")
-    rest0 = _difference_stepfn(f0, c._sub[0])
-    rest1 = _difference_stepfn(f1, c._sub[1])
-    return ContinuousCouplingWitness(
-        p_d1=c.p_d1,
-        sub0=c._sub[0],
-        sub1=c._sub[1],
-        rest0=rest0,
-        rest1=rest1,
-    )
 
 
 @dataclass(frozen=True)

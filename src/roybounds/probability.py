@@ -6,7 +6,8 @@ bounds are closed forms in the observed cells; `SimplexPolytope` cuts
 an identified set out of the simplex by halfspaces a.p <= b and
 enumerates its vertices exactly, which is cheap in this fixed, tiny
 dimension.  That enumeration serves only `oracle.artstein_set` and the
-tests, which keep the rest of the simplex geometry to themselves.  An
+tests, which keep the rest of the simplex geometry, and the candidate
+joint masses that points of the simplex stand for, to themselves.  An
 instrument table holds one row of cells per instrument value, as
 arrays.  `make_rng` is the one seeded random generator behind every
 simulation and bootstrap draw.
@@ -164,35 +165,6 @@ class InstrumentTable:
     def pooled(self) -> CellProbs:
         """Weighted average of the cell probabilities over z."""
         return CellProbs(*left_sum(self.weights[:, None] * self.cells))
-
-
-@dataclass(frozen=True)
-class PotentialJoint:
-    """Candidate joint mass (p00, p01, p10, p11) of (Y0, Y1) on the 3-simplex."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        arr = self.as_array()
-        if np.any(arr < -NORM_TOL):
-            raise NegativeMass(f"negative joint mass in {arr}")
-        # Negated so that a NaN sum fails too.
-        if not abs(arr.sum() - 1.0) <= INPUT_NORM_TOL:
-            raise NotNormalized(f"joint masses sum to {arr.sum():.12g}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p00, self.p01, self.p10, self.p11])
-
-    @property
-    def ey0(self) -> float:
-        return self.p10 + self.p11
-
-    @property
-    def ey1(self) -> float:
-        return self.p01 + self.p11
 
 
 @dataclass(frozen=True)

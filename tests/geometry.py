@@ -9,7 +9,9 @@ routes to what the closed forms compute, so no bound depends on them.
 import numpy as np
 
 from roybounds.errors import Infeasible, InfeasibleModel
-from roybounds.probability import FEAS_TOL, IntervalBound, PotentialJoint, SimplexPolytope
+from roybounds.probability import FEAS_TOL, IntervalBound, SimplexPolytope
+
+from witnesses import PotentialJoint
 
 # Coordinate order of the simplex: p = (p00, p01, p10, p11).
 P00, P01, P10, P11 = 0, 1, 2, 3

@@ -27,6 +27,7 @@ from roybounds.functional import (
 from roybounds.probability import InstrumentTable, validate_cells
 
 from geometry import contains_points, envelope_polytope, roy_polytope, simplex_grid
+from witnesses import coupling_witness_binary, coupling_witness_continuous, random_type_table
 
 
 def random_cells(rng):
@@ -80,7 +81,7 @@ def test_criterion_03_marginal_formulas_equal_lp_optima():
     checked = 0
     for k, n_designs, base in ((2, 50, 3000), (3, 20, 4000), (4, 20, 5000)):
         for s in range(n_designs):
-            t, _ = oracle.random_type_table(k, oracle.make_rng(base + s))
+            t, _ = random_type_table(k, oracle.make_rng(base + s))
             e = generalized.envelopes(t)
             p = generalized.point_bounds(e)
             ey0, ey1 = p["ey0"], p["ey1"]
@@ -113,7 +114,7 @@ def test_criterion_04_coupling_witnesses_attain_endpoints():
         ey0, ey1, _ = binary.marginal_bounds_with_covariates(g, "x0", "x1")
         for a in (ey0.lo, ey0.hi):
             for b in (ey1.lo, ey1.hi):
-                w = oracle.coupling_witness_binary(g, "x0", "x1", a, b)
+                w = coupling_witness_binary(g, "x0", "x1", a, b)
                 y0, y1, y, d = w.sample(n, oracle.make_rng(6100 + s))
                 _check_roy_draws(y0, y1, y, d)
                 se_a = 3.0 * np.sqrt(max(a * (1 - a), 1e-12) / n)
@@ -136,7 +137,7 @@ def test_criterion_04_coupling_witnesses_attain_endpoints():
             StepFn(jumps, np.asarray(c.bar(1, jumps)), base=c.p_d0),
         )
         for f0, f1 in (lowers, uppers):
-            w = oracle.coupling_witness_continuous(c, f0, f1)
+            w = coupling_witness_continuous(c, f0, f1)
             y0, y1, y, d = w.sample(n, oracle.make_rng(6200 + s))
             _check_roy_draws(y0, y1, y, d)
             for yy in jumps[::9]:
@@ -347,7 +348,7 @@ def test_criterion_09_inference_coverage():
     reps = 200
     n = 2000
     b = 200
-    truth_table, _ = oracle.random_type_table(6, oracle.make_rng(777))
+    truth_table, _ = random_type_table(6, oracle.make_rng(777))
     g_true = generalized.compute_all(truth_table)
     att1_true, _ = generalized.att_bounds(truth_table)
     cum = truth_table.cells.cumsum(axis=1)

@@ -15,11 +15,11 @@ from roybounds.errors import (
 )
 from roybounds.probability import (
     InstrumentTable,
-    PotentialJoint,
     validate_cells,
 )
 
 from geometry import contains_points, membership, polytope_extrema, roy_polytope, simplex_grid
+from witnesses import PotentialJoint, coupling_witness_binary
 
 
 def cells_strategy():
@@ -165,7 +165,7 @@ def test_missing_cell():
     with pytest.raises(MissingCell, match=r"^x1 = 'zzz' not in grid$"):
         binary.marginal_bounds_with_covariates(g, "a", "zzz")
     with pytest.raises(MissingCell, match=r"^x1 = 'zzz' not in grid$"):
-        oracle.coupling_witness_binary(g, "c", "zzz", 0.3, 0.4)  # bounds first, then the pair
+        coupling_witness_binary(g, "c", "zzz", 0.3, 0.4)  # bounds first, then the pair
 
 
 def test_conditional_bounds_example():
@@ -234,7 +234,7 @@ def test_conditional_bounds_match_coupling_monte_carlo():
         pytest.skip("random grid rejected the model")
     n = 10**6
     for a_val in (ey0.lo, ey0.hi):
-        w = oracle.coupling_witness_binary(g, "a1", "b1", a_val, ey1.lo)
+        w = coupling_witness_binary(g, "a1", "b1", a_val, ey1.lo)
         y0, y1, y, d = w.sample(n, oracle.make_rng(22))
         se = 3.0 * np.sqrt(a_val * (1 - a_val) / n + 1e-12)
         assert abs(y0.mean() - a_val) <= se + 1e-3

@@ -1154,6 +1154,13 @@ BAD_DESIGNS = {
     "z-weight-bool": ({**GAUSSIAN, "z_labels": ["a"], "z_weights": [True]}, []),
     "not-utf8": (b'{"type": "gaussian", "mu0": \xe9}', []),
     "unknown-joint-type": ({"type": "weird"}, []),
+    # A key outside the design's and its joint type's would be ignored.
+    "misspelled-z-weights": ({**GAUSSIAN, "z_labels": ["a", "b"], "z_wieghts": [0.9, 0.1]}, []),
+    "rho-beside-nested-joint": ({"joint": GAUSSIAN, "rho": 0.9}, []),
+    "gaussian-mu": ({**GAUSSIAN, "mu": 3}, []),
+    "discrete-rho": ({"type": "discrete", "support": PAIRS, "probs": [0.5, 0.5], "rho": 0.3}, []),
+    "nested-gaussian-probs": ({"joint": {**GAUSSIAN, "probs": [1]}}, []),
+    "z-labels-inside-joint": ({"joint": {**GAUSSIAN, "z_labels": ["a", "b"]}}, []),
 }
 
 

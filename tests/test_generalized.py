@@ -21,7 +21,6 @@ from roybounds.probability import (
     CellProbs,
     InstrumentTable,
     IntervalBound,
-    PotentialJoint,
     SimplexPolytope,
     validate_cells,
 )
@@ -38,6 +37,7 @@ from geometry import (
     simplex_grid,
     unit,
 )
+from witnesses import PotentialJoint, random_type_table, roy_cells
 
 
 TWO_Z = InstrumentTable.from_cells(
@@ -116,7 +116,7 @@ def cross_check_tables(n=240, seed=31):
     for i in range(n):
         k = 1 + (i // 2) % 6
         if i % 2:
-            yield oracle.random_type_table(k, rng)[0]
+            yield random_type_table(k, rng)[0]
         else:
             cells = {f"z{j}": validate_cells(*rng.dirichlet(np.ones(4))) for j in range(k)}
             yield InstrumentTable.from_cells(cells)
@@ -465,7 +465,7 @@ def paired_tables(seed=53):
             )
             yield cli._table_from_sample(s)[0], mask_loop_table(s)
             p = PotentialJoint(*rng.dirichlet(np.ones(4)))
-            roy = {f"z{j}": oracle.roy_cells(p, pi) for j, pi in enumerate(rng.uniform(0.05, 0.95, k))}
+            roy = {f"z{j}": roy_cells(p, pi) for j, pi in enumerate(rng.uniform(0.05, 0.95, k))}
             dirichlet = {f"z{j}": validate_cells(*rng.dirichlet(np.full(4, 0.5))) for j in range(k)}
             for cells in (roy, dirichlet):
                 weights = dict(zip(cells, rng.uniform(0.1, 2.0, k))) if weighted else None
@@ -532,7 +532,7 @@ def test_joint_polytope_rows_independent_of_support_size():
     # Roy selection with a tie-break rate that moves with z: feasible for any K.
     p = PotentialJoint(0.3, 0.25, 0.15, 0.3)
     t = InstrumentTable.from_cells(
-        {f"z{j}": oracle.roy_cells(p, pi) for j, pi in enumerate(np.linspace(0.1, 0.9, 12))}
+        {f"z{j}": roy_cells(p, pi) for j, pi in enumerate(np.linspace(0.1, 0.9, 12))}
     )
     poly = envelope_polytope(generalized.envelopes(t))
     # Eight rows cut out the same set as the eight rows at each of the 12 points.
@@ -634,9 +634,7 @@ def test_benefit_equals_p01_extrema():
 
 def test_roy_selection_test_clean_data():
     p = oracle.make_rng(2).dirichlet([2, 2, 2, 2])
-    from roybounds.probability import PotentialJoint
-
-    cells = oracle.roy_cells(PotentialJoint(*p), pi=0.4)
+    cells = roy_cells(PotentialJoint(*p), pi=0.4)
     t = InstrumentTable.from_cells({"z": cells})
     rep = generalized.roy_selection_test(t)
     assert rep["n_violations"] == 0
@@ -724,10 +722,8 @@ def test_att_zero_sector():
 
 
 def test_att_brackets_truth_on_roy_simulation():
-    from roybounds.probability import PotentialJoint
-
     p = PotentialJoint(0.3, 0.25, 0.15, 0.3)
-    cells = oracle.roy_cells(p, pi=0.5)
+    cells = roy_cells(p, pi=0.5)
     t = InstrumentTable.from_cells({"z": cells})
     att1, att0 = generalized.att_bounds(t)
     # truth: E(Y1-Y0|D=1); ties contribute 0

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from roybounds import binary, cli, generalized, oracle
-from roybounds.errors import BoundsViolated, InfeasibleLP, OutOfRange
+from roybounds.errors import InfeasibleLP, OutOfRange
 from roybounds.functional import OutcomeSample, StepFn, build_subcdf
 from roybounds.probability import (
     CellProbs,
     InstrumentTable,
-    PotentialJoint,
     validate_cells,
 )
 
 from geometry import contains_points, roy_polytope, simplex_grid
+from witnesses import (
+    BoundsViolated,
+    PotentialJoint,
+    coupling_witness_binary,
+    coupling_witness_continuous,
+    random_type_table,
+    roy_cells,
+)
 
 # Potential-outcome pairs (y0, y1) in coordinate order (p00, p01, p10, p11).
 PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -142,7 +149,7 @@ def loop_random_type_table(k, rng):
 def test_random_type_table_equals_loop_reference_bitwise():
     for k in range(1, 7):
         for seed in range(50):
-            t, truth = oracle.random_type_table(k, oracle.make_rng(900 + seed))
+            t, truth = random_type_table(k, oracle.make_rng(900 + seed))
             ref_t, ref_truth = loop_random_type_table(k, oracle.make_rng(900 + seed))
             assert t.labels == ref_t.labels
             assert np.array_equal(t.cells, ref_t.cells) and np.array_equal(t.weights, ref_t.weights)
@@ -213,7 +220,7 @@ def test_response_type_lp_rejects_contradictory_tables():
 def test_random_type_table_truth_inside_lp_bounds():
     for seed in range(5):
         rng = oracle.make_rng(40 + seed)
-        t, truth = oracle.random_type_table(3, rng)
+        t, truth = random_type_table(3, rng)
         for obj, target in (
             ((0, 0, 1, 1), truth.ey0),
             ((0, 1, 0, 1), truth.ey1),
@@ -224,21 +231,21 @@ def test_random_type_table_truth_inside_lp_bounds():
 
 def test_roy_cells_identity():
     p = PotentialJoint(0.1, 0.2, 0.3, 0.4)
-    q = oracle.roy_cells(p, pi=0.25)
+    q = roy_cells(p, pi=0.25)
     assert q.q00 == pytest.approx(0.075)
     assert q.q01 == pytest.approx(0.025)
     assert q.q10 == pytest.approx(0.6)
     assert q.q11 == pytest.approx(0.3)
     assert sum(q.as_array()) == pytest.approx(1.0)
     with pytest.raises(OutOfRange):
-        oracle.roy_cells(p, pi=1.5)
+        roy_cells(p, pi=1.5)
 
 
 def test_binary_coupling_hits_targets_and_obeys_selection():
     g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     ey0, ey1, _ = binary.marginal_bounds_with_covariates(g, "a", "b")
     a, b = ey0.hi, ey1.lo
-    w = oracle.coupling_witness_binary(g, "a", "b", a, b)
+    w = coupling_witness_binary(g, "a", "b", a, b)
     y0, y1, y, d = w.sample(10**6, oracle.make_rng(9))
     assert abs(y0.mean() - a) < 3e-3
     assert abs(y1.mean() - b) < 3e-3
@@ -255,10 +262,10 @@ def test_binary_coupling_hits_targets_and_obeys_selection():
 def test_binary_coupling_rejects_out_of_bounds_target():
     g = InstrumentTable.from_cells({("a", "b"): validate_cells(0.2, 0.1, 0.3, 0.4)})
     with pytest.raises(OutOfRange):
-        oracle.coupling_witness_binary(g, "a", "b", 0.95, 0.5)
+        coupling_witness_binary(g, "a", "b", 0.95, 0.5)
     # E(Y0) = 0.5 is admissible, E(Y1) = 0.95 is not: [0.4, 0.7].
     with pytest.raises(OutOfRange, match="b=0.95 outside"):
-        oracle.coupling_witness_binary(g, "a", "b", 0.5, 0.95)
+        coupling_witness_binary(g, "a", "b", 0.5, 0.95)
 
 
 def continuous_fixture(seed=12, n=40):
@@ -275,7 +282,7 @@ def test_continuous_coupling_reproduces_observables():
     # candidate marginals sitting at the envelope lower edge
     f0 = StepFn(c.jumps, np.asarray(c.cdf(c.jumps)), base=0.0)
     f1 = StepFn(c.jumps, np.asarray(c.cdf(c.jumps)), base=0.0)
-    w = oracle.coupling_witness_continuous(c, f0, f1)
+    w = coupling_witness_continuous(c, f0, f1)
     n = 200_000
     y0, y1, y, d = w.sample(n, oracle.make_rng(13))
     assert abs(d.mean() - c.p_d1) < 5e-3
@@ -290,7 +297,7 @@ def test_continuous_coupling_rejects_escaping_marginal():
     c = continuous_fixture()
     bad = StepFn(c.jumps, np.minimum(1.0, np.asarray(c.cdf(c.jumps)) + 0.5), base=0.4)
     with pytest.raises(BoundsViolated):
-        oracle.coupling_witness_continuous(c, bad, bad)
+        coupling_witness_continuous(c, bad, bad)
 
 
 def test_continuous_coupling_rejects_marginal_that_does_not_end_at_one():
@@ -300,7 +307,7 @@ def test_continuous_coupling_rejects_marginal_that_does_not_end_at_one():
     for last in (0.5, 1.5):
         f = StepFn(xs, np.append(np.asarray(c.cdf(c.jumps)), last))
         with pytest.raises(BoundsViolated, match="does not reach 1"):
-            oracle.coupling_witness_continuous(c, f, f)
+            coupling_witness_continuous(c, f, f)
 
 
 def test_discrete_joint_cdf_and_draw():

@@ -8,12 +8,12 @@ from roybounds.probability import (
     CellProbs,
     InstrumentTable,
     IntervalBound,
-    PotentialJoint,
     SimplexPolytope,
     validate_cells,
 )
 
 from geometry import contains, contains_interval, contains_points, membership, polytope_extrema, simplex_grid, unit
+from witnesses import PotentialJoint
 
 
 def cells_strategy():
