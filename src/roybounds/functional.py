@@ -335,38 +335,37 @@ def iqr_bounds(c: SubCdf, d: int, q1: float, q2: float) -> IntervalBound:
     """
     check_quantiles(q1, q2)
     cd, f, xs = c._sub[d].vals[None], c._cdf.vals[None], c.jumps
-    lower = max(0.0, float(_iqr_lower(cd, xs, f, xs, c.p_d(1 - d), q1, q2)[0]))
+    lower = max(0.0, float(_iqr_lower(cd, f, xs, c.p_d(1 - d), q1, q2)[0]))
     y_lo = c.inv_bar(d, q1)
     if y_lo == -np.inf:
         return IntervalBound(lower, np.inf, sharp=True, label=f"IQR_{d}({q1},{q2})")
     y_hi = c.inv_cdf(q1)
     cand = np.concatenate([xs[(xs >= y_lo) & (xs <= y_hi)], [y_lo, y_hi]])
-    best = max(0.0, float(_iqr_objective(cd, xs, f, xs, cand, q1, q2).max()))
+    best = max(0.0, float(_iqr_objective(cd, f, xs, cand, q1, q2).max()))
     return IntervalBound(lower, max(lower, best), sharp=True, label=f"IQR_{d}({q1},{q2})")
 
 
-def _iqr_lower(cd, xd, f, xf, p_other, q1, q2):
+def _iqr_lower(cd, f, xs, p_other, q1, q2):
     """Lower IQR bound of sector d, row by row and before flooring at zero.
 
-    Each row of cd is the sector-d sub-cdf on the points xd, and each row of
-    f the cdf on the points xf; p_other is P(D = 1-d), a scalar or one per
-    row.  The bound is the inverse of the envelope F_hi_d at q2 minus the
-    inverse of F at q1.  xd may be any points that hold every rise of the
-    sub-cdf, such as only the sector's own jump points.
+    Each row of cd is the sector-d sub-cdf and each row of f the cdf, both
+    on the jump points xs; p_other is P(D = 1-d), a scalar or one per row.
+    The bound is the inverse of the envelope F_hi_d at q2 minus the inverse
+    of F at q1.
     """
-    return _row_inverse(cd, q2 - p_other, xd) - _row_inverse(f, q1, xf)
+    return _row_inverse(cd, q2 - p_other, xs) - _row_inverse(f, q1, xs)
 
 
-def _iqr_objective(cd, xd, f, xf, yv, q1, q2):
+def _iqr_objective(cd, f, xs, yv, q1, q2):
     """Upper IQR bound objective at the points yv: rows as in _iqr_lower, one column per point.
 
     min(F^-1(q2) - y, F_lo_d^-1(q2 - q1 + F_lo_d(y)) - y), whose maximum over
     y from the inverse of F_hi_d to the inverse of F at q1 is the bound.
     """
-    pos = np.searchsorted(xd, yv, side="right") - 1
+    pos = np.searchsorted(xs, yv, side="right") - 1
     fd_at = np.where(pos[None, :] >= 0, cd[:, np.maximum(pos, 0)], 0.0)
-    left = _row_inverse(f, q2, xf)[:, None] - yv[None, :]
-    right = _row_inverse(cd, q2 - q1 + fd_at, xd) - yv[None, :]
+    left = _row_inverse(f, q2, xs)[:, None] - yv[None, :]
+    right = _row_inverse(cd, q2 - q1 + fd_at, xs) - yv[None, :]
     return np.minimum(left, right)
 
 

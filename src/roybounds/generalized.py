@@ -10,11 +10,11 @@ instrument envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InfeasibleModel, ZeroSectorProbability
+from .errors import InfeasibleModel, ZeroSectorProbability
 from .probability import InstrumentTable, IntervalBound, left_sum
 
 # Cell combinations (rows) of the cells (q00, q01, q10, q11), in envelope
@@ -95,12 +95,15 @@ def point_bounds(e: np.ndarray, labels: dict = LABELS) -> dict[str, IntervalBoun
     spans the clamped marginals, clamped to [-1, 1].  On the envelopes of a
     table these are the point bounds, where crossed marginals reject the
     model; `assemble_cis` builds the confidence intervals from the k-inflated
-    envelopes.  The mobility upper end is nan when P(Y0=0) may vanish.
+    envelopes.  Where P(Y0=0) may vanish the mobility ratio is unbounded, so
+    its nan upper end becomes 1.0.
     """
     p = {
         key: IntervalBound(float(lo), float(hi), label=labels[key]).clamp()
         for key, (lo, hi) in bounds_from_envelopes(e).items()
     }
+    if np.isnan(p["mobility"].hi):
+        p["mobility"] = replace(p["mobility"], hi=1.0)
     ey0, ey1 = p["ey0"], p["ey1"]
     p["ate"] = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label=labels["ate"]).clamp(-1.0, 1.0)
     return p
@@ -219,8 +222,6 @@ def compute_all(t: InstrumentTable) -> GeneralizedBounds:
     if p["ey0"].crossed or p["ey1"].crossed:
         raise InfeasibleModel("instrument table inconsistent with the generalized model")
     regrets = tuple(zip(t.labels, _regrets(t, e).tolist()))
-    if np.isnan(p["mobility"].hi):
-        raise DegenerateDenominator("P(Y0=0) upper bound is zero")
     try:
         att1, att0 = att_bounds(t, e)
     except ZeroSectorProbability:

@@ -28,14 +28,14 @@ _CHUNK = 128
 # Batch budget of one bootstrap, shared by all its workers: each of w
 # workers draws `multinomial` batches of at most _DRAW_BYTES / w of counts
 # over the drawn categories, and reduces each before drawing the next.  A
-# worker holds its batch with what its reducer derives from it, in scratch
-# the worker reuses: the sub-cdfs and cdf of the IQR bootstrap, or the
-# (rows, K, 4) counts and cells of the binary one.  So more workers add no
-# memory.  Beyond that a bootstrap keeps only its O(b) statistics, and the
-# IQR one a (b, G) objective matrix.  A freed temporary stays resident in
-# the C heap (glibc raises its mmap threshold to the freed size), so each
-# one adds to peak RSS; smaller batches cost one more `multinomial` call
-# each.
+# worker scatters each batch over all categories into one float64 buffer
+# it reuses, and holds it with what its reducer derives from it: the cdf of
+# the IQR bootstrap, whose sub-cdfs are built in the buffer, or the cells of
+# the binary one.  So more workers add no memory.  Beyond that a bootstrap
+# keeps only its O(b) statistics, and the IQR one a (b, G) objective
+# matrix.  A freed temporary stays resident in the C heap (glibc raises its
+# mmap threshold to the freed size), so each one adds to peak RSS; smaller
+# batches cost one more `multinomial` call each.
 _DRAW_BYTES = 512 * 1024
 # Columns per `std` call when studentizing the IQR objective, so that its
 # temporaries stay far below the (b, G) matrix.
@@ -113,8 +113,10 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     Each worker calls reducer(rows) once, with the most rows a batch can
     hold, and gets fn(row, counts) back; what reducer allocates is that
     worker's scratch.  fn is called on each batch the worker draws: counts
-    is a (batch rows, drawn categories) int64 array holding rows
-    [row, row + len(counts)) of the draw, and fn must only write those rows
+    is a (batch rows, len(probs)) float64 array holding rows
+    [row, row + len(counts)) of the draw, 0 at every undrawn category (counts
+    up to n are exact in float64).  It is the worker's buffer, zeroed again
+    before each batch, so fn may overwrite it; fn must only write those rows
     of any shared result.
     """
     keep = _drawn_categories(probs)
@@ -125,13 +127,18 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     step = max(1, _DRAW_BYTES // (8 * len(keep) * workers))
 
     def work(first):
-        fn = reducer(min(step, _CHUNK, b))
+        buf = np.empty((min(step, _CHUNK, b), len(probs)))
+        fn = reducer(len(buf))
         for i in range(first, n_chunks, workers):
             rng = make_rng(seed, *tag, i)
             rows = min(_CHUNK, b - i * _CHUNK)
             # Consecutive calls continue one stream: the same rows as one call.
             for j in range(0, rows, step):
-                fn(i * _CHUNK + j, rng.multinomial(n, p, size=min(step, rows - j)))
+                counts = buf[: min(step, rows - j)]
+                drawn = rng.multinomial(n, p, size=len(counts))
+                counts.fill(0.0)
+                counts[:, keep] = drawn
+                fn(i * _CHUNK + j, counts)
 
     if workers == 1:
         work(0)
@@ -149,16 +156,14 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
 def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.ndarray:
     """(b, len(probs)) multinomial count draws, chunked on fixed RNG streams.
 
-    Each batch's drawn categories are scattered into one zeroed result.  No
-    bootstrap draws through this whole-matrix form; it is kept as the
+    No bootstrap draws through this whole-matrix form; it is kept as the
     reference the tests compare `_bootstrap_map` with, and the benchmark
     tracer looks it up by name.
     """
-    out = np.zeros((b, len(probs)), dtype=np.int64)
-    keep = _drawn_categories(probs)
+    out = np.empty((b, len(probs)), dtype=np.int64)
 
     def put(row, counts):
-        out[row : row + len(counts), keep] = counts
+        out[row : row + len(counts)] = counts
 
     _bootstrap_map(lambda rows: put, probs, n, b, seed, *tag)
     return out
@@ -254,29 +259,19 @@ def _map_cells(fn, theta: ThetaVector, b: int, seed: int, tag: int) -> None:
     """Call fn(row, cells) on each batch of bootstrap cell probabilities, resampling z jointly.
 
     cells is (batch rows, K, 4): rows [row, row + len(cells)) of the b draws,
-    each z's drawn cell counts over its drawn total.  Each worker scatters
-    its batches of drawn-category counts into one zeroed (rows, 4K) scratch,
-    so the undrawn zero-probability cells stay 0.
+    each z's drawn cell counts over its drawn total.
     """
     k = theta.k_support
     probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
-    keep = _drawn_categories(probs)
     # An empty bootstrap z-cell contributes the point estimate (no signal).
     point = theta.cell_counts / theta.cell_counts.sum(axis=1, keepdims=True)
 
-    def reducer(rows):
-        scratch = np.zeros((rows, k, 4), dtype=np.int64)
-        flat = scratch.reshape(rows, 4 * k)
+    def reduce(row, counts):
+        c = counts.reshape(len(counts), k, 4)
+        totals = c.sum(axis=2, keepdims=True)
+        fn(row, np.where(totals == 0, point, c / np.maximum(totals, 1)))
 
-        def reduce(row, counts):
-            flat[: len(counts), keep] = counts
-            c = scratch[: len(counts)]
-            totals = c.sum(axis=2, keepdims=True)
-            fn(row, np.where(totals == 0, point, c / np.maximum(totals, 1)))
-
-        return reduce
-
-    _bootstrap_map(reducer, probs, theta.n, b, seed, tag)
+    _bootstrap_map(lambda rows: reduce, probs, theta.n, b, seed, tag)
 
 
 def critical_value(
@@ -315,13 +310,10 @@ def assemble_cis(
 ) -> CiReport:
     """`point_bounds` of the k-inflated envelopes, under the CI labels.
 
-    The weak benefit is left out.  A vanished P(Y0=0) upper bound leaves the
-    mobility ratio unbounded, so its nan upper end becomes 1.0.
+    The weak benefit is left out.
     """
     p = point_bounds(envelope_array(theta.est, k * theta.se), _CI_LABELS)
     del p["benefit_weak"]
-    if np.isnan(p["mobility"].hi):
-        p["mobility"] = replace(p["mobility"], hi=1.0)
     att1, att0 = _att_plugin(theta, p["ey0"], p["ey1"])
     return CiReport(**p, att1=att1, att0=att0, level=level, b=b, seed=seed)
 
@@ -425,7 +417,9 @@ def iqr_ci(
     lower bound, floored at zero.  Upper endpoint: the step-function
     upper-bound objective maximized over a jump-point grid widened by a
     sqrt(lnln n / n) margin, inflated by a critical value taken from the
-    bootstrap law of the studentized objective.
+    bootstrap law of the studentized objective.  Each bootstrap table's
+    sub-cdfs and cdf are cumsums of its counts over n on all the jump
+    points, and its lower bound and objective are `iqr_bounds`' own.
     """
     check_quantiles(q1, q2)
     _check_draws(b)
@@ -461,44 +455,29 @@ def iqr_ci(
     # and of the objective, so memory grows with neither b nor m.
     t_star = np.empty(b)
     if grid is not None:
-        obj0 = _iqr_objective(cd0, xs, f0, xs, grid, q1, q2)[0]
+        obj0 = _iqr_objective(cd0, f0, xs, grid, q1, q2)[0]
         # F order keeps each column contiguous, as in a column-masked copy;
         # the bits of std(axis=0) depend on that layout.
         obj_star = np.empty((b, len(grid)), order="F")
 
-    probs = point_probs / point_probs.sum()
-    keep = _drawn_categories(probs)
-    # The drawn categories of sector d come first.  Each sector's sub-cdf is
-    # a cumsum over its drawn categories only, after a 0.0 at -inf: a
-    # category left out has a count of 0 and would add exactly +0.0, so the
-    # sub-cdf steps only at its own points.  The cdf on xs adds the two
-    # sub-cdfs gathered at the last drawn point of each sector at or below x.
-    n_d = int(np.searchsorted(keep, m))
-    xd = np.concatenate([[-np.inf], xs[keep[:n_d]]])
-    at_d = np.searchsorted(keep[:n_d], np.arange(m), side="right")
-    at_o = np.searchsorted(keep[n_d:] - m, np.arange(m), side="right")
-
     def reducer(rows):
-        sub = np.zeros((rows, len(keep) + 2))
         f = np.empty((rows, m))
-        f_o = np.empty((rows, m))
 
         def reduce(row, counts):
-            r = len(counts)
-            c_d, c_o = sub[:r, : n_d + 1], sub[:r, n_d + 1 :]
-            for c, part in ((c_d, counts[:, :n_d]), (c_o, counts[:, n_d:])):
-                np.divide(part, n, out=c[:, 1:])
-                np.cumsum(c[:, 1:], axis=1, out=c[:, 1:])
-            f_star = np.take(c_d, at_d, axis=1, out=f[:r], mode="clip")
-            f_star += np.take(c_o, at_o, axis=1, out=f_o[:r], mode="clip")
-            batch = slice(row, row + r)
-            t_star[batch] = _iqr_lower(c_d, xd, f_star, xs, c_o[:, -1], q1, q2)
+            # Sector d's m categories come first.  Both sub-cdfs are built in
+            # place; an undrawn category's count of 0 adds exactly +0.0.
+            sub = np.divide(counts, n, out=counts).reshape(len(counts), 2, m)
+            np.cumsum(sub, axis=2, out=sub)
+            c_d, c_o = sub[:, 0], sub[:, 1]
+            f_star = np.add(c_d, c_o, out=f[: len(counts)])
+            batch = slice(row, row + len(counts))
+            t_star[batch] = _iqr_lower(c_d, f_star, xs, c_o[:, -1], q1, q2)
             if grid is not None:
-                obj_star[batch] = _iqr_objective(c_d, xd, f_star, xs, grid, q1, q2)
+                obj_star[batch] = _iqr_objective(c_d, f_star, xs, grid, q1, q2)
 
         return reduce
 
-    _bootstrap_map(reducer, probs, n, b, seed, _STREAM_IQR)
+    _bootstrap_map(reducer, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
 
     # Lower endpoint.
     t_star = np.where(np.isnan(t_star), -np.inf, t_star)

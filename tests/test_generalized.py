@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from roybounds import binary, cli, generalized, inference, oracle, probability
 from roybounds.errors import (
-    DegenerateDenominator,
     InfeasibleModel,
     NegativeMass,
     NotNormalized,
@@ -773,7 +772,7 @@ def test_compute_all_computes_envelopes_once(monkeypatch):
     assert dict(res.regret_by_z) == {z: min(1.0, e[3] / q[0]) for z, q in zip(TWO_Z.labels, TWO_Z.cells)}
 
 
-def test_point_path_crosses_and_raises_on_vanished_denominator():
+def test_point_path_crosses_and_caps_mobility_on_vanished_denominator():
     rejected = InstrumentTable.from_cells(
         {
             "z1": validate_cells(0.9, 0.0, 0.0, 0.1),
@@ -782,11 +781,15 @@ def test_point_path_crosses_and_raises_on_vanished_denominator():
     )
     p = generalized.point_bounds(generalized.envelopes(rejected))
     assert p["ey0"].crossed or p["ey1"].crossed
-    # Y=1 in sector 0 everywhere: EY0 reaches 1, so P(Y0=0) may vanish.
+    # Y=1 in sector 0 everywhere: EY0 reaches 1, so P(Y0=0) may vanish and
+    # the mobility ratio is unbounded: its nan upper end is reported as 1.0.
     t = InstrumentTable.from_cells({"z": validate_cells(0, 0, 1, 0)})
     assert np.isnan(generalized.bounds_from_envelopes(generalized.envelopes(t))["mobility"][1])
-    with pytest.raises(DegenerateDenominator):
-        generalized.compute_all(t)
+    assert generalized.compute_all(t).mobility.hi == 1.0
+    # P(Y0=0) is at most 0.5 here, but its lower bound vanishes.
+    t = InstrumentTable.from_cells({"z": validate_cells(0, 0.2, 0.5, 0.3)})
+    mobility = generalized.compute_all(t).mobility
+    assert (mobility.lo, mobility.hi, mobility.sharp) == (0.0, 1.0, True)
 
 
 def test_bounds_from_envelopes_vectorizes():
@@ -846,9 +849,7 @@ def ref_benefit_bounds(e):
 
 def ref_mobility_bounds(e):
     lo, hi = map(float, generalized.bounds_from_envelopes(e.as_array())["mobility"])
-    if np.isnan(hi):
-        raise DegenerateDenominator("P(Y0=0) upper bound is zero")
-    return IntervalBound(lo, hi, label="P(Y1=1|Y0=0)").clamp()
+    return IntervalBound(lo, 1.0 if np.isnan(hi) else hi, label="P(Y1=1|Y0=0)").clamp()
 
 
 def ref_att_bounds(t, e):
@@ -956,7 +957,7 @@ def test_point_bounds_equal_three_wrapper_reference_bitwise():
             assert got == want
             outcomes.add(want[0] if isinstance(want, tuple) else str)
     # Every raise of the old assembly is reached, and some tables pass.
-    assert outcomes == {str, InfeasibleModel, DegenerateDenominator, ZeroSectorProbability}
+    assert outcomes == {str, InfeasibleModel, ZeroSectorProbability}
 
 
 @settings(max_examples=40, deadline=None)

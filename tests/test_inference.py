@@ -98,6 +98,38 @@ def test_bootstrap_counts_equal_concatenated_reference_bitwise(monkeypatch):
             assert _same_bits(new, ref), (b, threads)
 
 
+def test_bootstrap_map_hands_each_reducer_full_layout_rows(monkeypatch):
+    # Every batch reaches its reducer over all categories, 0 at each one of
+    # zero probability, the last one included, so no reducer needs to know
+    # which categories are drawn.  A reducer may overwrite its batch.
+    probs = np.random.default_rng(2).dirichlet(np.ones(3000))
+    probs[::3] = 0.0
+    probs[-1] = 0.0
+    probs /= probs.sum()
+    b = 300
+    drawn = len(inference._drawn_categories(probs))
+    assert 1 < inference._DRAW_BYTES // (8 * drawn * 2) < inference._CHUNK // 2  # several batches a chunk
+    ref = concatenate_bootstrap_counts(probs, 400, b, 6, 3)
+    assert not ref[:, probs == 0].any()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ROY_THREADS", threads)
+        batches = []
+
+        def reducer(rows):
+            def fn(row, counts):
+                assert counts.dtype == np.float64 and counts.shape == (len(counts), len(probs))
+                assert np.array_equal(counts, ref[row : row + len(counts)]), (threads, row)
+                batches.append(range(row, row + len(counts)))
+                counts.fill(7.0)
+
+            return fn
+
+        inference._bootstrap_map(reducer, probs, 400, b, 6, 3)
+        assert sorted(r for batch in batches for r in batch) == list(range(b))
+        per_chunk = np.bincount([batch.start // inference._CHUNK for batch in batches])
+        assert per_chunk.min() >= 2, (threads, per_chunk)
+
+
 def sector_probs(rng, m, ties, weighted):
     """The IQR draw's categories: per distinct y, its sector-d then other-sector mass."""
     y = rng.normal(size=m)
@@ -711,7 +743,7 @@ def test_iqr_ci_equals_dense_reference(monkeypatch):
 
 
 def test_iqr_ci_compact_batches_equal_dense_reference(monkeypatch):
-    # Each sector is reduced on its own drawn categories, batch by batch.
+    # Each batch reaches the reducer over all 2m categories, the undrawn ones 0.
     rng = oracle.make_rng(41)
     y = rng.normal(size=1200)
     assert inference._DRAW_BYTES // (8 * (len(y) + 1)) < inference._CHUNK // 2  # several batches a chunk
