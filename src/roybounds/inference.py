@@ -241,7 +241,9 @@ def theta_from_tabulation(tab, n: int) -> ThetaVector:
     """estimate_theta from a `tabulate` result of a sample of n rows."""
     labels, counts, _, n_eff = tab
     est = _theta_from_cells(counts / counts.sum(axis=1, keepdims=True))
-    se = np.maximum(np.sqrt(est * (1.0 - est) / n_eff[:, None]), _SE_FLOOR)
+    # A share that rounds to 1 + 1 ulp makes est * (1 - est) negative: its
+    # standard error is the floor, not nan.
+    se = np.maximum(np.sqrt(np.maximum(est * (1.0 - est), 0.0) / n_eff[:, None]), _SE_FLOOR)
     # Rescale weighted counts so they sum to the raw sample size.
     counts = counts * (n / counts.sum())
     return ThetaVector(labels=tuple(labels), est=est, se=se, cell_counts=counts, n=n)

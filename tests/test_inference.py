@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ def test_estimate_theta_shapes_and_identities():
     assert np.allclose(th.est[:, 0] + th.est[:, 1], 1.0)
     assert np.allclose(th.est[:, 2] + th.est[:, 3], 1.0)
     assert th.cell_counts.sum() == pytest.approx(data.n)
+
+
+def test_standard_errors_floor_where_a_share_rounds_above_one():
+    # At b the rows sit in q00 and q11 only, and q00 + q11 comes out as
+    # 1 + 1 ulp: est * (1 - est) is negative, and its square root was nan.
+    y = np.array([0.0] * 5 + [1.0] * 5 + [0.0] * 2 + [1.0] * 11)
+    z = np.array(["a"] * 10 + ["b"] * 13)
+    data = OutcomeSample.from_arrays(y, y.astype(int), z=z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        th = inference.estimate_theta(data)
+        rep = inference.infer_bounds(data, b=100, seed=0)
+    assert th.est[1, 3] > 1.0
+    assert th.se[1, 3] == inference._SE_FLOOR and np.isfinite(th.se).all()
+    assert "NaN" not in json.dumps(rep.to_dict())
 
 
 def test_estimate_theta_matches_direct_proportions():
