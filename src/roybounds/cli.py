@@ -392,12 +392,11 @@ def _table_from_json(text: str) -> InstrumentTable:
     return InstrumentTable.from_cells({z: _cells_from_obj(c) for z, c in obj.items()})
 
 
-def _table_from_sample(s: OutcomeSample) -> tuple[InstrumentTable, tuple]:
-    """The instrument table of a sample, and the tabulation it was built from."""
+def _table_from_sample(s: OutcomeSample) -> inference.SampleTable:
+    """The tabulation of a sample with an instrument column."""
     if s.labels is None:
         raise InputError("--instrument column required")
-    tab = inference.tabulate(s)
-    return InstrumentTable.from_sums(*tab[:3]), tab
+    return inference.tabulate(s)
 
 
 def _digest(sample) -> dict:
@@ -420,10 +419,10 @@ def _cmd_binary(args, report):
         sample = _load_sample(args)
         report["digest"] = _digest(sample)
         if args.instrument:
-            res = binary.sharp_bounds_with_instrument(_table_from_sample(sample)[0], tau_y=args.tau_y)
+            res = binary.sharp_bounds_with_instrument(_table_from_sample(sample).table(), tau_y=args.tau_y)
         else:
             # No instrument column: one pooled row of cell sums.
-            res = binary.sharp_bounds(validate_cells(*inference.tabulate(sample)[1][0]))
+            res = binary.sharp_bounds(validate_cells(*inference.tabulate(sample).sums[0]))
     report["bounds"] = res.to_dict()
 
 
@@ -433,11 +432,11 @@ def _cmd_generalized(args, report):
     else:
         sample = _load_sample(args)
         report["digest"] = _digest(sample)
-        table, tab = _table_from_sample(sample)
+        tab = _table_from_sample(sample)
+        table = tab.table()
         if args.bootstrap:
-            theta = inference.theta_from_tabulation(tab, sample.n)
-            cv = inference.critical_value(theta, level=args.level, b=args.bootstrap, seed=args.seed)
-            ci = inference.assemble_cis(theta, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
+            cv = inference.critical_value(tab, level=args.level, b=args.bootstrap, seed=args.seed)
+            ci = inference.assemble_cis(tab, cv.k, level=cv.level, b=cv.b, seed=cv.seed)
             report["confidence"] = ci.to_dict()
     report["bounds"] = generalized.compute_all(table).to_dict()
 
@@ -602,7 +601,7 @@ def _cmd_oracle(args, report):
         else:
             sample = _load_sample(args)
             report["digest"] = _digest(sample)
-            table = _table_from_sample(sample)[0]
+            table = _table_from_sample(sample).table()
         try:
             res = oracle.response_type_lp(table, oracle.OBJECTIVES[args.objective])
         except ModuleNotFoundError as exc:

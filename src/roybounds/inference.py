@@ -1,11 +1,14 @@
 """Estimation and intersection-bounds inference for the instrument case.
 
 The identified bounds are intersections over the instrument support of
-estimable cell combinations.  A single bootstrap critical value k for
-the studentized max deviation inflates every infimum and deflates every
-supremum before the closed forms are re-applied, so the resulting
-intervals cover the identified set at the stated level.  ATT and
-interquantile-range inference bootstrap the plug-in estimators directly.
+estimable cell combinations.  `tabulate` reads a binary sample once into
+a `SampleTable`: the cell sums its instrument table is built from, the
+per-z estimates and standard errors, and the law the bootstrap draws
+from.  A single bootstrap critical value k for the studentized max
+deviation inflates every infimum and deflates every supremum before the
+closed forms are re-applied, so the resulting intervals cover the
+identified set at the stated level.  ATT and interquantile-range
+inference bootstrap the plug-in estimators directly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .functional import OutcomeSample, _iqr_lower, _iqr_objective, _row_inverse,
 from .generalized import (
     _COMBO, LABELS, EnvelopeReport, bounds_from_envelopes, empty_sector, envelope_array, point_bounds
 )
-from .probability import IntervalBound, make_rng
+from .probability import InstrumentTable, IntervalBound, make_rng
 
 _SE_FLOOR = 1e-6
 _CI_LABELS = {**{key: f"{label} CI" for key, label in LABELS.items()}, "ate": "ATE CI"}
@@ -169,26 +172,29 @@ def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Per-z estimates and standard errors of the eight cell combinations.
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Weighted binary cells per instrument point: all the bounds and their
+    inference use of a sample.
 
-    Columns: P(Y=1|z), P(Y=0|z), q10+q01, q00+q11, q10, q00, q11, q01.
+    labels are sorted by their string form; without an instrument column
+    the one label is None.  est holds each label's shares of the eight cell
+    combinations, in `_COMBO` order: P(Y=1|z), P(Y=0|z), q10+q01, q00+q11,
+    q10, q00, q11, q01.  se are their multinomial standard errors on Kish's
+    effective sample size total**2 / sum(w**2), floored at _SE_FLOOR.
     """
 
     labels: tuple
-    est: np.ndarray        # (K, 8)
-    se: np.ndarray         # (K, 8)
-    cell_counts: np.ndarray  # (K, 4) weighted counts in q00,q01,q10,q11 order
-    n: int
+    sums: np.ndarray    # (K, 4) weighted cell sums in q00, q01, q10, q11 order
+    totals: np.ndarray  # (K,) weight total per label
+    n: int              # rows
+    est: np.ndarray     # (K, 8)
+    se: np.ndarray      # (K, 8)
+    counts: np.ndarray  # (K, 4) the bootstrap law: sums rescaled to add up to n
 
-    @property
-    def k_support(self) -> int:
-        return len(self.labels)
-
-    def z_weights(self) -> np.ndarray:
-        totals = self.cell_counts.sum(axis=1)
-        return totals / totals.sum()
+    def table(self) -> InstrumentTable:
+        """The instrument table: each label's cells over its total, weights P(Z=z)."""
+        return InstrumentTable.from_sums(self.labels, self.sums, self.totals)
 
 
 def _theta_from_cells(cells: np.ndarray) -> np.ndarray:
@@ -196,17 +202,12 @@ def _theta_from_cells(cells: np.ndarray) -> np.ndarray:
     return cells @ _COMBO.T
 
 
-def tabulate(data: OutcomeSample):
-    """Weighted binary cell sums per instrument point: all the bounds use of data.
+def tabulate(data: OutcomeSample) -> SampleTable:
+    """The `SampleTable` of a sample with a binary outcome.
 
-    Returns (labels, sums, totals, n_eff): the sample's instrument labels,
-    sorted by their string form (the one label None without an instrument
-    column), the (K, 4) weighted cell sums in q00, q01, q10, q11 order, and
-    per label the weight total and the effective sample size
-    total**2 / sum(w**2).  Stable sorts of the label codes group the rows
-    by label and by (label, cell) in row order, so each sum adds the same
-    weights in the same order as a per-label mask; np.bincount would
-    change the last bits.
+    Stable sorts of the label codes group the rows by label and by (label,
+    cell) in row order, so each sum adds the same weights in the same order
+    as a per-label mask; np.bincount would change the last bits.
     """
     bad = (data.y != 0) & (data.y != 1)
     if bad.any():
@@ -227,26 +228,19 @@ def tabulate(data: OutcomeSample):
     sums = np.array([g.sum() for g in groups(4 * codes.astype(np.intp) + cell, 4 * k)]).reshape(k, 4)
     by_label = groups(codes, k)
     totals = np.array([g.sum() for g in by_label])
-    return labels, sums, totals, totals**2 / np.array([(g**2).sum() for g in by_label])
-
-
-def estimate_theta(data: OutcomeSample) -> ThetaVector:
-    """Weighted cell proportions per instrument point with multinomial SEs."""
-    if data.labels is None:
-        raise InputError("instrument column required for inference")
-    return theta_from_tabulation(tabulate(data), data.n)
-
-
-def theta_from_tabulation(tab, n: int) -> ThetaVector:
-    """estimate_theta from a `tabulate` result of a sample of n rows."""
-    labels, counts, _, n_eff = tab
-    est = _theta_from_cells(counts / counts.sum(axis=1, keepdims=True))
+    n_eff = totals**2 / np.array([(g**2).sum() for g in by_label])
+    est = _theta_from_cells(sums / sums.sum(axis=1, keepdims=True))
     # A share that rounds to 1 + 1 ulp makes est * (1 - est) negative: its
     # standard error is the floor, not nan.
     se = np.maximum(np.sqrt(np.maximum(est * (1.0 - est), 0.0) / n_eff[:, None]), _SE_FLOOR)
-    # Rescale weighted counts so they sum to the raw sample size.
-    counts = counts * (n / counts.sum())
-    return ThetaVector(labels=tuple(labels), est=est, se=se, cell_counts=counts, n=n)
+    return SampleTable(tuple(labels), sums, totals, data.n, est, se, sums * (data.n / sums.sum()))
+
+
+def estimate_theta(data: OutcomeSample) -> SampleTable:
+    """`tabulate` of a sample with an instrument column, as inference needs one."""
+    if data.labels is None:
+        raise InputError("instrument column required for inference")
+    return tabulate(data)
 
 
 @dataclass(frozen=True)
@@ -257,37 +251,37 @@ class CriticalValue:
     seed: int
 
 
-def _map_cells(fn, theta: ThetaVector, b: int, seed: int, tag: int) -> None:
+def _map_cells(fn, tab: SampleTable, b: int, seed: int, tag: int) -> None:
     """Call fn(row, cells) on each batch of bootstrap cell probabilities, resampling z jointly.
 
     cells is (batch rows, K, 4): rows [row, row + len(cells)) of the b draws,
     each z's drawn cell counts over its drawn total.
     """
-    k = theta.k_support
-    probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+    k = len(tab.labels)
+    probs = (tab.counts / tab.counts.sum()).ravel()
     # An empty bootstrap z-cell contributes the point estimate (no signal).
-    point = theta.cell_counts / theta.cell_counts.sum(axis=1, keepdims=True)
+    point = tab.counts / tab.counts.sum(axis=1, keepdims=True)
 
     def reduce(row, counts):
         c = counts.reshape(len(counts), k, 4)
         totals = c.sum(axis=2, keepdims=True)
         fn(row, np.where(totals == 0, point, c / np.maximum(totals, 1)))
 
-    _bootstrap_map(lambda rows: reduce, probs, theta.n, b, seed, tag)
+    _bootstrap_map(lambda rows: reduce, probs, tab.n, b, seed, tag)
 
 
 def critical_value(
-    theta: ThetaVector, level: float = 0.95, b: int = 999, seed: int = 0
+    tab: SampleTable, level: float = 0.95, b: int = 999, seed: int = 0
 ) -> CriticalValue:
     """Level-quantile of the bootstrap max studentized theta deviation."""
     _check_draws(b)
     stat = np.empty(b)
 
     def reduce(row, cells):
-        dev = np.abs(_theta_from_cells(cells) - theta.est) / theta.se
+        dev = np.abs(_theta_from_cells(cells) - tab.est) / tab.se
         stat[row : row + len(cells)] = dev.reshape(len(cells), -1).max(axis=1)
 
-    _map_cells(reduce, theta, b, seed, _STREAM_K)
+    _map_cells(reduce, tab, b, seed, _STREAM_K)
     k = float(np.quantile(stat, level, method="higher"))
     return CriticalValue(k=k, level=level, b=b, seed=seed)
 
@@ -308,29 +302,30 @@ class CiReport(EnvelopeReport):
 
 
 def assemble_cis(
-    theta: ThetaVector, k: float, level: float = 0.95, b: int = 0, seed: int = 0
+    tab: SampleTable, k: float, level: float = 0.95, b: int = 0, seed: int = 0
 ) -> CiReport:
     """`point_bounds` of the k-inflated envelopes, under the CI labels.
 
     The weak benefit is left out.
     """
-    p = point_bounds(envelope_array(theta.est, k * theta.se), _CI_LABELS)
+    p = point_bounds(envelope_array(tab.est, k * tab.se), _CI_LABELS)
     del p["benefit_weak"]
-    att1, att0 = _att_plugin(theta, p["ey0"], p["ey1"])
+    att1, att0 = _att_plugin(tab, p["ey0"], p["ey1"])
     return CiReport(**p, att1=att1, att0=att0, level=level, b=b, seed=seed)
 
 
-def _sector_shares(theta: ThetaVector):
+def _sector_shares(tab: SampleTable):
     """P(D=1|z) and P(D=0|z), each (K,), and their `empty_sector`."""
-    p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
+    p_d1 = tab.counts[:, [1, 3]].sum(axis=1) / tab.counts.sum(axis=1)
     p_d0 = 1.0 - p_d1
     return p_d1, p_d0, empty_sector(p_d1, p_d0)
 
 
-def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
-    w = theta.z_weights()
-    p_y1 = theta.est[:, 0]
-    p_d1, p_d0, empty = _sector_shares(theta)
+def _att_plugin(tab: SampleTable, ey0: IntervalBound, ey1: IntervalBound):
+    w = tab.counts.sum(axis=1)
+    w = w / w.sum()
+    p_y1 = tab.est[:, 0]
+    p_d1, p_d0, empty = _sector_shares(tab)
     if empty is not None:
         return None, None
     att1 = IntervalBound(
@@ -349,19 +344,19 @@ def _att_plugin(theta: ThetaVector, ey0: IntervalBound, ey1: IntervalBound):
 def infer_bounds(
     data: OutcomeSample, level: float = 0.95, b: int = 999, seed: int = 0
 ) -> CiReport:
-    """One-call pipeline, every interval `infer` reports: theta, critical
-    value, assembled intervals and, where the ATT exists, its bootstrap
-    intervals on the same critical value."""
-    theta = estimate_theta(data)
-    cv = critical_value(theta, level=level, b=b, seed=seed)
-    ci = assemble_cis(theta, cv.k, level=level, b=b, seed=seed)
+    """One-call pipeline, every interval `infer` reports: the tabulation,
+    critical value, assembled intervals and, where the ATT exists, its
+    bootstrap intervals on the same critical value."""
+    tab = estimate_theta(data)
+    cv = critical_value(tab, level=level, b=b, seed=seed)
+    ci = assemble_cis(tab, cv.k, level=level, b=b, seed=seed)
     if ci.att1 is None:
         return ci
-    att1, att0 = att_ci(theta, cv)
+    att1, att0 = att_ci(tab, cv)
     return replace(ci, att1_bootstrap=att1, att0_bootstrap=att0)
 
 
-def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, IntervalBound]:
+def att_ci(tab: SampleTable, cv: CriticalValue) -> tuple[IntervalBound, IntervalBound]:
     """Bootstrap outer envelopes of the two sector-gain plug-in estimators.
 
     The counterfactual-mean confidence endpoints (with the critical value
@@ -370,10 +365,10 @@ def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, Interv
     plug-in draws.  One draw, on cv's count and seed, serves both the
     E(Y1-Y0|D=1) and the E(Y0-Y1|D=0) interval, returned in that order.
     """
-    empty = _sector_shares(theta)[2]
+    empty = _sector_shares(tab)[2]
     if empty is not None:
         raise ZeroSectorProbability(f"P(D={empty}|z) is zero at some z")
-    slack = cv.k * theta.se
+    slack = cv.k * tab.se
     low1, high1, low0, high0 = np.empty((4, cv.b))
 
     def reduce(row, cells):
@@ -384,16 +379,16 @@ def att_ci(theta: ThetaVector, cv: CriticalValue) -> tuple[IntervalBound, Interv
         batch = slice(row, row + len(cells))
         cf_lo, cf_hi = np.clip(r["ey0"], 0.0, 1.0)
         p_y = theta_star[:, :, 0]
-        p_d = np.maximum(cells[:, :, [1, 3]].sum(axis=2), 1.0 / theta.n)
+        p_d = np.maximum(cells[:, :, [1, 3]].sum(axis=2), 1.0 / tab.n)
         low1[batch] = (w * (p_y - cf_hi[:, None]) / p_d).sum(axis=1)
         high1[batch] = (w * (p_y - cf_lo[:, None]) / p_d).sum(axis=1)
         cf_lo, cf_hi = np.clip(r["ey1"], 0.0, 1.0)
         p_y = theta_star[:, :, 1]
-        p_d = np.maximum(cells[:, :, [0, 2]].sum(axis=2), 1.0 / theta.n)
+        p_d = np.maximum(cells[:, :, [0, 2]].sum(axis=2), 1.0 / tab.n)
         low0[batch] = (w * (p_y - (1.0 - cf_lo)[:, None]) / p_d).sum(axis=1)
         high0[batch] = (w * (p_y - (1.0 - cf_hi)[:, None]) / p_d).sum(axis=1)
 
-    _map_cells(reduce, theta, cv.b, cv.seed, _STREAM_ATT)
+    _map_cells(reduce, tab, cv.b, cv.seed, _STREAM_ATT)
     alpha = 1.0 - cv.level
 
     def interval(low_star, high_star, label):

@@ -149,7 +149,7 @@ class InstrumentTable:
     @classmethod
     def from_sums(cls, labels, sums: np.ndarray, totals: np.ndarray) -> "InstrumentTable":
         """Table from weighted cell sums (K, 4) and weight totals (K,) per label,
-        as `inference.tabulate` returns them."""
+        as `inference.SampleTable` holds them."""
         return cls(labels, normalize_cells(sums / totals[:, None]), totals / left_sum(totals))
 
     def index(self, z) -> int:

@@ -34,7 +34,7 @@ def test_estimate_theta_shapes_and_identities():
     # theta identities: col0 + col1 = 1, col2 + col3 = 1
     assert np.allclose(th.est[:, 0] + th.est[:, 1], 1.0)
     assert np.allclose(th.est[:, 2] + th.est[:, 3], 1.0)
-    assert th.cell_counts.sum() == pytest.approx(data.n)
+    assert th.counts.sum() == pytest.approx(data.n)
 
 
 def test_standard_errors_floor_where_a_share_rounds_above_one():
@@ -183,15 +183,15 @@ def test_nonzero_category_draw_equals_full_draw_bitwise(monkeypatch):
 
 def dense_bootstrap_cells(theta, b, seed, tag):
     """The whole-matrix (b, K, 4) cell draw `_map_cells` replaced, kept as its reference."""
-    k = theta.k_support
-    probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+    k = len(theta.labels)
+    probs = (theta.counts / theta.counts.sum()).ravel()
     n = theta.n
     counts = inference._bootstrap_counts(probs, n, b, seed, tag).reshape(b, k, 4)
     totals = counts.sum(axis=2, keepdims=True)
     safe = np.maximum(totals, 1)
     cells = counts / safe
     # An empty bootstrap z-cell contributes the point estimate (no signal).
-    point = theta.cell_counts / theta.cell_counts.sum(axis=1, keepdims=True)
+    point = theta.counts / theta.counts.sum(axis=1, keepdims=True)
     cells = np.where(totals == 0, point[None, :, :], cells)
     return cells
 
@@ -215,7 +215,7 @@ def dense_att_ci(theta, cv, which=1):
     p_y = theta_star[:, :, 0] if which == 1 else theta_star[:, :, 1]
     d_col = [1, 3] if which == 1 else [0, 2]
     p_d = cells[:, :, d_col].sum(axis=2)
-    if np.any(theta.cell_counts[:, d_col].sum(axis=1) <= 0):
+    if np.any(theta.counts[:, d_col].sum(axis=1) <= 0):
         raise ZeroSectorProbability(f"P(D={which}|z) is zero at some z")
     p_d = np.maximum(p_d, 1.0 / theta.n)
     w = cells.sum(axis=2)
@@ -272,10 +272,10 @@ def test_critical_value_and_att_ci_equal_dense_reference(monkeypatch):
             att = _att_outcome(theta, cv, lambda t, c: (dense_att_ci(t, c, 1), dense_att_ci(t, c, 0)))
             for threads in ("1", "2"):
                 monkeypatch.setenv("ROY_THREADS", threads)
-                assert repr(inference.critical_value(theta, b=b, seed=b)) == repr(cv), (theta.k_support, b)
-                assert _att_outcome(theta, cv, inference.att_ci) == att, (theta.k_support, b, threads)
+                assert repr(inference.critical_value(theta, b=b, seed=b)) == repr(cv), (len(theta.labels), b)
+                assert _att_outcome(theta, cv, inference.att_ci) == att, (len(theta.labels), b, threads)
             raised += "ZeroSector" in att
-            probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+            probs = (theta.counts / theta.counts.sum()).ravel()
             draws = inference._bootstrap_counts(probs, theta.n, b, b, inference._STREAM_ATT)
             empty_z += "ZeroSector" not in att and bool((draws.reshape(b, -1, 4).sum(axis=2) == 0).any())
     assert raised == 4 and empty_z >= 2
@@ -312,7 +312,7 @@ def test_critical_value_thread_invariant_over_two_batches(monkeypatch):
     # 72 instrument points: the 288 drawn cells of b=256 draws fill two draw
     # batches, so ROY_THREADS=8 runs one helper thread beside the calling one.
     theta = inference.estimate_theta(binary_sample(4, n=8000, k=72))
-    probs = (theta.cell_counts / theta.cell_counts.sum()).ravel()
+    probs = (theta.counts / theta.counts.sum()).ravel()
     assert 8 * len(inference._drawn_categories(probs)) * 256 > inference._DRAW_BYTES
     seen = set()
     theta_from_cells = inference._theta_from_cells
@@ -336,7 +336,7 @@ def test_ci_contains_plugin_bounds():
     rep = inference.infer_bounds(data, level=0.95, b=300, seed=2)
     th = inference.estimate_theta(data)
     cells = {
-        z: validate_cells(*(th.cell_counts[i] / th.cell_counts[i].sum()))
+        z: validate_cells(*(th.counts[i] / th.counts[i].sum()))
         for i, z in enumerate(th.labels)
     }
     t = InstrumentTable.from_cells(cells)
@@ -362,14 +362,22 @@ def test_assemble_cis_k_monotone():
     assert wide.benefit_strict.hi >= narrow.benefit_strict.hi - 1e-12
 
 
+def sample_table(labels, counts, est, n):
+    """A SampleTable of (K, 4) cell counts, as sums and as the bootstrap law,
+    with estimates est and every standard error at the floor."""
+    counts = np.asarray(counts, dtype=float)
+    return inference.SampleTable(
+        labels=tuple(labels), sums=counts, totals=counts.sum(axis=1), n=n, est=est,
+        se=np.full_like(est, inference._SE_FLOOR), counts=counts,
+    )
+
+
 def test_assemble_cis_caps_mobility_when_denominator_vanishes():
     # Y=1 in sector 0 everywhere: the EY0 interval reaches 1, so the
     # P(Y0=0) upper bound vanishes; the CI path reports 1.0, not an error.
     counts = np.array([[0.0, 0.0, 100.0, 0.0]])
     est = counts / counts.sum() @ generalized._COMBO.T
-    th = inference.ThetaVector(
-        labels=("z",), est=est, se=np.full_like(est, inference._SE_FLOOR), cell_counts=counts, n=100
-    )
+    th = sample_table(("z",), counts, est, n=100)
     rep = inference.assemble_cis(th, 0.0)
     assert rep.ey0.hi == 1.0
     assert rep.mobility.hi == 1.0
@@ -385,9 +393,10 @@ def reference_assemble_cis(theta, k, level=0.95, b=0, seed=0):
     mob_lo, mob_hi = map(float, r["mobility"])
     mob_hi = 1.0 if np.isnan(mob_hi) else mob_hi
     mobility = IntervalBound(mob_lo, mob_hi, label="P(Y1=1|Y0=0) CI").clamp()
-    w = theta.z_weights()
+    w = theta.counts.sum(axis=1)
+    w = w / w.sum()
     p_y1 = theta.est[:, 0]
-    p_d1 = theta.cell_counts[:, [1, 3]].sum(axis=1) / theta.cell_counts.sum(axis=1)
+    p_d1 = theta.counts[:, [1, 3]].sum(axis=1) / theta.counts.sum(axis=1)
     p_d0 = 1.0 - p_d1
     att1 = att0 = None
     if not (np.any(p_d1 <= 1e-12) or np.any(p_d0 <= 1e-12)):
@@ -408,13 +417,10 @@ def reference_assemble_cis(theta, k, level=0.95, b=0, seed=0):
 
 
 def _theta_of_counts(counts):
-    """A ThetaVector of (K, 4) cell counts, every standard error at the floor."""
+    """The SampleTable of (K, 4) cell counts, every standard error at the floor."""
     counts = np.asarray(counts, dtype=float)
     est = counts / counts.sum(axis=1, keepdims=True) @ generalized._COMBO.T
-    return inference.ThetaVector(
-        labels=tuple(f"z{i}" for i in range(len(counts))), est=est,
-        se=np.full_like(est, inference._SE_FLOOR), cell_counts=counts, n=int(counts.sum()),
-    )
+    return sample_table([f"z{i}" for i in range(len(counts))], counts, est, n=int(counts.sum()))
 
 
 def test_assemble_cis_equals_hand_built_reference_bitwise():
@@ -449,10 +455,7 @@ def test_ci_report_crossed_beyond_1e_12_only():
     for gap, crossed in ((0.5e-12, False), (2e-12, True)):
         cells = np.array([[0.0, 0.25, 0.5, 0.25], [0.5 + gap, 0.25, 0.0, 0.25 - gap]])
         est = cells @ generalized._COMBO.T
-        th = inference.ThetaVector(
-            labels=("z1", "z2"), est=est, se=np.full_like(est, inference._SE_FLOOR),
-            cell_counts=cells * 1000, n=2000,
-        )
+        th = sample_table(("z1", "z2"), cells * 1000, est, n=2000)
         rep = inference.assemble_cis(th, 0.0)
         assert rep.ey0.lo - rep.ey0.hi == pytest.approx(gap, rel=0.01)
         assert rep.crossed == crossed
