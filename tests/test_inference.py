@@ -795,11 +795,19 @@ def test_iqr_ci_compact_batches_equal_dense_reference(monkeypatch):
 
 
 def test_iqr_ci_memory_independent_of_draw_count(monkeypatch):
-    # The chunk reduction keeps one chunk's counts and sub-cdfs; a whole
-    # (b, 2m) draw would make the peak grow with b (about 4x from 256 to 999).
+    # Only the (b, G) float64 objective matrix, with a one-byte finiteness
+    # mask per entry, may grow with b; the batches are reduced as they are
+    # drawn, where a whole (b, 2m) draw would add about 59 MB from 256 to 999.
     import tracemalloc
 
     monkeypatch.setenv("ROY_THREADS", "1")
+    objective, widths = inference._iqr_objective, set()
+
+    def recording(cd, f, xs, yv, q1, q2):
+        widths.add(len(yv))
+        return objective(cd, f, xs, yv, q1, q2)
+
+    monkeypatch.setattr(inference, "_iqr_objective", recording)
     data = iqr_sample(31, n=5000)
     peaks = []
     for b in (256, 999):
@@ -809,7 +817,8 @@ def test_iqr_ci_memory_independent_of_draw_count(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    (g,) = widths
+    assert peaks[1] - peaks[0] <= 9 * (999 - 256) * g, (peaks, g)
 
 
 def test_iqr_ci_memory_independent_of_sample_size(monkeypatch):
