@@ -383,9 +383,13 @@ def _cells_from_json(text: str) -> CellProbs:
 
 
 def _table_from_json(text: str) -> InstrumentTable:
-    """Instrument table from one set of cells or an object of them keyed by z."""
+    """Instrument table from one set of cells or an object of them keyed by z.
+
+    An object with a "q00" key is one set of cells unless one of its values
+    is an object: then "q00" is an instrument value.
+    """
     obj = _read_json("--cells payload", text)
-    if isinstance(obj, dict) and "q00" in obj:
+    if isinstance(obj, dict) and "q00" in obj and not any(isinstance(v, dict) for v in obj.values()):
         return InstrumentTable.from_cells({"z0": _cells_from_obj(obj)})
     if not isinstance(obj, dict) or not obj:
         raise InputError("bad --cells payload: need cells or a nonempty object of cells per z")
