@@ -102,15 +102,15 @@ class OutcomeSample:
         return len(self.y)
 
 
-def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray, base: float = 0.0):
+def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray):
     """Weak generalized inverse of each nondecreasing row of vals on the points xs.
 
     targets may be a scalar, one value per row or a (rows, cols) array;
     returns xs at the first index where the row reaches the target, +inf
-    when it never does and -inf for targets not above base, the value left
-    of xs[0].  On a nondecreasing row the count of entries below a
-    threshold is exactly its left searchsorted position, so each row is
-    searched directly.
+    when it never does and -inf for targets not above 0, the value left of
+    xs[0].  On a nondecreasing row the count of entries below a threshold
+    is exactly its left searchsorted position, so each row is searched
+    directly.
     """
     t = np.asarray(targets, dtype=float)
     thr = np.broadcast_to(t - _TOL, t.shape if t.ndim == 2 else vals.shape[:1])
@@ -118,41 +118,19 @@ def _row_inverse(vals: np.ndarray, targets, xs: np.ndarray, base: float = 0.0):
         [np.searchsorted(v, r, side="left") for v, r in zip(vals, thr.reshape(len(vals), -1))]
     ).reshape(thr.shape)
     out = np.where(idx < len(xs), xs[np.minimum(idx, len(xs) - 1)], np.inf)
-    return np.where(t <= base + _TOL, -np.inf, out)
-
-
-class StepFn:
-    """Right-continuous nondecreasing step function with finite jumps.
-
-    Value is `base` left of the first jump; after jump i it is vals[i].
-    The generalized inverse uses the weak convention
-    inv(u) = inf{y : value(y) >= u}, returning -inf when u never exceeds
-    the base value and +inf when u exceeds the terminal value.
-    """
-
-    def __init__(self, xs: np.ndarray, vals: np.ndarray, base: float = 0.0):
-        self.xs = np.asarray(xs, dtype=float)
-        self.vals = np.asarray(vals, dtype=float)
-        self.base = float(base)
-
-    def __call__(self, y):
-        idx = np.searchsorted(self.xs, y, side="right")
-        out = np.where(idx > 0, self.vals[np.maximum(idx - 1, 0)], self.base)
-        return float(out) if np.isscalar(y) else out
-
-    def inverse(self, u):
-        """Weak inverse at a scalar u, or at each entry of an array."""
-        t = np.asarray(u, dtype=float)
-        out = _row_inverse(self.vals[None], t.reshape(1, -1), self.xs, self.base)
-        return float(out[0, 0]) if t.ndim == 0 else out.reshape(t.shape)
-
-    @property
-    def terminal(self) -> float:
-        return float(self.vals[-1]) if len(self.vals) else self.base
+    return np.where(t <= _TOL, -np.inf, out)
 
 
 class SubCdf:
-    """Empirical cdf, sub-cdfs and envelopes of a weighted (Y, D) sample."""
+    """Empirical cdf and sub-cdfs of a weighted (Y, D) sample, as arrays on its jump points.
+
+    jumps holds the distinct outcomes in increasing order, w[d] the weight
+    of the rows with D=d at each jump, f_lo[d] the sub-cdf P(Y <= y, D=d)
+    at each jump (the cumsum of w[d]) and f the cdf f_lo[0] + f_lo[1].
+    Each step function is right-continuous and 0 left of the first jump;
+    its inverse is the weak one, inf{y : F(y) >= u}, which is -inf for u
+    not above 0 and +inf for u above the last value.
+    """
 
     def __init__(self, sample: OutcomeSample):
         # return_index asks for a stable sort, so a jump at zero keeps the
@@ -161,37 +139,44 @@ class SubCdf:
         w0 = np.bincount(inv, weights=sample.w * (sample.d == 0), minlength=len(uniq))
         w1 = np.bincount(inv, weights=sample.w * (sample.d == 1), minlength=len(uniq))
         self.jumps = uniq
+        self.w = (w0, w1)
+        self.f_lo = (np.cumsum(w0), np.cumsum(w1))
+        self.f = self.f_lo[0] + self.f_lo[1]
         self.p_d0 = float(w0.sum())
         self.p_d1 = float(w1.sum())
-        c0 = np.cumsum(w0)
-        c1 = np.cumsum(w1)
-        self._cdf = StepFn(uniq, c0 + c1)
-        self._sub = (StepFn(uniq, c0), StepFn(uniq, c1))
-        self._w_by_d = (w0, w1)
+
+    def _at(self, vals: np.ndarray, y):
+        """The step function with values vals at the jumps, at y (a scalar or an array)."""
+        idx = np.searchsorted(self.jumps, y, side="right")
+        out = np.where(idx > 0, vals[np.maximum(idx - 1, 0)], 0.0)
+        return float(out) if np.isscalar(y) else out
+
+    def _inverse(self, vals: np.ndarray, u: float) -> float:
+        return float(_row_inverse(vals[None], u, self.jumps)[0])
 
     def p_d(self, d: int) -> float:
         return self.p_d1 if d == 1 else self.p_d0
 
     def cdf(self, y):
         """F(y) = P(Y <= y)."""
-        return self._cdf(y)
+        return self._at(self.f, y)
 
     def sub(self, d: int, y):
         """P(Y <= y, D = d)."""
-        return self._sub[d](y)
+        return self._at(self.f_lo[d], y)
 
     def bar(self, d: int, y):
         """Peterson envelope P(Y <= y, D = d) + P(D = 1-d)."""
-        return self._sub[d](y) + self.p_d(1 - d)
+        return self._at(self.f_lo[d], y) + self.p_d(1 - d)
 
     def inv_cdf(self, u: float) -> float:
-        return self._cdf.inverse(u)
+        return self._inverse(self.f, u)
 
     def inv_sub(self, d: int, u: float) -> float:
-        return self._sub[d].inverse(u)
+        return self._inverse(self.f_lo[d], u)
 
     def inv_bar(self, d: int, u: float) -> float:
-        return self._sub[d].inverse(u - self.p_d(1 - d))
+        return self._inverse(self.f_lo[d], u - self.p_d(1 - d))
 
     def mass(self, iv, d: int) -> float:
         """Weight of {y in iv, D=d} for an Interval."""
@@ -199,7 +184,7 @@ class SubCdf:
         hi_side = "left" if iv.hi_open else "right"
         i0 = np.searchsorted(self.jumps, iv.lo, side=lo_side)
         i1 = np.searchsorted(self.jumps, iv.hi, side=hi_side)
-        return float(self._w_by_d[d][i0:i1].sum())
+        return float(self.w[d][i0:i1].sum())
 
 
 def build_subcdf(s: OutcomeSample) -> SubCdf:
@@ -304,7 +289,7 @@ def joint_set_bounds(c: SubCdf, a: RectUnion) -> IntervalBound:
     the union of several rectangles' lower sets misses a half-line that they
     cover only together, so the lower end is then valid but not sharp."""
     u0, u1, l0, l1 = upper_lower_sets(a, c.jumps)
-    w0, w1 = c._w_by_d
+    w0, w1 = c.w
     lo = float(w0[l0].sum()) + float(w1[l1].sum())
     hi = float(w0[u0].sum()) + float(w1[u1].sum())
     return IntervalBound(lo, hi, sharp=len(a.rects) <= 1, label="P((Y0,Y1) in A)")
@@ -334,7 +319,7 @@ def iqr_bounds(c: SubCdf, d: int, q1: float, q2: float) -> IntervalBound:
     q1 does not exceed P(D=1-d)); this is reported, not raised.
     """
     check_quantiles(q1, q2)
-    cd, f, xs = c._sub[d].vals[None], c._cdf.vals[None], c.jumps
+    cd, f, xs = c.f_lo[d][None], c.f[None], c.jumps
     lower = max(0.0, float(_iqr_lower(cd, f, xs, c.p_d(1 - d), q1, q2)[0]))
     y_lo = c.inv_bar(d, q1)
     if y_lo == -np.inf:
@@ -388,9 +373,9 @@ def proposition1_check(c: SubCdf, d: int, q1: float, q2: float) -> dict:
     bounds = iqr_bounds(c, d, q1, q2)
     observed = _sector_quantile(c, d, q2) - _sector_quantile(c, d, q1)
     p_d, p_o = c.p_d(d), c.p_d(1 - d)
-    cond_d = c.sub(d, c.jumps) / p_d
+    cond_d = c.f_lo[d] / p_d
     if p_o > _TOL:
-        cond_o = c.sub(1 - d, c.jumps) / p_o
+        cond_o = c.f_lo[1 - d] / p_o
     else:
         cond_o = np.zeros_like(cond_d)
     dominance_other_over_d = bool(np.all(cond_o <= cond_d + 1e-9))

@@ -32,13 +32,12 @@ _CHUNK = 128
 # workers draws `multinomial` batches of at most _DRAW_BYTES / w of counts
 # over the drawn categories, and reduces each before drawing the next.  A
 # worker scatters each batch over all categories into one float64 buffer
-# it reuses, and holds it with what its reducer derives from it: the cdf of
-# the IQR bootstrap, whose sub-cdfs are built in the buffer, or the cells of
-# the binary one.  So more workers add no memory.  Beyond that a bootstrap
-# keeps only its O(b) statistics, and the IQR one a (b, G) objective
-# matrix.  A freed temporary stays resident in the C heap (glibc raises its
-# mmap threshold to the freed size), so each one adds to peak RSS; smaller
-# batches cost one more `multinomial` call each.
+# it reuses: one batch buffer per worker, in which the IQR bootstrap also
+# builds its sub-cdfs and cdf.  So more workers add no memory.  Beyond that
+# a bootstrap keeps only its O(b) statistics, and the IQR one a (b, G)
+# objective matrix.  A freed temporary stays resident in the C heap (glibc
+# raises its mmap threshold to the freed size), so each one adds to peak
+# RSS; smaller batches cost one more `multinomial` call each.
 _DRAW_BYTES = 512 * 1024
 # Columns per `std` call when studentizing the IQR objective, so that its
 # temporaries stay far below the (b, G) matrix.
@@ -88,7 +87,7 @@ def _drawn_categories(probs: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
 
 
-def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
+def _bootstrap_map(fn, probs: np.ndarray, n: int, b: int, seed: int, *tag) -> None:
     """Draw b multinomial count rows batch by batch and reduce each batch as it is drawn.
 
     Every bootstrap draws through here: `critical_value` and `att_ci` by way
@@ -113,14 +112,12 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
     _DRAW_BYTES.  An exception in any worker is raised here once every
     helper has stopped, so nothing writes into a result after this returns.
 
-    Each worker calls reducer(rows) once, with the most rows a batch can
-    hold, and gets fn(row, counts) back; what reducer allocates is that
-    worker's scratch.  fn is called on each batch the worker draws: counts
-    is a (batch rows, len(probs)) float64 array holding rows
+    fn(row, counts) is called on each batch a worker draws: counts is a
+    (batch rows, len(probs)) float64 array holding rows
     [row, row + len(counts)) of the draw, 0 at every undrawn category (counts
-    up to n are exact in float64).  It is the worker's buffer, zeroed again
-    before each batch, so fn may overwrite it; fn must only write those rows
-    of any shared result.
+    up to n are exact in float64).  It is the worker's one batch buffer,
+    zeroed again before each batch, so fn may overwrite it; fn must only
+    write those rows of any shared result.
     """
     keep = _drawn_categories(probs)
     p = probs[keep]
@@ -131,7 +128,6 @@ def _bootstrap_map(reducer, probs: np.ndarray, n: int, b: int, seed: int, *tag) 
 
     def work(first):
         buf = np.empty((min(step, _CHUNK, b), len(probs)))
-        fn = reducer(len(buf))
         for i in range(first, n_chunks, workers):
             rng = make_rng(seed, *tag, i)
             rows = min(_CHUNK, b - i * _CHUNK)
@@ -168,7 +164,7 @@ def _bootstrap_counts(probs: np.ndarray, n: int, b: int, seed: int, *tag) -> np.
     def put(row, counts):
         out[row : row + len(counts)] = counts
 
-    _bootstrap_map(lambda rows: put, probs, n, b, seed, *tag)
+    _bootstrap_map(put, probs, n, b, seed, *tag)
     return out
 
 
@@ -267,7 +263,7 @@ def _map_cells(fn, tab: SampleTable, b: int, seed: int, tag: int) -> None:
         totals = c.sum(axis=2, keepdims=True)
         fn(row, np.where(totals == 0, point, c / np.maximum(totals, 1)))
 
-    _bootstrap_map(lambda rows: reduce, probs, tab.n, b, seed, tag)
+    _bootstrap_map(reduce, probs, tab.n, b, seed, tag)
 
 
 def critical_value(
@@ -424,12 +420,12 @@ def iqr_ci(
     c = build_subcdf(data)
     xs = c.jumps
     m = len(xs)
-    point_probs = np.concatenate([c._w_by_d[d], c._w_by_d[1 - d]])
+    point_probs = np.concatenate([c.w[d], c.w[1 - d]])
     # Point-estimate sub-cdfs on the jump points; the counterfactual share
     # is the last cumsum entry, as in the bootstrap rows, not c.p_d(1 - d).
-    cd0 = c._sub[d].vals[None, :]
-    f0 = c._cdf.vals[None, :]
-    p_other0 = float(c._sub[1 - d].vals[-1])
+    cd0 = c.f_lo[d][None, :]
+    f0 = c.f[None, :]
+    p_other0 = float(c.f_lo[1 - d][-1])
 
     # Upper endpoint: grid of jump points in the widened admissible range;
     # none when q1 is below the counterfactual share (unbounded upper end).
@@ -457,24 +453,22 @@ def iqr_ci(
         # the bits of std(axis=0) depend on that layout.
         obj_star = np.empty((b, len(grid)), order="F")
 
-    def reducer(rows):
-        f = np.empty((rows, m))
+    def reduce(row, counts):
+        # Sector d's m categories come first.  Both sub-cdfs are built in
+        # place, an undrawn category's count of 0 adding exactly +0.0; then
+        # the cdf replaces the other sector's, once its last entry, the drawn
+        # counterfactual share, is saved.
+        sub = np.divide(counts, n, out=counts).reshape(len(counts), 2, m)
+        np.cumsum(sub, axis=2, out=sub)
+        c_d, c_o = sub[:, 0], sub[:, 1]
+        p_other = c_o[:, -1].copy()
+        f_star = np.add(c_d, c_o, out=c_o)
+        batch = slice(row, row + len(counts))
+        t_star[batch] = _iqr_lower(c_d, f_star, xs, p_other, q1, q2)
+        if grid is not None:
+            obj_star[batch] = _iqr_objective(c_d, f_star, xs, grid, q1, q2)
 
-        def reduce(row, counts):
-            # Sector d's m categories come first.  Both sub-cdfs are built in
-            # place; an undrawn category's count of 0 adds exactly +0.0.
-            sub = np.divide(counts, n, out=counts).reshape(len(counts), 2, m)
-            np.cumsum(sub, axis=2, out=sub)
-            c_d, c_o = sub[:, 0], sub[:, 1]
-            f_star = np.add(c_d, c_o, out=f[: len(counts)])
-            batch = slice(row, row + len(counts))
-            t_star[batch] = _iqr_lower(c_d, f_star, xs, c_o[:, -1], q1, q2)
-            if grid is not None:
-                obj_star[batch] = _iqr_objective(c_d, f_star, xs, grid, q1, q2)
-
-        return reduce
-
-    _bootstrap_map(reducer, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
+    _bootstrap_map(reduce, point_probs / point_probs.sum(), n, b, seed, _STREAM_IQR)
 
     # Lower endpoint.
     t_star = np.where(np.isnan(t_star), -np.inf, t_star)

@@ -17,7 +17,6 @@ from roybounds import binary, functional, generalized, inference, oracle
 from roybounds.functional import (
     Interval,
     OutcomeSample,
-    StepFn,
     build_subcdf,
     interval_lower_bound,
     iqr_bounds,
@@ -27,7 +26,7 @@ from roybounds.functional import (
 from roybounds.probability import InstrumentTable, validate_cells
 
 from geometry import contains_points, envelope_polytope, roy_polytope, simplex_grid
-from witnesses import coupling_witness_binary, coupling_witness_continuous, random_type_table
+from witnesses import StepFn, coupling_witness_binary, coupling_witness_continuous, random_type_table
 
 
 def random_cells(rng):

@@ -13,6 +13,8 @@ from roybounds.errors import (
     QuantileOutOfRange,
 )
 
+from witnesses import StepFn, subcdf_stepfns
+
 
 def small_sample(seed=0, n=10):
     rng = oracle.make_rng(seed)
@@ -75,14 +77,14 @@ def scalar_stepfn_inverse(f, u):
 def bar_stepfns(c):
     """The envelope StepFns F_lo_d + P(D=1-d) that SubCdf once stored, kept as their reference."""
     return (
-        fn.StepFn(c.jumps, c._sub[0].vals + c.p_d1, base=c.p_d1),
-        fn.StepFn(c.jumps, c._sub[1].vals + c.p_d0, base=c.p_d0),
+        StepFn(c.jumps, c.f_lo[0] + c.p_d1, base=c.p_d1),
+        StepFn(c.jumps, c.f_lo[1] + c.p_d0, base=c.p_d0),
     )
 
 
 def loop_iqr_bounds(c, d, q1, q2):
     """`iqr_bounds` as a Python loop over the jumps on the references above, kept as its reference."""
-    bar, cdf = bar_stepfns(c)[d], c._cdf
+    bar, (cdf, *sub) = bar_stepfns(c)[d], subcdf_stepfns(c)
     lower = max(0.0, scalar_stepfn_inverse(bar, q2) - scalar_stepfn_inverse(cdf, q1))
     y_lo = scalar_stepfn_inverse(bar, q1)
     y_hi = scalar_stepfn_inverse(cdf, q1)
@@ -93,7 +95,7 @@ def loop_iqr_bounds(c, d, q1, q2):
     inv_q2 = scalar_stepfn_inverse(cdf, q2)
     best = 0.0
     for y in cand:
-        slope_term = scalar_stepfn_inverse(c._sub[d], q2 - q1 + c.sub(d, y)) - y
+        slope_term = scalar_stepfn_inverse(sub[d], q2 - q1 + c.sub(d, y)) - y
         best = max(best, min(inv_q2 - y, slope_term))
     return lower, float(max(lower, best))
 
@@ -134,8 +136,8 @@ def test_subcdf_equals_two_sort_reference_bitwise():
         c = fn.build_subcdf(s)
         uniq, w0, w1 = two_sort_subcdf(s)
         assert c.jumps.tobytes() == uniq.tobytes(), seed
-        assert c._w_by_d[0].tobytes() == w0.tobytes(), seed
-        assert c._w_by_d[1].tobytes() == w1.tobytes(), seed
+        assert c.w[0].tobytes() == w0.tobytes(), seed
+        assert c.w[1].tobytes() == w1.tobytes(), seed
         assert repr((c.p_d0, c.p_d1)) == repr((float(w0.sum()), float(w1.sum()))), seed
         signs.update(np.signbit(c.jumps[c.jumps == 0.0]))
     assert signs == {False, True}
@@ -146,8 +148,8 @@ def test_stepfn_inverse_equals_scalar_reference_bitwise():
     for seed in range(200):
         c, rng = seeded_subcdf(seed)
         base = float(rng.uniform(0.0, 0.5))
-        shifted = fn.StepFn(c.jumps, c._cdf.vals + base, base=base)
-        for f in (c._cdf, c._sub[0], c._sub[1], shifted, *bar_stepfns(c)):
+        shifted = StepFn(c.jumps, c.f + base, base=base)
+        for f in (*subcdf_stepfns(c), shifted, *bar_stepfns(c)):
             # Every value the function takes, each one nudged by the tolerance,
             # the base, and levels below the base and above the terminal value.
             u = np.concatenate(
@@ -357,7 +359,7 @@ def test_upper_sets_vs_halfline_grid_oracle():
         a = fn.RectUnion.of(rects)
         b = fn.joint_set_bounds(c, a)
         u0, u1, l0, l1 = halfline_sets(a.rects, c.jumps)
-        w0, w1 = c._w_by_d
+        w0, w1 = c.w
         assert b.lo == pytest.approx(w0[l0].sum() + w1[l1].sum(), abs=1e-15, rel=0)
         assert b.hi == pytest.approx(w0[u0].sum() + w1[u1].sum(), abs=1e-15, rel=0)
         assert b.sharp == (len(a.rects) <= 1)

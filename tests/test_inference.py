@@ -131,16 +131,13 @@ def test_bootstrap_map_hands_each_reducer_full_layout_rows(monkeypatch):
         monkeypatch.setenv("ROY_THREADS", threads)
         batches = []
 
-        def reducer(rows):
-            def fn(row, counts):
-                assert counts.dtype == np.float64 and counts.shape == (len(counts), len(probs))
-                assert np.array_equal(counts, ref[row : row + len(counts)]), (threads, row)
-                batches.append(range(row, row + len(counts)))
-                counts.fill(7.0)
+        def fn(row, counts):
+            assert counts.dtype == np.float64 and counts.shape == (len(counts), len(probs))
+            assert np.array_equal(counts, ref[row : row + len(counts)]), (threads, row)
+            batches.append(range(row, row + len(counts)))
+            counts.fill(7.0)
 
-            return fn
-
-        inference._bootstrap_map(reducer, probs, 400, b, 6, 3)
+        inference._bootstrap_map(fn, probs, 400, b, 6, 3)
         assert sorted(r for batch in batches for r in batch) == list(range(b))
         per_chunk = np.bincount([batch.start // inference._CHUNK for batch in batches])
         assert per_chunk.min() >= 2, (threads, per_chunk)
@@ -901,17 +898,14 @@ def test_bootstrap_map_raises_once_every_worker_stopped(monkeypatch, bad_row):
     monkeypatch.setenv("ROY_THREADS", "2")
     done = []
 
-    def reducer(rows):
-        def fn(row, counts):
-            if row <= bad_row < row + len(counts):
-                raise _ReducerFailed(bad_row)
-            done.extend(range(row, row + len(counts)))
-
-        return fn
+    def fn(row, counts):
+        if row <= bad_row < row + len(counts):
+            raise _ReducerFailed(bad_row)
+        done.extend(range(row, row + len(counts)))
 
     before = threading.active_count()
     with pytest.raises(_ReducerFailed):
-        inference._bootstrap_map(reducer, probs, 50, 300, 0, 9)
+        inference._bootstrap_map(fn, probs, 50, 300, 0, 9)
     assert threading.active_count() == before
     # The other worker drew all its rows before the error was raised.
     other = range(128, 256) if bad_row < 128 else [*range(128), *range(256, 300)]
@@ -927,8 +921,7 @@ def test_bootstrap_map_draws_one_batch_in_the_calling_thread(monkeypatch):
 
     def threads(m):
         seen = set()
-        inference._bootstrap_map(lambda rows: lambda row, counts: seen.add(threading.get_ident()),
-                                 np.full(m, 1 / m), 50, 300, 0, 9)
+        inference._bootstrap_map(lambda row, counts: seen.add(threading.get_ident()), np.full(m, 1 / m), 50, 300, 0, 9)
         return seen
 
     before = threading.active_count()

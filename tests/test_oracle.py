@@ -7,7 +7,7 @@ import pytest
 
 from roybounds import binary, cli, generalized, oracle
 from roybounds.errors import InfeasibleLP, OutOfRange
-from roybounds.functional import OutcomeSample, StepFn, build_subcdf
+from roybounds.functional import OutcomeSample, build_subcdf
 from roybounds.probability import (
     CellProbs,
     InstrumentTable,
@@ -18,6 +18,7 @@ from geometry import contains_points, roy_polytope, simplex_grid
 from witnesses import (
     BoundsViolated,
     PotentialJoint,
+    StepFn,
     coupling_witness_binary,
     coupling_witness_continuous,
     random_type_table,

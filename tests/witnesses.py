@@ -2,9 +2,10 @@
 
 Candidate joint laws of (Y0, Y1) on the simplex, the observed cells they
 induce, instrument tables generated forward from a random response-type
-law, and explicit couplings that attain bound endpoints: constructions
-that show a bound is reached, built independently of the closed forms.
-No command runs them.
+law, explicit couplings that attain bound endpoints, and the step
+functions that candidate marginals are given as: constructions that show
+a bound is reached, built independently of the closed forms.  No command
+runs them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from roybounds.errors import NegativeMass, NotNormalized, OutOfRange, RoyBoundsError
-from roybounds.functional import StepFn, SubCdf
+from roybounds.functional import _TOL, SubCdf, _row_inverse
 from roybounds.oracle import response_types
 from roybounds.probability import INPUT_NORM_TOL, NORM_TOL, CellProbs, InstrumentTable
 
@@ -120,6 +121,42 @@ def coupling_witness_binary(t: InstrumentTable, x0, x1, a: float, b: float) -> B
     return BinaryCouplingWitness(segments=tuple(segs))
 
 
+class StepFn:
+    """Right-continuous nondecreasing step function with finite jumps.
+
+    Value is `base` (>= 0) left of the first jump; after jump i it is
+    vals[i].  The generalized inverse uses the weak convention
+    inv(u) = inf{y : value(y) >= u}, returning -inf when u never exceeds
+    the base value and +inf when u exceeds the terminal value.
+    """
+
+    def __init__(self, xs: np.ndarray, vals: np.ndarray, base: float = 0.0):
+        self.xs = np.asarray(xs, dtype=float)
+        self.vals = np.asarray(vals, dtype=float)
+        self.base = float(base)
+
+    def __call__(self, y):
+        idx = np.searchsorted(self.xs, y, side="right")
+        out = np.where(idx > 0, self.vals[np.maximum(idx - 1, 0)], self.base)
+        return float(out) if np.isscalar(y) else out
+
+    def inverse(self, u):
+        """Weak inverse at a scalar u, or at each entry of an array."""
+        t = np.asarray(u, dtype=float).reshape(1, -1)
+        # _row_inverse gives -inf at levels not above 0; a base >= 0 widens that.
+        out = np.where(t <= self.base + _TOL, -np.inf, _row_inverse(self.vals[None], t, self.xs))
+        return float(out[0, 0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
+
+    @property
+    def terminal(self) -> float:
+        return float(self.vals[-1]) if len(self.vals) else self.base
+
+
+def subcdf_stepfns(c: SubCdf) -> tuple[StepFn, StepFn, StepFn]:
+    """The cdf and the two sector sub-cdfs of c as step functions: F, F_lo_0, F_lo_1."""
+    return StepFn(c.jumps, c.f), StepFn(c.jumps, c.f_lo[0]), StepFn(c.jumps, c.f_lo[1])
+
+
 def _difference_stepfn(f_cand: StepFn, f_sub: StepFn) -> StepFn:
     grid = np.unique(np.concatenate([f_cand.xs, f_sub.xs]))
     vals = np.maximum.accumulate(f_cand(grid) - f_sub(grid))
@@ -167,12 +204,11 @@ def coupling_witness_continuous(c: SubCdf, f0: StepFn, f1: StepFn) -> Continuous
             raise BoundsViolated(f"candidate marginal {d} escapes the envelopes")
         if abs(f.terminal - 1.0) > 1e-9:
             raise BoundsViolated(f"candidate marginal {d} does not reach 1")
-    rest0 = _difference_stepfn(f0, c._sub[0])
-    rest1 = _difference_stepfn(f1, c._sub[1])
+    _, sub0, sub1 = subcdf_stepfns(c)
     return ContinuousCouplingWitness(
         p_d1=c.p_d1,
-        sub0=c._sub[0],
-        sub1=c._sub[1],
-        rest0=rest0,
-        rest1=rest1,
+        sub0=sub0,
+        sub1=sub1,
+        rest0=_difference_stepfn(f0, sub0),
+        rest1=_difference_stepfn(f1, sub1),
     )
