@@ -99,13 +99,15 @@ def point_bounds(e: np.ndarray, labels: dict = LABELS) -> dict[str, IntervalBoun
     its nan upper end becomes 1.0.
     """
     p = {
-        key: IntervalBound(float(lo), float(hi), label=labels[key]).clamp()
+        key: IntervalBound(float(lo), float(hi), sharp=True, label=labels[key]).clamp()
         for key, (lo, hi) in bounds_from_envelopes(e).items()
     }
     if np.isnan(p["mobility"].hi):
         p["mobility"] = replace(p["mobility"], hi=1.0)
     ey0, ey1 = p["ey0"], p["ey1"]
-    p["ate"] = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label=labels["ate"]).clamp(-1.0, 1.0)
+    p["ate"] = IntervalBound(
+        ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label=labels["ate"]
+    ).clamp(-1.0, 1.0)
     return p
 
 

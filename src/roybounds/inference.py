@@ -327,11 +327,13 @@ def _att_plugin(tab: SampleTable, ey0: IntervalBound, ey1: IntervalBound):
     att1 = IntervalBound(
         float((w * (p_y1 - ey0.hi) / p_d1).sum()),
         float((w * (p_y1 - ey0.lo) / p_d1).sum()),
+        sharp=True,
         label=_CI_LABELS["att1"],
     ).clamp(-1.0, 1.0)
     att0 = IntervalBound(
         float((w * ((1.0 - p_y1) - (1.0 - ey1.lo)) / p_d0).sum()),
         float((w * ((1.0 - p_y1) - (1.0 - ey1.hi)) / p_d0).sum()),
+        sharp=True,
         label=_CI_LABELS["att0"],
     ).clamp(-1.0, 1.0)
     return att1, att0

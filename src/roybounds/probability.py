@@ -172,12 +172,14 @@ class IntervalBound:
     """Closed interval [lo, hi] with a sharpness tag and provenance label.
 
     A crossed interval (lo > hi) is representable: it encodes an empty
-    bound, which is a model-rejection finding, not an input error.
+    bound, which is a model-rejection finding, not an input error.  sharp
+    has no default: each interval states whether it claims to be exactly
+    the identified set.
     """
 
     lo: float
     hi: float
-    sharp: bool = True
+    sharp: bool
     label: str = ""
 
     @property

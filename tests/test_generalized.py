@@ -833,8 +833,8 @@ def ref_envelopes(t):
 
 def ref_bp_marginal_bounds(e):
     r = generalized.bounds_from_envelopes(e.as_array())
-    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0")
-    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1")
+    ey0 = IntervalBound(*map(float, r["ey0"]), sharp=True, label="EY0")
+    ey1 = IntervalBound(*map(float, r["ey1"]), sharp=True, label="EY1")
     ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label="E(Y1-Y0)")
     return ey0.clamp(), ey1.clamp(), ate.clamp(-1.0, 1.0)
 
@@ -842,14 +842,14 @@ def ref_bp_marginal_bounds(e):
 def ref_benefit_bounds(e):
     r = generalized.bounds_from_envelopes(e.as_array())
     return (
-        IntervalBound(*map(float, r["benefit_strict"]), label="P(Y1>Y0)").clamp(),
-        IntervalBound(*map(float, r["benefit_weak"]), label="P(Y1>=Y0)").clamp(),
+        IntervalBound(*map(float, r["benefit_strict"]), sharp=True, label="P(Y1>Y0)").clamp(),
+        IntervalBound(*map(float, r["benefit_weak"]), sharp=True, label="P(Y1>=Y0)").clamp(),
     )
 
 
 def ref_mobility_bounds(e):
     lo, hi = map(float, generalized.bounds_from_envelopes(e.as_array())["mobility"])
-    return IntervalBound(lo, 1.0 if np.isnan(hi) else hi, label="P(Y1=1|Y0=0)").clamp()
+    return IntervalBound(lo, 1.0 if np.isnan(hi) else hi, sharp=True, label="P(Y1=1|Y0=0)").clamp()
 
 
 def ref_att_bounds(t, e):

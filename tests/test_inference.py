@@ -383,13 +383,13 @@ def test_assemble_cis_caps_mobility_when_denominator_vanishes():
 def reference_assemble_cis(theta, k, level=0.95, b=0, seed=0):
     """The hand-built `assemble_cis`, with its ATT plug-in, kept as its reference."""
     r = generalized.bounds_from_envelopes(generalized.envelope_array(theta.est, k * theta.se))
-    ey0 = IntervalBound(*map(float, r["ey0"]), label="EY0 CI").clamp()
-    ey1 = IntervalBound(*map(float, r["ey1"]), label="EY1 CI").clamp()
-    ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, label="ATE CI").clamp(-1.0, 1.0)
-    benefit = IntervalBound(*map(float, r["benefit_strict"]), label="P(Y1>Y0) CI").clamp()
+    ey0 = IntervalBound(*map(float, r["ey0"]), sharp=True, label="EY0 CI").clamp()
+    ey1 = IntervalBound(*map(float, r["ey1"]), sharp=True, label="EY1 CI").clamp()
+    ate = IntervalBound(ey1.lo - ey0.hi, ey1.hi - ey0.lo, sharp=True, label="ATE CI").clamp(-1.0, 1.0)
+    benefit = IntervalBound(*map(float, r["benefit_strict"]), sharp=True, label="P(Y1>Y0) CI").clamp()
     mob_lo, mob_hi = map(float, r["mobility"])
     mob_hi = 1.0 if np.isnan(mob_hi) else mob_hi
-    mobility = IntervalBound(mob_lo, mob_hi, label="P(Y1=1|Y0=0) CI").clamp()
+    mobility = IntervalBound(mob_lo, mob_hi, sharp=True, label="P(Y1=1|Y0=0) CI").clamp()
     w = theta.counts.sum(axis=1)
     w = w / w.sum()
     p_y1 = theta.est[:, 0]
@@ -400,11 +400,13 @@ def reference_assemble_cis(theta, k, level=0.95, b=0, seed=0):
         att1 = IntervalBound(
             float((w * (p_y1 - ey0.hi) / p_d1).sum()),
             float((w * (p_y1 - ey0.lo) / p_d1).sum()),
+            sharp=True,
             label="E(Y1-Y0|D=1) CI",
         ).clamp(-1.0, 1.0)
         att0 = IntervalBound(
             float((w * ((1.0 - p_y1) - (1.0 - ey1.lo)) / p_d0).sum()),
             float((w * ((1.0 - p_y1) - (1.0 - ey1.hi)) / p_d0).sum()),
+            sharp=True,
             label="E(Y0-Y1|D=0) CI",
         ).clamp(-1.0, 1.0)
     return inference.CiReport(

@@ -186,13 +186,13 @@ def test_random_polytopes_grid_vs_vertices(q):
 
 
 def test_interval_bound_utilities():
-    b = IntervalBound(-0.2, 1.4)
+    b = IntervalBound(-0.2, 1.4, sharp=True)
     c = b.clamp()
     assert (c.lo, c.hi) == (0.0, 1.0)
     assert contains(b, 0.5)
-    assert contains_interval(IntervalBound(0.1, 0.9), IntervalBound(0.2, 0.8))
-    assert IntervalBound(0.6, 0.4).crossed
-    d = IntervalBound(np.inf, -np.inf).to_dict()
+    assert contains_interval(IntervalBound(0.1, 0.9, sharp=True), IntervalBound(0.2, 0.8, sharp=True))
+    assert IntervalBound(0.6, 0.4, sharp=True).crossed
+    d = IntervalBound(np.inf, -np.inf, sharp=True).to_dict()
     assert d["lo"] == "+inf" and d["hi"] == "-inf"
 
 
