@@ -210,6 +210,32 @@ def test_import_leaves_scipy_unloaded(cli_env):
     assert res.stdout.split() == ["False"] * 4
 
 
+def test_commands_leave_oracle_scipy_and_numpy_ma_unloaded(tmp_path, cli_env):
+    # Running the bounds and their bootstraps loads neither the oracle, nor
+    # scipy, nor numpy.ma (which np.unique would import in iqr_ci's grid).
+    write_binary_csv(tmp_path / "b.csv")
+    rng = oracle.make_rng(3)
+    y, d = np.round(rng.normal(size=300), 2), (rng.random(300) < 0.6).astype(int)
+    (tmp_path / "c.csv").write_text("y,d\n" + "".join(f"{a},{b}\n" for a, b in zip(y, d)))
+    commands = [
+        ["infer", "--data", "b.csv", "--instrument", "z", "--bootstrap", "100"],
+        ["generalized", "--data", "b.csv", "--instrument", "z", "--bootstrap", "100"],
+        ["functional", "--data", "c.csv"],
+        ["iqr", "--data", "c.csv", "--quantiles", "0.6,0.9", "--bootstrap", "100"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import roybounds.cli as cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "print(*(m in sys.modules for m in ('roybounds.oracle', 'scipy', 'numpy.ma')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"] * 3
+
+
 def test_oracle_commands_without_scipy(tmp_path, cli_env):
     # scipy is the [oracle] extra. Without it simulate and the Artstein
     # halfspaces write the same bytes as with it; only the LP of
